@@ -46,6 +46,7 @@ from .transfer import (
     fold_mod,
     mod_p_point_probability,
     next_prime_above,
+    smallball_exact,
 )
 
 MGG_SPECTRAL_CEILING = 0.884
@@ -311,13 +312,14 @@ def criterion_12(constants) -> CriterionResult:
         mod_ok = True
         fourier_worst = 0.0
         for inst in fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT):
-            prob = window_probability(inst)
-            bound = c_esseen.value * esseen_formula(inst)
+            dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+            prob = smallball_exact(dist, inst.x0, inst.radius)
+            bound = c_esseen.value * esseen_formula(inst.chain, inst.signs, inst.weights,
+                                                    dist, inst.radius)
             reports.append(BoundReport(
                 instance_id=inst.instance_id, n=inst.signs.n_steps, d=1,
                 lam=inst.lam, radius=inst.radius, prob=prob, bound=bound))
 
-            dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
             p = next_prime_above(2 * int(np.abs(inst.weights.scalars).max()))
             x0 = int(inst.x0)
             point = dist.probability_at(x0)

@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .chains import read_json_file
 from .errors import (
     DegenerateGap,
     EmptyFamily,
@@ -91,12 +92,10 @@ def save_constants(constants: dict[str, FittedConstant], path) -> None:
 def load_constants(path=None) -> dict[str, FittedConstant]:
     """Load fitted constants from a JSON file (default: the committed copy)."""
     if path is None:
-        text = resources.files("smallball.data").joinpath(
-            "fitted_constants.json").read_text()
+        doc = json.loads(resources.files("smallball.data").joinpath(
+            "fitted_constants.json").read_text())
     else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
+        doc = read_json_file(path)
     return {name: FittedConstant.from_doc(sub) for name, sub in doc.items()}
 
 
@@ -128,12 +127,13 @@ def esseen_bound(charfn_modulus, d: int, radius: float, eps: float,
 
 
 def _cos_product(vs):
-    vs = np.asarray(vs, dtype=float)
+    """prod_j |cos(2 pi xi v_j)| as one power per distinct |v_j|."""
+    freqs, mults = np.unique(np.abs(np.asarray(vs, dtype=float)), return_counts=True)
 
     def f(xi):
         out = np.ones_like(xi)
-        for v in vs:
-            out = out * np.abs(np.cos(2.0 * np.pi * xi * v))
+        for v, m in zip(freqs.tolist(), mults.tolist()):
+            out = out * np.abs(np.cos(2.0 * np.pi * xi * v)) ** m
         return out
 
     return f

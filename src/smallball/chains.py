@@ -347,12 +347,21 @@ def parse_chain_document(doc) -> tuple[MarkovChain, SignSystem | None]:
     return chain, signs
 
 
+def read_json_file(path):
+    """Parsed JSON of an input file; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_chain_file(path) -> tuple[MarkovChain, SignSystem | None]:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_file(path)
     try:
         return parse_chain_document(doc)
     except ConfigError as exc:
@@ -361,11 +370,7 @@ def load_chain_file(path) -> tuple[MarkovChain, SignSystem | None]:
 
 def load_weights_file(path, variant: str = "general") -> WeightSystem:
     """Weights file: JSON array of numbers (d=1) or of equal-length arrays."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json_file(path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty JSON array of weights")
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):

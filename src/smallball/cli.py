@@ -24,7 +24,6 @@ from . import families as fam
 from .bounds import (
     REPORT_FIELDS,
     BoundReport,
-    esseen_bound,
     load_constants,
     save_constants,
     theorem_bound,
@@ -36,11 +35,12 @@ from .chains import (
     make_two_state_chain,
     make_weight_system,
     parity_labels,
+    read_json_file,
     repeated_signs,
     spectral_lambda,
 )
 from .errors import ConfigError, SmallballError
-from .fitting import abs_charfn, fit_all_constants
+from .fitting import esseen_formula, fit_all_constants
 from .oracles import (
     check_averaging_identities,
     holder_lhs_rhs,
@@ -55,7 +55,6 @@ from .prg import (
     prg_smallball,
     save_graph,
 )
-from .quadrature import alias_safe_depth
 from .sampling import McEstimate, smallball_mc
 from .transfer import (
     exact_sum_distribution,
@@ -97,11 +96,7 @@ CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_file(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     if "kind" not in doc:
@@ -522,9 +517,8 @@ def _cmd_esseen(args) -> int:
     x0 = args.x0 if args.x0 is not None else 0.0
     dist = exact_sum_distribution(chain, signs, weights)
     prob = smallball_exact(dist, x0, radius)
-    depth = alias_safe_depth(2.0 * args.eps, float(np.abs(weights.scalars).max()))
-    bound = esseen_bound(abs_charfn(chain, signs, weights), 1, radius, args.eps,
-                         constants["C_esseen"], min_depth=depth)
+    bound = constants["C_esseen"].value * esseen_formula(chain, signs, weights, dist,
+                                                         radius, args.eps)
     print(f"prob {prob!r}  bound {bound!r}  ratio {prob / bound!r}")
     return 0 if prob <= bound else 1
 

@@ -14,11 +14,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import families as fam
-from .bounds import FittedConstant, fit_constant, cosine_product_integral
+from .bounds import QUAD_TOL, FittedConstant, fit_constant, cosine_product_integral
+from .chains import WeightSystem
+from .errors import OutOfRange
 from .prg import PrgSpec, build_mgg_expander, prg_smallball, size_bound_exponent
 from .quadrature import adaptive_simpson, alias_safe_depth
 from .sampling import first_coord_tail
 from .transfer import (
+    SumDistribution,
     char_fn_values,
     exact_sum_distribution,
     find_prime,
@@ -37,12 +40,45 @@ def abs_charfn(chain, signs, weights):
     return f
 
 
-def esseen_formula(inst: fam.BoundInstance, eps: float = 1.0) -> float:
-    """(R + 1/eps) * integral of |phi| over [-eps, eps]; the d=1 kernel."""
-    depth = alias_safe_depth(2.0 * eps, float(np.abs(inst.weights.scalars).max()))
-    integral = adaptive_simpson(abs_charfn(inst.chain, inst.signs, inst.weights),
-                                -eps, eps, tol=1e-10, min_depth=depth)
-    return (inst.radius + 1.0 / eps) * integral
+# Per point, the law's Horner form costs one complex multiply-add per mass and
+# the transfer sweep about S multiply-adds and S exponentials per weight on S
+# states, but the sweep's fixed cost per step is larger.  Timed on folded
+# integrals the law is the cheaper |phi| up to 3-50 masses per step and state
+# (the fewer, the fewer points per wave); past this many the sweep is used.
+# The Esseen families have at most 6.25.
+LAW_MASSES_PER_SWEEP_CELL = 10
+
+
+def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
+                   radius: float, eps: float = 1.0) -> float:
+    """(R + 1/eps) * integral of |phi| over [-eps, eps]; the d=1 kernel.
+
+    phi is the characteristic function of the integer-valued sum, whose exact
+    law is dist; |phi| is evaluated from dist, or by the transfer sweep when the
+    law has many masses per step and state.  On the integer lattice |phi| is
+    even and 1-periodic, so the integral folds exactly onto [0, eps], and onto
+    the half-period [0, 1/2] when eps >= 1/2 is a power of two.  Only those
+    folds map the dyadic grid of one run over [-eps, eps] onto itself, so the
+    folded run keeps that run's nodes and per-interval error budget and gives
+    its value up to rounding.
+    """
+    if not 0.0 < eps < math.inf or radius < 0:
+        raise OutOfRange(f"need finite eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
+    if dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states:
+        modulus = dist.char_fn_modulus
+    else:
+        modulus = abs_charfn(chain, signs, weights)
+    depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()))
+    mantissa, exponent = math.frexp(eps)
+    if mantissa == 0.5 and eps >= 0.5:
+        # 4 eps = 2^(exponent + 1) half-periods
+        integral = 4.0 * eps * adaptive_simpson(
+            modulus, 0.0, 0.5, tol=QUAD_TOL / (4.0 * eps),
+            min_depth=depth - exponent - 1)
+    else:
+        integral = 2.0 * adaptive_simpson(modulus, 0.0, eps,
+                                          tol=QUAD_TOL / 2.0, min_depth=depth - 1)
+    return (radius + 1.0 / eps) * integral
 
 
 def window_probability(inst: fam.BoundInstance) -> float:
@@ -103,7 +139,10 @@ def fit_c_esseen() -> FittedConstant:
     pairs = []
     for seed in (fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED):
         for inst in fam.esseen_family(seed, fam.ESSEEN_COUNT):
-            pairs.append((window_probability(inst), esseen_formula(inst)))
+            dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+            pairs.append((smallball_exact(dist, inst.x0, inst.radius),
+                          esseen_formula(inst.chain, inst.signs, inst.weights, dist,
+                                         inst.radius)))
     return fit_constant(pairs, "C_esseen", fam.ESSEEN_FAMILY_DESC,
                         grid={"seeds": [fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED],
                               "count": fam.ESSEEN_COUNT})

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .chains import MarkovChain, validate_chain
+from .chains import MarkovChain, read_json_file, validate_chain
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -304,11 +304,7 @@ def save_graph(graph: ExpanderGraph, path) -> None:
 
 
 def load_graph(path) -> ExpanderGraph:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_file(path)
     for fld in ("k", "degree", "neighbors"):
         if fld not in doc:
             raise ConfigError(f"{path}: missing field '{fld}'")

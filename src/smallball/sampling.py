@@ -60,6 +60,8 @@ def _clopper_pearson(hits: int, total: int, level: float = CI_LEVEL):
 
 
 def from_hits(hits: int, total: int, seed: int) -> McEstimate:
+    if total < 1:
+        raise OutOfRange(f"an estimate needs at least one sample, got {total}")
     lo, hi = _clopper_pearson(hits, total)
     est = hits / total
     return McEstimate(estimate=est, samples=total, ci_low=min(lo, est),

@@ -82,6 +82,18 @@ class SumDistribution:
         i = int(np.argmax(self.masses))
         return self.offset + i, float(self.masses[i])
 
+    def char_fn_modulus(self, xis) -> np.ndarray:
+        """|phi(xi)| = |sum_i masses[i] z^i| with z = exp(2 pi i xi), by Horner.
+
+        The offset contributes a unimodular factor z^offset, which drops out.
+        """
+        z = np.exp(2j * np.pi * np.asarray(xis, dtype=float))
+        acc = np.full(z.shape, self.masses[-1], dtype=complex)
+        for m in self.masses[-2::-1].tolist():
+            acc *= z
+            acc += m
+        return np.abs(acc)
+
 
 def sign_contributions(signs: SignSystem, weights: WeightSystem) -> np.ndarray:
     """c[j, y] = f_j(y) * v_j for scalar weight systems."""

@@ -97,6 +97,12 @@ class TestCosineProductIntegral:
         ref = np.prod(np.abs(np.cos(2 * np.pi * np.outer(xs, v))), axis=1).mean() * 2
         assert cosine_product_integral(v) == pytest.approx(ref, abs=1e-7)
 
+    def test_repeated_and_signed_weights_match_midpoint_rule(self):
+        v = [1.0, -1.0, 2.5, 2.5, 2.5, -4.0]
+        xs = (np.arange(400000) + 0.5) / 200000 - 1.0
+        ref = np.prod(np.abs(np.cos(2 * np.pi * np.outer(xs, v))), axis=1).mean() * 2
+        assert cosine_product_integral(v) == pytest.approx(ref, abs=1e-7)
+
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             cosine_product_integral([1.0, 0.5])

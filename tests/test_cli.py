@@ -109,6 +109,27 @@ class TestConfigs:
                      "--generator", "all-ones", "--n", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["spectral-gap", "--chain", "{missing}"],
+        ["zp-average", "--chain", "{missing}", "--generator", "arange", "--n", "5"],
+        ["esseen", "--chain", "{chain}", "--weights", "{missing}"],
+        ["run", "--config", "{missing}"],
+        ["esseen", "--chain", "{chain}", "--weights", "{weights}", "--constants",
+         "{missing}"],
+        ["prg-test", "--k", "4", "--graph", "{missing}"],
+        ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--mode", "mc",
+         "--samples", "0"],
+        ["prg-test", "--k", "4", "--n", "8", "--mode", "sampled", "--samples", "0"],
+    ])
+    def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
+                                                 weights_file, capsys):
+        paths = {"missing": str(tmp_path / "nope.json"), "chain": chain_file,
+                 "weights": weights_file}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "error: "))
+        assert "Traceback" not in err
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text('{"kind": "nonsense"}')

@@ -19,7 +19,7 @@ from smallball.errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from smallball.families import random_reversible_chain
+from smallball.families import DEFAULT_SEED, oracle_family, random_reversible_chain
 from smallball.oracles import brute_force_char_fn, brute_force_distribution
 from smallball.transfer import (
     char_fn,
@@ -293,3 +293,18 @@ def test_char_fn_values_vectorizes(two_state_03):
     for x, v in zip(xis, batch):
         single = char_fn(two_state_03, signs, ones_weights(4), float(x))
         assert abs(v - complex(single.re, single.im)) <= 1e-14
+
+
+def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
+    worst_sweep = worst_paths = 0.0
+    for inst in oracle_family(DEFAULT_SEED, 200):
+        chain, signs, weights = inst["chain"], inst["signs"], inst["weights"]
+        xis = inst["xis"]
+        got = exact_sum_distribution(chain, signs, weights).char_fn_modulus(xis)
+        sweep = np.abs(char_fn_values(chain, sign_contributions(signs, weights), xis))
+        paths = [abs(complex(v.re, v.im))
+                 for v in (brute_force_char_fn(chain, signs, weights, x) for x in xis)]
+        worst_sweep = max(worst_sweep, float(np.max(np.abs(got - sweep))))
+        worst_paths = max(worst_paths, float(np.max(np.abs(got - paths))))
+    assert worst_sweep <= 1e-12
+    assert worst_paths <= 1e-12
