@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 from .rngstreams import uniform_block
-from .sampling import McEstimate, from_hits
+from .sampling import CHUNK, McEstimate, from_hits
 
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
@@ -253,20 +253,19 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
 
     labels = spec.graph.labels().astype(float)
     block_w = w.reshape(spec.blocks, spec.graph.k)
-    contrib = labels @ block_w.T
-    nv = spec.graph.n_vertices
+    contrib = (labels @ block_w.T).T.copy()  # (blocks, vertices)
+    nv, degree = spec.graph.n_vertices, spec.graph.degree
+    flat_neighbors = spec.graph.neighbors.ravel()
     hits = 0
-    chunk = 1 << 14
-    for start in range(0, samples, chunk):
-        streams = np.arange(start, min(start + chunk, samples))
-        u = uniform_block(seed, streams, spec.blocks)
-        vertex = np.minimum((u[:, 0] * nv).astype(np.int64), nv - 1)
-        sums = contrib[vertex, 0]
+    for start in range(0, samples, CHUNK):
+        streams = np.arange(start, min(start + CHUNK, samples))
+        u = uniform_block(seed, streams, spec.blocks)  # row j drives block j
+        vertex = np.minimum((u[0] * nv).astype(np.intp), nv - 1)
+        sums = contrib[0][vertex]
         for j in range(1, spec.blocks):
-            edge = np.minimum((u[:, j] * spec.graph.degree).astype(np.int64),
-                              spec.graph.degree - 1)
-            vertex = spec.graph.neighbors[vertex, edge]
-            sums = sums + contrib[vertex, j]
+            edge = np.minimum((u[j] * degree).astype(np.intp), degree - 1)
+            vertex = flat_neighbors[vertex * degree + edge]
+            sums = sums + contrib[j][vertex]
         hits += int(np.count_nonzero(np.abs(sums - x0) <= radius))
     return from_hits(hits, samples, seed)
 

@@ -18,6 +18,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
+_SHIFT1, _SHIFT2, _SHIFT3, _SHIFT_53 = (np.uint64(b) for b in (30, 27, 31, 11))
 _INV_2_53 = 1.0 / (1 << 53)
 
 
@@ -28,10 +29,20 @@ def _finalize_int(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    z = np.bitwise_xor(z, z >> np.uint64(30)) * _MIX1
-    z = np.bitwise_xor(z, z >> np.uint64(27)) * _MIX2
-    return np.bitwise_xor(z, z >> np.uint64(31))
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer applied to z in place; tmp is scratch of z's shape."""
+    for shift, mix in ((_SHIFT1, _MIX1), (_SHIFT2, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mix, out=z)
+    np.right_shift(z, _SHIFT3, out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
+
+
+def _to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as a double in [0,1); consumes words."""
+    np.right_shift(words, _SHIFT_53, out=words)
+    return np.multiply(words, _INV_2_53, out=out)
 
 
 def stream_key(seed: int, stream: int) -> int:
@@ -43,16 +54,27 @@ def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """count doubles in [0,1) at positions start..start+count-1 of one stream."""
     key = np.uint64(stream_key(seed, stream))
     idx = (np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    return (_finalize(key + idx) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    words = key + idx
+    return _to_unit(_finalize(words, np.empty_like(words)), np.empty(count))
 
 
 def uniform_block(seed: int, streams: np.ndarray, n_per_stream: int) -> np.ndarray:
-    """(len(streams), n_per_stream) doubles; row i is the head of stream streams[i]."""
+    """(n_per_stream, len(streams)) doubles, step-major: row i holds draw i of
+    every stream, so column s is the head of stream streams[s].
+
+    Filled one row at a time, so each row's temporaries stay in cache; every
+    draw equals uniforms(seed, stream, i, 1).
+    """
     base = np.uint64(_finalize_int((seed & _MASK) + _GOLDEN_INT))
-    keys = _finalize(base + np.asarray(streams).astype(np.uint64) * _GOLDEN)
+    keys = base + np.asarray(streams).astype(np.uint64) * _GOLDEN
+    words, tmp = np.empty_like(keys), np.empty_like(keys)
+    _finalize(keys, tmp)
     idx = (np.arange(n_per_stream, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    words = _finalize(keys[:, None] + idx[None, :])
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    out = np.empty((n_per_stream, keys.size))
+    for i in range(n_per_stream):
+        np.add(keys, idx[i], out=words)
+        _to_unit(_finalize(words, tmp), out[i])
+    return out
 
 
 def standard_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import beta
 
 from .chains import MarkovChain, SignSystem, WeightSystem
-from .errors import OutOfRange, UnsupportedDimension
+from .errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from .quadrature import adaptive_simpson
 from .rngstreams import standard_normals, uniform_block
 
@@ -70,30 +70,43 @@ def from_hits(hits: int, total: int, seed: int) -> McEstimate:
 
 def _sample_states(chain: MarkovChain, n_steps: int, streams: np.ndarray,
                    seed: int) -> np.ndarray:
-    """(len(streams), n_steps) state paths, one counter stream per sample."""
+    """(n_steps, len(streams)) state paths, step-major: column s is the path
+    of sample streams[s], driven by its counter stream."""
     u = uniform_block(seed, streams, n_steps)
-    cum_mu = np.cumsum(chain.stationary)
-    cum_rows = np.cumsum(chain.transition, axis=1)
-    states = np.empty((streams.size, n_steps), dtype=np.int64)
-    states[:, 0] = np.minimum(
-        np.searchsorted(cum_mu, u[:, 0], side="right"), chain.n_states - 1)
+    last = chain.n_states - 1
+    # inverse CDF by counting: the state after y is the number of c < last
+    # with cum[y, c] <= u, which also clamps to last when a row's cumulative
+    # total rounds below 1 (cum is nondecreasing along a row)
+    cum_cols = np.cumsum(chain.transition, axis=1).T[:last].copy()
+    states = np.empty(u.shape, dtype=np.intp)
+    states[0] = np.minimum(
+        np.searchsorted(np.cumsum(chain.stationary), u[0], side="right"), last)
+    threshold = np.empty(streams.size)
+    below = np.empty(streams.size, dtype=bool)
     for i in range(1, n_steps):
-        rows = cum_rows[states[:, i - 1]]
-        states[:, i] = np.minimum(
-            (rows <= u[:, i][:, None]).sum(axis=1), chain.n_states - 1)
+        prev, cur = states[i - 1], states[i]
+        cur.fill(0)
+        for col in cum_cols:
+            np.take(col, prev, out=threshold)
+            np.less_equal(threshold, u[i], out=below)
+            cur += below
     return states
+
+
+def _sign_paths(chain: MarkovChain, signs: SignSystem, streams: np.ndarray,
+                seed: int) -> np.ndarray:
+    """(len(streams), n) +-1 matrix, row-major; row s is sample streams[s]."""
+    states = _sample_states(chain, signs.n_steps, streams, seed)
+    return np.take_along_axis(signs.functions, states, axis=1).T
 
 
 def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
                  seed: int) -> np.ndarray:
     """(count, n) matrix of +-1 samples; row i is sample i's sign sequence."""
-    n = signs.n_steps
-    out = np.empty((count, n), dtype=np.int8)
-    cols = np.arange(n)
+    out = np.empty((count, signs.n_steps), dtype=np.int8)
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        states = _sample_states(chain, n, streams, seed)
-        out[streams] = signs.functions[cols[None, :], states]
+        out[streams] = _sign_paths(chain, signs, streams, seed)
     return out
 
 
@@ -102,16 +115,23 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     """Fraction of sampled sums inside the closed ball of the given radius."""
     if radius < 0:
         raise OutOfRange(f"radius must be nonnegative, got {radius!r}")
+    if signs.n_steps != weights.n_weights:
+        raise DimensionMismatch(
+            f"{signs.n_steps} sign functions vs {weights.n_weights} weights")
     center = np.atleast_1d(np.asarray(x0, dtype=float))
-    if center.size != weights.dimension:
-        center = np.broadcast_to(center, (weights.dimension,))
+    if center.size not in (1, weights.dimension):
+        raise DimensionMismatch(
+            f"center has {center.size} coordinates, weights have dimension "
+            f"{weights.dimension}")
+    center = np.broadcast_to(center, (weights.dimension,))
     w = weights.weights
     hits = 0
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        states = _sample_states(chain, signs.n_steps, streams, seed)
-        eps = signs.functions[np.arange(signs.n_steps)[None, :], states]
-        sums = eps.astype(float) @ w
+        # a C-ordered (samples, n) matrix keeps BLAS's summation order per sum
+        eps = np.ascontiguousarray(_sign_paths(chain, signs, streams, seed),
+                                   dtype=float)
+        sums = eps @ w
         dist = np.linalg.norm(sums - center[None, :], axis=1)
         hits += int(np.count_nonzero(dist <= radius))
     return from_hits(hits, count, seed)
@@ -153,7 +173,8 @@ def first_coord_tail(d: int, t: float, mode: str = "exact",
     hits = 0
     for start in range(0, samples, CHUNK):
         streams = np.arange(start, min(start + CHUNK, samples))
-        u = uniform_block(seed, streams, 2 * d)
+        # one row per sample again, so each norm sums its row as it always has
+        u = uniform_block(seed, streams, 2 * d).T.copy()
         g = standard_normals(u[:, :d], u[:, d:])
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0] = 1.0

@@ -120,11 +120,15 @@ def char_fn_values(chain: MarkovChain, contribs: np.ndarray, xis) -> np.ndarray:
         raise DimensionMismatch(
             f"contribution table covers {contribs.shape[1]} states, chain has {chain.n_states}"
         )
-    phases = np.exp(2j * np.pi * xis[:, None, None] * contribs[None, :, :])
-    w = phases[:, n - 1, :].copy()
+    # one step's (xi, state) phases at a time: O(m N) memory for m points.
+    # phase stays a named array: numpy then reuses a large temporary w @ at
+    # in place as (w @ at) * phase, and that operand order fixes the last bit
+    angular = 2j * np.pi * xis[:, None]
+    w = np.exp(angular * contribs[n - 1])
     at = chain.transition.T
     for j in range(n - 2, -1, -1):
-        w = phases[:, j, :] * (w @ at)
+        phase = np.exp(angular * contribs[j])
+        w = phase * (w @ at)
     return w @ chain.stationary
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -27,6 +28,7 @@ from smallball.prg import (
     save_graph,
     size_bound_exponent,
 )
+from smallball.sampling import CHUNK
 from smallball.transfer import distribution_from_contributions, smallball_exact
 
 
@@ -152,6 +154,19 @@ class TestPrgSmallball:
         est = prg_smallball(spec, np.ones(4), 0.0, 1.0, mode="sampled",
                             samples=100_000, seed=6)
         assert est.covers(exact)
+
+    @pytest.mark.parametrize("k,digest", [
+        (4, "8f5b8e05e3c982ba7b628c077dd122ed63549776460d10693c65690515a15bff"),
+        (8, "a0c60b842363aba4d9155a266624e5e3b3b9172aff5ec10162f780e8017fc2c1"),
+    ])
+    def test_sampled_estimates_are_pinned(self, k, digest):
+        # serialize() digests recorded before the step-major walk sampler;
+        # CHUNK + 3 walks cross one chunk edge
+        spec = PrgSpec(graph=build_mgg_expander(k), n=4 * k)
+        scalars = np.random.default_rng(k).integers(1, 3, 4 * k).astype(float)
+        est = prg_smallball(spec, scalars, 1.0, 3.0, mode="sampled",
+                            samples=CHUNK + 3, seed=k)
+        assert hashlib.sha256(est.serialize().encode()).hexdigest() == digest
 
     def test_hypothesis_guard(self):
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)

@@ -14,9 +14,12 @@ def test_offset_slices_the_same_stream():
 
 
 def test_block_matches_per_stream():
-    block = uniform_block(3, np.arange(8), 16)
-    for s in range(8):
-        assert np.array_equal(block[s], uniforms(3, s, 0, 16))
+    # step-major: column s is the head of stream s, row i draw i of every stream
+    streams = np.array([0, 5, 2, 2**40 + 3, 7])
+    block = uniform_block(3, streams, 16)
+    assert block.shape == (16, streams.size)
+    for s, stream in enumerate(streams):
+        assert np.array_equal(block[:, s], uniforms(3, int(stream), 0, 16))
 
 
 def test_streams_and_seeds_decorrelate():
@@ -36,6 +39,6 @@ def test_range_and_moments():
 
 def test_box_muller_moments():
     u = uniform_block(29, np.arange(1000), 64)
-    z = standard_normals(u[:, :32], u[:, 32:]).ravel()
+    z = standard_normals(u[:32], u[32:]).ravel()
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +295,49 @@ def test_char_fn_values_vectorizes(two_state_03):
     for x, v in zip(xis, batch):
         single = char_fn(two_state_03, signs, ones_weights(4), float(x))
         assert abs(v - complex(single.re, single.im)) <= 1e-14
+
+
+def tensor_char_fn_values(chain, contribs, xis):
+    """Reference sweep over the whole (xi, step, state) phase tensor."""
+    n = contribs.shape[0]
+    phases = np.exp(2j * np.pi * xis[:, None, None] * contribs[None, :, :])
+    w = phases[:, n - 1, :].copy()
+    at = chain.transition.T
+    for j in range(n - 2, -1, -1):
+        w = phases[:, j, :] * (w @ at)
+    return w @ chain.stationary
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 8])
+@pytest.mark.parametrize("m", [1, 7, 1000, 4096])
+def test_char_fn_values_bit_identical_to_tensor_sweep(n_states, m):
+    # m * n_states complex values cross 256 KiB, where numpy starts reusing
+    # temporaries in place, for the larger m
+    rng = np.random.default_rng(100 * n_states + m)
+    chain = random_reversible_chain(rng, n_states)
+    xis = rng.uniform(-1.0, 1.0, m)
+    for contribs in (rng.integers(-4, 5, size=(20, n_states)).astype(float),
+                     rng.normal(scale=3.0, size=(20, n_states))):
+        assert np.array_equal(char_fn_values(chain, contribs, xis),
+                              tensor_char_fn_values(chain, contribs, xis))
+
+
+def test_char_fn_values_memory_is_per_step():
+    # the (xi, step, state) phase tensor of this call alone is 125 MiB
+    rng = np.random.default_rng(8)
+    chain = random_reversible_chain(rng, 8)
+    contribs = rng.integers(-3, 4, size=(500, 8)).astype(float)
+    xis = np.linspace(0.0, 0.5, 2048)
+    tracemalloc.start()
+    try:
+        vals = char_fn_values(chain, contribs, xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # recorded from the tensor sweep
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+        "957ff261335fb6034f8b425a40b4e204a0363de07a8638a39cd21b9ce34b92a8")
 
 
 def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
