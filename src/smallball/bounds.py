@@ -38,9 +38,6 @@ QUAD_TOL = 1e-10
 # round trip through bound = C * formula
 FIT_HEADROOM = 1e-12
 
-CONSTANT_NAMES = ("C_equal", "C_diff", "C_zp", "C_prg", "C_esseen", "C_cos",
-                  "C_coord", "C_size")
-
 
 @dataclass(frozen=True)
 class FittedConstant:

@@ -41,10 +41,6 @@ class MarkovChain:
     transition: np.ndarray
     stationary: np.ndarray
 
-    def averaging_operator(self) -> np.ndarray:
-        """Rank-one stochastic matrix whose every row is the stationary law."""
-        return np.tile(self.stationary, (self.n_states, 1))
-
 
 @dataclass(frozen=True)
 class SignSystem:

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,13 +27,11 @@ from .bounds import (
     BoundReport,
     load_constants,
     save_constants,
-    theorem_bound,
     write_bound_reports,
 )
 from .chains import (
     load_chain_file,
     load_weights_file,
-    make_two_state_chain,
     make_weight_system,
     parity_labels,
     read_json_file,
@@ -40,13 +39,8 @@ from .chains import (
     spectral_lambda,
 )
 from .errors import ConfigError, SmallballError
-from .fitting import esseen_formula, fit_all_constants
-from .oracles import (
-    check_averaging_identities,
-    holder_lhs_rhs,
-    lp_norm,
-    switching_stats,
-)
+from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
+from .oracles import SWITCHING_N_BUDGET, lp_norm
 from .prg import (
     PrgSpec,
     build_mgg_expander,
@@ -82,11 +76,9 @@ class ExperimentConfig:
     radius: float = 1.0
     n_list: list = field(default_factory=list)
     lambda_list: list = field(default_factory=list)
-    d_list: list = field(default_factory=list)
     seed: int = fam.DEFAULT_SEED
     samples: int = 100_000
     k: int | None = None
-    eps: float = 1.0
     constants: str | None = None
     out: str | None = None
     budget: int = 10**6
@@ -127,10 +119,10 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("kind prg: field 'k' (with 'n') or 'n_list' is required")
 
 
-def _resolve_weights(config: ExperimentConfig, n_default=None):
+def _resolve_weights(config: ExperimentConfig):
     if config.weights is not None:
         return load_weights_file(config.weights)
-    n = config.n or n_default
+    n = config.n
     if n is None:
         raise ConfigError("weight generator needs 'n'")
     if config.generator in (None, "all-ones"):
@@ -144,22 +136,38 @@ def _resolve_weights(config: ExperimentConfig, n_default=None):
     return make_weight_system(v)
 
 
-def _chain_and_signs(config: ExperimentConfig, n: int):
+def _load_instance(config: ExperimentConfig):
+    """(chain, signs, weights) from the config's chain file and weights."""
+    weights = _resolve_weights(config)
+    n = weights.n_weights
     chain, signs = load_chain_file(config.chain)
     if signs is None:
         signs = repeated_signs(parity_labels(chain.n_states), n, chain.stationary)
     elif signs.n_steps < n:
         raise ConfigError(
             f"chain file provides {signs.n_steps} sign rows but n = {n} are needed")
-    return chain, signs
+    return chain, signs, weights
+
+
+def _instance_from_args(args):
+    if args.chain is None:
+        raise ConfigError(f"{args.command}: --chain is required")
+    return _load_instance(ExperimentConfig(
+        kind="smallball-exact", chain=args.chain, weights=args.weights,
+        generator=args.generator, n=args.n))
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_distribution_csv(path, dist):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sum", "probability"])
-        for s, p in zip(dist.support().tolist(), dist.masses.tolist()):
-            writer.writerow([s, repr(p)])
+    _write_csv(path, ["sum", "probability"],
+               ([s, repr(p)] for s, p in zip(dist.support().tolist(),
+                                             dist.masses.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +191,7 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _run_smallball_exact(config: ExperimentConfig) -> int:
-    weights = _resolve_weights(config)
-    chain, signs = _chain_and_signs(config, weights.n_weights)
+    chain, signs, weights = _load_instance(config)
     dist = exact_sum_distribution(chain, signs, weights)
     prob = smallball_exact(dist, config.x0, config.radius)
     print(f"P[|sum - {config.x0}| <= {config.radius}] = {prob!r}")
@@ -195,8 +202,7 @@ def _run_smallball_exact(config: ExperimentConfig) -> int:
 
 
 def _run_smallball_mc(config: ExperimentConfig) -> int:
-    weights = _resolve_weights(config)
-    chain, signs = _chain_and_signs(config, weights.n_weights)
+    chain, signs, weights = _load_instance(config)
     est = smallball_mc(chain, signs, weights, config.x0, config.radius,
                        config.samples, config.seed)
     print(f"estimate {est.estimate!r}  99% CI [{est.ci_low!r}, {est.ci_high!r}]  "
@@ -212,58 +218,29 @@ def _run_smallball_mc(config: ExperimentConfig) -> int:
 
 def _run_diff_scaling(config: ExperimentConfig) -> int:
     constants = load_constants(config.constants)
-    n_list = [int(x) for x in (config.n_list or fam.DIFF_N_GRID)]
-    lam_list = [float(x) for x in (config.lambda_list or fam.DIFF_LAMBDAS)]
+    n_list = config.n_list or fam.DIFF_N_GRID
     rows = []
-    all_pass = True
-    for lam in lam_list:
-        chain = make_two_state_chain(lam)
-        pts = []
-        for n in n_list:
-            signs = repeated_signs(parity_labels(2), n, chain.stationary,
-                                   balanced=True)
-            weights = make_weight_system(np.arange(1.0, n + 1.0),
-                                         "distinct-positive-integers")
-            dist = exact_sum_distribution(chain, signs, weights)
-            _, prob = dist.max_point_mass()
-            bound = theorem_bound("distinct-int", {"n": n, "lam": lam}, constants)
-            rep = BoundReport(instance_id=f"diff-l{lam}-n{n}", n=n, d=1, lam=lam,
-                              radius=0.0, prob=prob, bound=bound)
-            pts.append((n, prob))
-            rows.append(rep.row())
-            all_pass = all_pass and rep.passed
-        slope = float(np.polyfit(np.log([n for n, _ in pts]),
-                                 np.log([p for _, p in pts]), 1)[0])
-        for row in rows[-len(pts):]:
-            row.append(repr(slope))
+    for lam in config.lambda_list or fam.DIFF_LAMBDAS:
+        reports = point_mass_reports(constants, [lam], n_list)
+        slope = acceptance.loglog_slope([r.n for r in reports],
+                                        [r.prob for r in reports])
+        rows += [(r, repr(slope)) for r in reports]
+    all_pass = all(r.passed for r, _ in rows)
     out = config.out or "diff_scaling.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(REPORT_FIELDS) + ["slope"])
-        writer.writerows(rows)
+    _write_csv(out, list(REPORT_FIELDS) + ["slope"],
+               (r.row() + [slope] for r, slope in rows))
     print(f"{'all bounds hold' if all_pass else 'BOUND VIOLATION'}; report: {out}")
     return 0 if all_pass else 1
 
 
 def _run_prg(config: ExperimentConfig) -> int:
     constants = load_constants(config.constants)
-    k = config.k or 4
-    n_list = [int(x) for x in (config.n_list or fam.PRG_N_GRID)]
-    graph = build_mgg_expander(k)
+    graph = build_mgg_expander(config.k or 4)
     certify_lambda(graph)
-    rows = []
-    all_pass = True
-    for n in n_list:
-        spec = PrgSpec(graph=graph, n=n)
-        prob = prg_smallball(spec, np.ones(n), config.x0, config.radius)
-        bound = theorem_bound("prg", {"n": n}, constants)
-        ok = prob <= bound
-        all_pass = all_pass and ok
-        rows.append(BoundReport(instance_id=f"prg-k{k}-n{n}", n=n, d=1,
-                                lam=graph.certified_lambda, radius=config.radius,
-                                prob=prob, bound=bound))
+    n_list = [int(x) for x in (config.n_list or fam.PRG_N_GRID)]
+    rows = walk_reports(constants, graph, n_list, config.x0, config.radius)
     out = config.out or "prg_bounds.csv"
-    write_bound_reports(out, rows)
+    all_pass = write_bound_reports(out, rows)
     print(f"certified lambda {graph.certified_lambda!r}; "
           f"{'all bounds hold' if all_pass else 'BOUND VIOLATION'}; report: {out}")
     return 0 if all_pass else 1
@@ -271,70 +248,39 @@ def _run_prg(config: ExperimentConfig) -> int:
 
 def _run_tightness(config: ExperimentConfig) -> int:
     n_list = [int(x) for x in (config.n_list or fam.TIGHTNESS_N_GRID)]
-    lam_list = [float(x) for x in (config.lambda_list or fam.TIGHTNESS_LAMBDAS)]
     rows = []
-    for lam in lam_list:
-        chain = make_two_state_chain(lam)
-        pts = []
-        for n in n_list:
-            signs = repeated_signs(parity_labels(2), n, chain.stationary,
-                                   balanced=True)
-            dist = exact_sum_distribution(chain, signs,
-                                          make_weight_system(np.ones(n)))
-            p0 = dist.probability_at(0)
-            pts.append((n, p0))
-        slope = float(np.polyfit(np.log([n for n, _ in pts]),
-                                 np.log([p for _, p in pts]), 1)[0])
-        for n, p0 in pts:
-            normalized = p0 * math.sqrt((1.0 - lam) * n / (1.0 + lam))
-            rows.append([f"tight-l{lam}-n{n}", lam, n, repr(p0), repr(normalized),
-                         repr(slope)])
+    for lam in map(float, config.lambda_list or fam.TIGHTNESS_LAMBDAS):
+        probs = acceptance.zero_masses(lam, n_list)
+        slope = acceptance.loglog_slope(n_list, probs)
+        rows += [[f"tight-l{lam}-n{n}", lam, n, repr(p0),
+                  repr(acceptance.gap_normalized(p0, lam, n)), repr(slope)]
+                 for n, p0 in zip(n_list, probs)]
     out = config.out or "tightness.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "lambda", "n", "prob_zero", "normalized",
-                         "slope"])
-        writer.writerows(rows)
+    _write_csv(out, ["instance_id", "lambda", "n", "prob_zero", "normalized", "slope"],
+               rows)
     print(f"tightness sweep written to {out}")
     return 0
 
 
+def _claim(instances: int, violation: float, passed: bool) -> dict:
+    return {"instances": instances, "max_violation": violation, "pass": passed}
+
+
 def _run_verify_claims(config: ExperimentConfig) -> int:
     seed = config.seed
-    switching_cap = min(13, max(4, int(math.log2(max(config.budget, 16))) + 1))
-    report: dict[str, dict] = {}
+    worst = acceptance.splitting_worst(seed)
+    report = {"splitting-inequality": _claim(500, worst,
+                                             worst <= acceptance.SPLITTING_TOL)}
+    for name, value in acceptance.identity_worsts(seed + 1).items():
+        report[name.replace("_", "-")] = _claim(1000, value,
+                                                value <= acceptance.IDENTITY_TOL)
 
-    worst = -math.inf
-    for inst in fam.holder_family(seed, 500):
-        lhs, rhs = holder_lhs_rhs(inst)
-        worst = max(worst, lhs - rhs)
-    report["splitting-inequality"] = {"instances": 500, "max_violation": worst,
-                                 "pass": worst <= 1e-9}
-
-    worsts = {"averaging-sandwich": 0.0, "l1-product": 0.0,
-              "diagonal-contraction": 0.0}
-    for inputs in fam.identity_inputs(seed + 1, 1000):
-        rep = check_averaging_identities(inputs["mu"], inputs["us"],
-                                         inputs["r_mats"], inputs["t_mats"])
-        worsts["averaging-sandwich"] = max(worsts["averaging-sandwich"],
-                                           rep.averaging_sandwich)
-        worsts["l1-product"] = max(worsts["l1-product"], rep.l1_product)
-        worsts["diagonal-contraction"] = max(worsts["diagonal-contraction"],
-                                             rep.diagonal_contraction)
-    for name, value in worsts.items():
-        report[name] = {"instances": 1000, "max_violation": value,
-                        "pass": value <= 1e-10}
-
-    margin = math.inf
-    count = 0
-    for n in range(2, switching_cap + 1):
-        for lam10 in range(0, 11):
-            rep = switching_stats(n, lam10 / 10.0)
-            margin = min(margin, rep.worst_margin)
-            count += 1
-    report["switching-domination"] = {"instances": count,
-                                      "max_violation": max(0.0, -margin),
-                                      "pass": margin >= -1e-12}
+    switching_cap = min(SWITCHING_N_BUDGET,
+                        max(4, int(math.log2(max(config.budget, 16))) + 1))
+    reps = acceptance.switching_grid(switching_cap)
+    margin = min(rep.worst_margin for rep in reps)
+    report["switching-domination"] = _claim(len(reps), max(0.0, -margin),
+                                            margin >= -1e-12)
 
     rng = np.random.default_rng(seed + 2)
     worst_chain = 0.0
@@ -345,8 +291,7 @@ def _run_verify_claims(config: ExperimentConfig) -> int:
         l1, l2, linf = (lp_norm(v, mu, 1), lp_norm(v, mu, 2),
                         lp_norm(v, mu, np.inf))
         worst_chain = max(worst_chain, l1 - l2, l2 - linf)
-    report["norm-chain"] = {"instances": 1000, "max_violation": worst_chain,
-                            "pass": worst_chain <= 1e-10}
+    report["norm-chain"] = _claim(1000, worst_chain, worst_chain <= 1e-10)
 
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if config.out:
@@ -358,11 +303,19 @@ def _run_verify_claims(config: ExperimentConfig) -> int:
 
 
 def _run_fit_constants(config: ExperimentConfig) -> int:
-    constants = fit_all_constants()
+    committed = load_constants(config.constants)
+    fitted = {}
+    for name, fitter in FITTERS.items():
+        t0 = time.perf_counter()
+        fitted[name] = fitter()
+        drift = ""
+        if name in committed:
+            rel = abs(fitted[name].value - committed[name].value) / committed[name].value
+            drift = f"  (drift vs committed: {rel:.2e})"
+        print(f"{name:10s} = {fitted[name].value!r}"
+              f"  [{time.perf_counter() - t0:.1f}s]{drift}")
     out = config.out or "fitted_constants.json"
-    save_constants(constants, out)
-    for name in sorted(constants):
-        print(f"{name} = {constants[name].value!r}")
+    save_constants(fitted, out)
     print(f"constants written to {out}")
     return 0
 
@@ -419,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exact-dist", help="exact lattice law of the signed sum")
     _add_common(sub, "chain", "weights", "out")
-    sub.set_defaults(require_chain=True)
 
     sub = subs.add_parser("smallball", help="window probability, exact or MC")
     _add_common(sub, "config", "chain", "weights", "window", "seed", "out")
@@ -484,13 +436,7 @@ def _cmd_spectral_gap(args) -> int:
 
 
 def _cmd_exact_dist(args) -> int:
-    if args.chain is None:
-        raise ConfigError("exact-dist: --chain is required")
-    config = ExperimentConfig(kind="smallball-exact", chain=args.chain,
-                              weights=args.weights, generator=args.generator,
-                              n=args.n)
-    weights = _resolve_weights(config)
-    chain, signs = _chain_and_signs(config, weights.n_weights)
+    chain, signs, weights = _instance_from_args(args)
     dist = exact_sum_distribution(chain, signs, weights)
     out = args.out or "distribution.csv"
     _write_distribution_csv(out, dist)
@@ -505,14 +451,8 @@ def _cmd_smallball(args) -> int:
 
 
 def _cmd_esseen(args) -> int:
-    if args.chain is None:
-        raise ConfigError("esseen: --chain is required")
     constants = load_constants(args.constants)
-    config = ExperimentConfig(kind="smallball-exact", chain=args.chain,
-                              weights=args.weights, generator=args.generator,
-                              n=args.n)
-    weights = _resolve_weights(config)
-    chain, signs = _chain_and_signs(config, weights.n_weights)
+    chain, signs, weights = _instance_from_args(args)
     radius = args.radius if args.radius is not None else 1.0
     x0 = args.x0 if args.x0 is not None else 0.0
     dist = exact_sum_distribution(chain, signs, weights)
@@ -524,13 +464,7 @@ def _cmd_esseen(args) -> int:
 
 
 def _cmd_zp_average(args) -> int:
-    if args.chain is None:
-        raise ConfigError("zp-average: --chain is required")
-    config = ExperimentConfig(kind="smallball-exact", chain=args.chain,
-                              weights=args.weights, generator=args.generator,
-                              n=args.n)
-    weights = _resolve_weights(config)
-    chain, signs = _chain_and_signs(config, weights.n_weights)
+    chain, signs, weights = _instance_from_args(args)
     if args.prime is not None:
         p = args.prime
     elif weights.variant == "distinct-positive-integers":
@@ -589,18 +523,7 @@ def _cmd_verify_all(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = acceptance.run_criteria(seed, constants)
-    report = acceptance.render_report(results, seed)
-    rerun = acceptance.run_criteria(seed, constants)
-    deterministic = acceptance.render_report(rerun, seed) == report
-    elapsed = sum(r.elapsed for r in results) + sum(r.elapsed for r in rerun)
-    # wall time stays out of the details so the rendered report byte-compares
-    det_result = acceptance.CriterionResult(
-        cid=13, title="two runs render byte-identical reports",
-        passed=deterministic and elapsed < 600.0,
-        details={"byte_identical": deterministic,
-                 "under_time_budget": elapsed < 600.0},
-        elapsed=elapsed)
-    results.append(det_result)
+    results.append(acceptance.criterion_13(results, seed, constants))
 
     (out_dir / "acceptance.json").write_text(
         acceptance.render_report(results, seed))

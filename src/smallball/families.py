@@ -137,12 +137,12 @@ HALF_UNIT_FAMILY_DESC = (
 )
 
 
-def diff_instances() -> list[dict]:
+def diff_instances(lams=DIFF_LAMBDAS, ns=DIFF_N_GRID) -> list[dict]:
     """Distinct-integer instances v = (1..n) on two-state chains; deterministic."""
     out = []
-    for lam in DIFF_LAMBDAS:
+    for lam in map(float, lams):
         chain = make_two_state_chain(lam)
-        for n in DIFF_N_GRID:
+        for n in map(int, ns):
             signs = repeated_signs(parity_labels(2), n, chain.stationary,
                                    balanced=True)
             weights = make_weight_system(np.arange(1, n + 1),
@@ -245,12 +245,6 @@ def identity_inputs(seed: int, count: int) -> list[dict]:
     return out
 
 
-def prg_instances() -> list[dict]:
-    """Expander-walk grid for the PRG bound; deterministic."""
-    return [{"instance_id": f"prg-k{k}-n{n}", "k": k, "n": n}
-            for k in PRG_K_GRID for n in PRG_N_GRID]
-
-
 PRG_FAMILY_DESC = (
     f"prg-{FAMILY_VERSION}: MGG degree-8 walks, k in {PRG_K_GRID}, "
     f"n in {PRG_N_GRID}, all-ones weights, x0=0, R=1, exact enumeration"
@@ -270,14 +264,3 @@ SIZE_FAMILY_DESC = (
     f"size-{FAMILY_VERSION}: (k + 3 (ceil(n/k) - 1)) / sqrt(n) with k the even-"
     f"rounded-up sqrt(n), n in {SIZE_N_RANGE[0]}..{SIZE_N_RANGE[-1]}"
 )
-
-
-def tightness_instances() -> list[dict]:
-    """Two-state chains, all-ones weights, the long-n grid; deterministic."""
-    out = []
-    for lam in TIGHTNESS_LAMBDAS:
-        chain = make_two_state_chain(lam)
-        for n in TIGHTNESS_N_GRID:
-            out.append({"instance_id": f"tight-l{lam}-n{n}", "chain": chain,
-                        "lam": lam, "n": n})
-    return out

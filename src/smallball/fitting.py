@@ -3,7 +3,9 @@
 Each routine walks a deterministic instance family, computes the exact (or
 quadrature-exact) probability and the bound formula stripped of its constant,
 and records the supremum of their ratio.  Rerunning reproduces the committed
-values bit-for-bit.
+values bit-for-bit.  The closed-form formulas come from bounds.theorem_bound
+with every constant 1.0; the point-mass and walk sweeps also report against
+the committed constants, for the acceptance criteria and the CLI.
 """
 
 from __future__ import annotations
@@ -14,10 +16,23 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import families as fam
-from .bounds import QUAD_TOL, FittedConstant, fit_constant, cosine_product_integral
+from .bounds import (
+    QUAD_TOL,
+    BoundReport,
+    FittedConstant,
+    cosine_product_integral,
+    fit_constant,
+    theorem_bound,
+)
 from .chains import WeightSystem
 from .errors import OutOfRange
-from .prg import PrgSpec, build_mgg_expander, prg_smallball, size_bound_exponent
+from .prg import (
+    ExpanderGraph,
+    PrgSpec,
+    build_mgg_expander,
+    prg_smallball,
+    size_bound_exponent,
+)
 from .quadrature import adaptive_simpson, alias_safe_depth
 from .sampling import first_coord_tail
 from .transfer import (
@@ -81,29 +96,46 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
     return (radius + 1.0 / eps) * integral
 
 
+# theorem_bound with every constant 1.0 is the bound formula stripped of its
+# constant: the denominator each fitted supremum is taken against
+UNIT_CONSTANTS = {"C_equal": 1.0, "C_diff": 1.0, "C_prg": 1.0}
+
+
 def window_probability(inst: fam.BoundInstance) -> float:
     dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
     return smallball_exact(dist, inst.x0, inst.radius)
 
 
-def fit_c_equal(seed: int = fam.DEFAULT_SEED) -> FittedConstant:
-    pairs = []
-    for inst in fam.half_unit_family(seed):
-        prob = window_probability(inst)
-        formula = 1.0 / ((1.0 - inst.lam) * math.sqrt(inst.signs.n_steps))
-        pairs.append((prob, formula))
+def fit_c_equal(seed: int = fam.DEFAULT_SEED, probs=None) -> FittedConstant:
+    """probs, when given, are the family's window probabilities in order."""
+    insts = fam.half_unit_family(seed)
+    if probs is None:
+        probs = [window_probability(inst) for inst in insts]
+    pairs = [(prob, theorem_bound("scalar-half-unit",
+                                  {"n": inst.signs.n_steps, "lam": inst.lam},
+                                  UNIT_CONSTANTS))
+             for inst, prob in zip(insts, probs)]
     return fit_constant(pairs, "C_equal", fam.HALF_UNIT_FAMILY_DESC,
                         grid={"seed": seed, "buckets": list(fam.HALF_UNIT_BUCKETS),
                               "n": [fam.HALF_UNIT_N_RANGE[0], fam.HALF_UNIT_N_RANGE[-1]]})
 
 
-def fit_c_diff() -> FittedConstant:
-    pairs = []
-    for inst in fam.diff_instances():
+def point_mass_reports(constants, lams=fam.DIFF_LAMBDAS,
+                       ns=fam.DIFF_N_GRID) -> list[BoundReport]:
+    """Max point mass of each distinct-integer instance vs its C_diff bound."""
+    reports = []
+    for inst in fam.diff_instances(lams, ns):
         dist = exact_sum_distribution(inst["chain"], inst["signs"], inst["weights"])
         _, prob = dist.max_point_mass()
-        formula = 1.0 / ((1.0 - inst["lam"]) ** 3 * inst["n"] ** 1.5)
-        pairs.append((prob, formula))
+        bound = theorem_bound("distinct-int", {"n": inst["n"], "lam": inst["lam"]},
+                              constants)
+        reports.append(BoundReport(instance_id=inst["instance_id"], n=inst["n"], d=1,
+                                   lam=inst["lam"], radius=0.0, prob=prob, bound=bound))
+    return reports
+
+
+def fit_c_diff() -> FittedConstant:
+    pairs = [(r.prob, r.bound) for r in point_mass_reports(UNIT_CONSTANTS)]
     return fit_constant(pairs, "C_diff", fam.DIFF_FAMILY_DESC,
                         grid={"n": list(fam.DIFF_N_GRID),
                               "lambda": list(fam.DIFF_LAMBDAS)})
@@ -117,20 +149,28 @@ def fit_c_zp() -> FittedConstant:
     for inst in fam.diff_instances():
         p = find_prime(inst["weights"])
         avg = zp_fourier_average(inst["chain"], inst["signs"], inst["weights"], p)
-        formula = 1.0 / ((1.0 - inst["lam"]) ** 3 * inst["n"] ** 1.5)
-        pairs.append((avg, formula))
+        pairs.append((avg, theorem_bound("distinct-int",
+                                         {"n": inst["n"], "lam": inst["lam"]},
+                                         UNIT_CONSTANTS)))
     return fit_constant(pairs, "C_zp", fam.ZP_FAMILY_DESC,
                         grid={"n": list(fam.DIFF_N_GRID),
                               "lambda": list(fam.DIFF_LAMBDAS)})
 
 
+def walk_reports(constants, graph: ExpanderGraph, ns, x0: float = 0.0,
+                 radius: float = 1.0) -> list[BoundReport]:
+    """Walk-measure window probability of all-ones weights vs its C_prg bound."""
+    return [BoundReport(instance_id=f"prg-k{graph.k}-n{n}", n=n, d=1,
+                        lam=graph.certified_lambda or 0.0, radius=radius,
+                        prob=prg_smallball(PrgSpec(graph=graph, n=n), np.ones(n),
+                                           x0, radius),
+                        bound=theorem_bound("prg", {"n": n}, constants))
+            for n in ns]
+
+
 def fit_c_prg() -> FittedConstant:
-    pairs = []
-    graphs = {k: build_mgg_expander(k) for k in fam.PRG_K_GRID}
-    for inst in fam.prg_instances():
-        spec = PrgSpec(graph=graphs[inst["k"]], n=inst["n"])
-        prob = prg_smallball(spec, np.ones(inst["n"]), 0.0, 1.0)
-        pairs.append((prob, 1.0 / math.sqrt(inst["n"])))
+    pairs = [(r.prob, r.bound) for k in fam.PRG_K_GRID
+             for r in walk_reports(UNIT_CONSTANTS, build_mgg_expander(k), fam.PRG_N_GRID)]
     return fit_constant(pairs, "C_prg", fam.PRG_FAMILY_DESC,
                         grid={"k": list(fam.PRG_K_GRID), "n": list(fam.PRG_N_GRID)})
 
@@ -190,7 +230,3 @@ FITTERS = {
     "C_coord": fit_c_coord,
     "C_size": fit_c_size,
 }
-
-
-def fit_all_constants() -> dict[str, FittedConstant]:
-    return {name: fitter() for name, fitter in FITTERS.items()}

@@ -45,24 +45,9 @@ def operator_norm_l2mu(m, mu) -> float:
 
 
 def averaging_operator(mu) -> np.ndarray:
+    """Rank-one stochastic matrix E_mu whose every row is mu."""
     mu = np.asarray(mu, dtype=float)
     return np.tile(mu, (mu.size, 1))
-
-
-@dataclass(frozen=True)
-class MuNormContext:
-    """Norm utilities bound to one stationary law."""
-
-    mu: np.ndarray
-
-    def norm(self, v, p) -> float:
-        return lp_norm(v, self.mu, p)
-
-    def operator_norm(self, m) -> float:
-        return operator_norm_l2mu(m, self.mu)
-
-    def averaging_operator(self) -> np.ndarray:
-        return averaging_operator(self.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 from .rngstreams import uniform_block
-from .sampling import CHUNK, McEstimate, from_hits
+from .sampling import CHUNK, from_hits
 
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14

@@ -93,6 +93,13 @@ def _sample_states(chain: MarkovChain, n_steps: int, streams: np.ndarray,
     return states
 
 
+def _check_states(chain: MarkovChain, signs: SignSystem) -> None:
+    if signs.functions.shape[1] != chain.n_states:
+        raise DimensionMismatch(
+            f"sign functions cover {signs.functions.shape[1]} states, "
+            f"chain has {chain.n_states}")
+
+
 def _sign_paths(chain: MarkovChain, signs: SignSystem, streams: np.ndarray,
                 seed: int) -> np.ndarray:
     """(len(streams), n) +-1 matrix, row-major; row s is sample streams[s]."""
@@ -103,6 +110,7 @@ def _sign_paths(chain: MarkovChain, signs: SignSystem, streams: np.ndarray,
 def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
                  seed: int) -> np.ndarray:
     """(count, n) matrix of +-1 samples; row i is sample i's sign sequence."""
+    _check_states(chain, signs)
     out = np.empty((count, signs.n_steps), dtype=np.int8)
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
@@ -118,6 +126,7 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     if signs.n_steps != weights.n_weights:
         raise DimensionMismatch(
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights")
+    _check_states(chain, signs)
     center = np.atleast_1d(np.asarray(x0, dtype=float))
     if center.size not in (1, weights.dimension):
         raise DimensionMismatch(

@@ -4,15 +4,11 @@ Run with -s to see the per-criterion lines; verify-all on the CLI renders the
 same checks into report files.
 """
 
-import time
-
 import pytest
 
 from smallball import acceptance
 from smallball.bounds import load_constants
 from smallball.families import DEFAULT_SEED
-
-MAX_SUITE_SECONDS = 600.0
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +98,7 @@ def test_criterion_12_esseen_and_mod_p(committed):
 
 
 def test_criterion_13_determinism_and_runtime(committed):
-    t0 = time.perf_counter()
     first = acceptance.run_criteria(DEFAULT_SEED, committed)
-    second = acceptance.run_criteria(DEFAULT_SEED, committed)
-    elapsed = time.perf_counter() - t0
-    identical = (acceptance.render_report(first, DEFAULT_SEED)
-                 == acceptance.render_report(second, DEFAULT_SEED))
-    result = acceptance.CriterionResult(
-        cid=13, title="two runs render byte-identical reports",
-        passed=identical and elapsed < MAX_SUITE_SECONDS,
-        details={"byte_identical": identical, "seconds": elapsed},
-        elapsed=elapsed)
+    result = acceptance.criterion_13(first, DEFAULT_SEED, committed)
+    assert result.details == {"byte_identical": True, "under_time_budget": True}
     _report(result)

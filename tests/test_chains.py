@@ -25,7 +25,7 @@ from smallball.errors import (
     ZeroStationaryMass,
 )
 from smallball.families import random_reversible_chain, random_stochastic_matrix
-from smallball.oracles import operator_norm_l2mu
+from smallball.oracles import averaging_operator, operator_norm_l2mu
 
 
 class TestValidateChain:
@@ -68,7 +68,7 @@ class TestSpectralLambda:
         chain = make_independent_chain([0.2, 0.3, 0.5])
         assert spectral_lambda(chain) <= 1e-12
         # independent route: the operator norm of A - E_mu via singular values
-        gap = chain.transition - chain.averaging_operator()
+        gap = chain.transition - averaging_operator(chain.stationary)
         assert operator_norm_l2mu(gap, chain.stationary) <= 1e-12
 
     def test_two_state_chain_recovers_parameter(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -138,9 +139,11 @@ class TestConfigs:
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
-        path.write_text('{"kind": "tightness", "bogus": 1}')
-        with pytest.raises(ConfigError, match="bogus"):
-            load_config(path)
+        for field, value in (("bogus", 1), ("eps", 0.5), ("d_list", [1, 2])):
+            path.write_text(json.dumps({"kind": "tightness", field: value}))
+            with pytest.raises(ConfigError, match=field):
+                load_config(path)
+            assert main(["run", "--config", str(path)]) == 2
 
     def test_kind_mismatch_with_subcommand(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -191,3 +194,38 @@ class TestDeterminismAndCorruption:
         assert run(cfg) == 1
         rows = read_bound_reports(tmp_path / "d.csv")
         assert any(not r.passed for r in rows)
+
+
+class TestPinnedReports:
+    """sha256 of sweep reports, recorded before the sweeps were shared with
+    the acceptance criteria; any change to a byte of them fails here."""
+
+    def _digest(self, path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    def test_tightness(self, tmp_path):
+        out = str(tmp_path / "t.csv")
+        assert main(["tightness", "--n-list", "64,128,256", "--lambdas", "0,0.3",
+                     "--out", out]) == 0
+        assert self._digest(out) == (
+            "d5e39e57be0964f3753295e52b1e55dfa2fda3f8f96188645df2b42f5978a55d")
+
+    def test_diff_scaling(self, tmp_path):
+        out = str(tmp_path / "d.csv")
+        assert run(ExperimentConfig(kind="diff-scaling", n_list=[9, 16],
+                                    lambda_list=[0.0, 0.3], out=out)) == 0
+        assert self._digest(out) == (
+            "a6d136abd21226f025aa609b5e9bda8d4c049d7434c5ea31621e7776347d7b43")
+
+    def test_prg(self, tmp_path):
+        out = str(tmp_path / "p.csv")
+        assert run(ExperimentConfig(kind="prg", k=4, out=out)) == 0
+        assert self._digest(out) == (
+            "ac239f131c5e42c5978b3e9a3ab0851c1797b1086ebd1d61ac6621addd5de1e7")
+
+    def test_verify_claims(self, tmp_path):
+        out = str(tmp_path / "c.json")
+        assert main(["verify-claims", "--seed", "3", "--budget", "100",
+                     "--out", out]) == 0
+        assert self._digest(out) == (
+            "35ff16535a9df44bb855c11291514d87dcbc1eb106c2fc7766b0c0f51ab398f3")

@@ -12,6 +12,7 @@ from smallball.errors import BudgetExceeded, HypothesisViolated, PreconditionVio
 from smallball.families import holder_family, identity_inputs, random_reversible_chain
 from smallball.oracles import (
     HolderInstance,
+    averaging_operator,
     brute_force_char_fn,
     check_averaging_identities,
     extraction_indices,
@@ -25,14 +26,10 @@ from smallball.oracles import (
 
 
 class TestNorms:
-    def test_context_wraps_the_utilities(self):
-        from smallball.oracles import MuNormContext
-
-        ctx = MuNormContext(mu=np.array([0.25, 0.75]))
-        v = np.array([2.0, -1.0])
-        assert ctx.norm(v, 1) == lp_norm(v, ctx.mu, 1)
-        assert ctx.operator_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(ctx.averaging_operator(),
+    def test_utilities_on_one_law(self):
+        mu = np.array([0.25, 0.75])
+        assert operator_norm_l2mu(np.eye(2), mu) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(averaging_operator(mu),
                                    [[0.25, 0.75], [0.25, 0.75]])
 
     def test_lp_norm_values(self):

@@ -156,6 +156,19 @@ class TestSmallballMc:
             smallball_mc(two_state_03, balanced_signs(two_state_03, 3),
                          ones_weights(4), 0.0, 1.0, 10, seed=0)
 
+    @pytest.mark.parametrize("chain_states,sign_states", [(4, 2), (2, 4)])
+    def test_sign_state_count_mismatch_rejected_before_sampling(
+            self, chain_states, sign_states, monkeypatch):
+        monkeypatch.setattr(sampling, "uniform_block", _no_draws)
+        chain = make_independent_chain(np.full(chain_states, 1.0 / chain_states))
+        other = make_independent_chain(np.full(sign_states, 1.0 / sign_states))
+        signs = balanced_signs(other, 3)
+        match = f"sign functions cover {sign_states} states, chain has {chain_states}"
+        with pytest.raises(DimensionMismatch, match=match):
+            smallball_mc(chain, signs, ones_weights(3), 0.0, 1.0, 10, seed=0)
+        with pytest.raises(DimensionMismatch, match=match):
+            sample_signs(chain, signs, 10, seed=0)
+
     @pytest.mark.parametrize("n_states,kind,x0,radius,digest", [
         (2, "unit", 0.0, 2.0,
          "4c854c06ffd880802ba5ff868f1308be18fca5c80fb47a107c33756303708147"),
