@@ -31,6 +31,7 @@ from .chains import (
     parity_labels,
     repeated_signs,
 )
+from .errors import OutOfRange
 from .fitting import (
     esseen_formula,
     fit_c_equal,
@@ -85,7 +86,9 @@ def _timed(cid, title, fn):
 
 
 def loglog_slope(ns, probs) -> float:
-    """Least-squares slope of log(prob) against log(n)."""
+    """Least-squares slope of log(prob) against log(n) over two or more distinct n."""
+    if len(set(ns)) < 2:
+        raise OutOfRange(f"a log-log slope needs two or more distinct n, got {list(ns)}")
     return float(np.polyfit([math.log(n) for n in ns],
                             [math.log(p) for p in probs], 1)[0])
 

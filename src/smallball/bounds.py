@@ -26,12 +26,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedDimension,
 )
-from .quadrature import (
-    DEFAULT_MIN_DEPTH,
-    adaptive_simpson,
-    alias_safe_depth,
-    piecewise_simpson,
-)
+from .quadrature import DEFAULT_MIN_DEPTH, adaptive_simpson
 
 QUAD_TOL = 1e-10
 # fitted suprema carry one ulp-scale headroom so that ratio <= 1 survives the
@@ -106,7 +101,7 @@ def _constant_value(c) -> float:
 
 
 def esseen_bound(charfn_modulus, d: int, radius: float, eps: float,
-                 prefactor, min_depth: int | None = None) -> float:
+                 prefactor, min_depth: int = DEFAULT_MIN_DEPTH) -> float:
     """prefactor * (R/sqrt(d) + sqrt(d)/eps)^d * integral of |phi| over [-eps, eps].
 
     charfn_modulus must map an ndarray of frequencies to moduli.  Only d = 1
@@ -117,9 +112,7 @@ def esseen_bound(charfn_modulus, d: int, radius: float, eps: float,
         raise UnsupportedDimension(f"esseen_bound integrates d = 1 only, got d = {d}")
     if eps <= 0 or radius < 0:
         raise OutOfRange(f"need eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
-    integral = adaptive_simpson(
-        charfn_modulus, -eps, eps, tol=QUAD_TOL,
-        min_depth=DEFAULT_MIN_DEPTH if min_depth is None else min_depth)
+    integral = adaptive_simpson(charfn_modulus, -eps, eps, tol=QUAD_TOL, min_depth=min_depth)
     return _constant_value(prefactor) * (radius / math.sqrt(d) + math.sqrt(d) / eps) ** d * integral
 
 
@@ -139,8 +132,9 @@ def _cos_product(vs):
 def cosine_product_integral(vs, tol: float = QUAD_TOL) -> float:
     """Integral over [-1,1] of prod_j |cos(2 pi xi v_j)| for |v_j| >= 1.
 
-    The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j); for few
-    factors the domain is split there, otherwise generic adaptivity is enough.
+    The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j).  One run
+    cuts the domain there, so no piece holds a full oscillation of any factor
+    and a shallow forced depth suffices.
     """
     vs = np.asarray(vs, dtype=float)
     if vs.size and np.min(np.abs(vs)) < 1.0 - 1e-12:
@@ -149,17 +143,12 @@ def cosine_product_integral(vs, tol: float = QUAD_TOL) -> float:
         )
     if vs.size == 0:
         return 2.0
-    f = _cos_product(vs)
-    points = {-1.0, 1.0}
-    for v in set(np.abs(vs).tolist()):
+    zeros = []
+    for v in np.unique(np.abs(vs)).tolist():
         m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
-        zeros = (2 * m + 1) / (4.0 * v)
-        points.update(zeros[(zeros > -1.0) & (zeros < 1.0)].tolist())
-    if len(points) <= 4096:
-        # pieces between adjacent zeros hold no full oscillation of any factor
-        return piecewise_simpson(f, points, tol=tol)
-    return adaptive_simpson(f, -1.0, 1.0, tol=tol,
-                            min_depth=alias_safe_depth(2.0, float(np.abs(vs).max())))
+        zeros.append((2 * m + 1) / (4.0 * v))
+    return adaptive_simpson(_cos_product(vs), -1.0, 1.0, tol=tol, min_depth=2,
+                            cuts=np.concatenate(zeros))
 
 
 def binomial_negative_moment(n: int, p: float, d: int) -> tuple[float, float]:

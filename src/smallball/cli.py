@@ -106,13 +106,9 @@ def _validate_config(config: ExperimentConfig) -> None:
     if config.kind in ("smallball-exact", "smallball-mc"):
         if config.chain is None:
             raise ConfigError(f"kind {config.kind}: field 'chain' is required")
-        if not Path(config.chain).exists():
-            raise ConfigError(f"'chain': file {config.chain} does not exist")
         if config.weights is None and config.generator is None:
             raise ConfigError(
                 f"kind {config.kind}: one of 'weights' or 'generator' is required")
-    if config.weights is not None and not Path(config.weights).exists():
-        raise ConfigError(f"'weights': file {config.weights} does not exist")
     if config.generator is not None and config.generator not in GENERATORS:
         raise ConfigError(f"'generator': must be one of {GENERATORS}")
     if config.kind == "prg" and config.k is None and not config.n_list:
@@ -490,11 +486,9 @@ def _cmd_prg_build(args) -> int:
 
 def _cmd_prg_test(args) -> int:
     graph = load_graph(args.graph) if args.graph else build_mgg_expander(args.k)
-    if args.weights:
-        w = load_weights_file(args.weights).scalars
-    else:
-        n = args.n or (args.k * 4)
-        w = np.ones(n)
+    w = _resolve_weights(ExperimentConfig(
+        kind="prg", weights=args.weights, generator=args.generator,
+        n=args.n or 4 * args.k)).scalars
     if args.pad_to_multiple and len(w) % graph.k:
         if w.min() < 1.0 - 1e-12:
             raise ConfigError("--pad-to-multiple: original weights must be >= 1")

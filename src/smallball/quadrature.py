@@ -23,25 +23,27 @@ DEFAULT_MIN_DEPTH = 3
 
 def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
                      max_intervals: int = MAX_INTERVALS,
-                     min_depth: int = DEFAULT_MIN_DEPTH) -> float:
+                     min_depth: int = DEFAULT_MIN_DEPTH, cuts=()) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    f must map an ndarray of points to an ndarray of values.
+    f must map an ndarray of points to an ndarray of values.  cuts are points
+    where f has kinks; those inside (a, b) split [a, b] into starting pieces,
+    each given tol / pieces and max_intervals intervals of the run's budget.
     """
     if b <= a:
         return 0.0
-    xs = np.array([a, 0.5 * (a + b), b])
-    fa, fm, fb = f(xs)
-    lo = np.array([a])
-    hi = np.array([b])
-    fl = np.array([fa])
-    fc = np.array([fm])
-    fr = np.array([fb])
+    cuts = np.asarray(cuts, dtype=float)
+    edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
+    lo = edges[:-1]
+    hi = edges[1:]
+    fl, fc, fr = f(np.concatenate([lo, 0.5 * (lo + hi), hi])).reshape(3, -1)
     whole = (hi - lo) / 6.0 * (fl + 4.0 * fc + fr)
-    budget = np.array([tol])
-    depth = np.array([0])
+    # every live interval splits once per wave, so all share one depth and budget
+    budget = tol / lo.size
+    depth = 0
+    max_intervals *= lo.size
     accepted: list[float] = []
-    n_intervals = 1
+    n_intervals = lo.size
 
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -53,7 +55,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
         left = (mid - lo) / 6.0 * (fl + 4.0 * flm + fc)
         right = (hi - mid) / 6.0 * (fc + 4.0 * frm + fr)
         delta = left + right - whole
-        done = (np.abs(delta) <= 15.0 * budget) & (depth >= min_depth)
+        # a wave below min_depth accepts nothing
+        done = np.abs(delta) <= (15.0 * budget if depth >= min_depth else -1.0)
         # an interval too narrow to split has converged as far as floats allow
         stuck = (lm <= lo) | (rm >= hi)
         if np.any(stuck & ~done):
@@ -74,29 +77,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
         fr = np.concatenate([fc[keep], fr[keep]])
         fc = np.concatenate([flm[keep], frm[keep]])
         whole = np.concatenate([left[keep], right[keep]])
-        budget = np.concatenate([budget[keep] / 2.0, budget[keep] / 2.0])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
+        budget /= 2.0
+        depth += 1
 
     return math.fsum(accepted)
-
-
-def piecewise_simpson(f, breakpoints, tol: float = DEFAULT_TOL,
-                      max_intervals: int = MAX_INTERVALS,
-                      min_depth: int = 2) -> float:
-    """Integrate f over consecutive [b_i, b_i+1] pieces and fsum the results.
-
-    Useful when kink locations of the integrand are known in advance; the
-    pieces then hold no full oscillation, so a shallow forced depth suffices.
-    """
-    pts = sorted(set(float(x) for x in breakpoints))
-    if len(pts) < 2:
-        return 0.0
-    share = tol / (len(pts) - 1)
-    return math.fsum(
-        adaptive_simpson(f, lo, hi, tol=share, max_intervals=max_intervals,
-                         min_depth=min_depth)
-        for lo, hi in zip(pts, pts[1:])
-    )
 
 
 def alias_safe_depth(interval_length: float, max_frequency: float) -> int:

@@ -103,6 +103,10 @@ class TestCosineProductIntegral:
         ref = np.prod(np.abs(np.cos(2 * np.pi * np.outer(xs, v))), axis=1).mean() * 2
         assert cosine_product_integral(v) == pytest.approx(ref, abs=1e-7)
 
+    def test_thousands_of_zeros_in_one_run(self):
+        # cos^2(2 pi xi v) averages 1/2 over [-1, 1] when 4v is an integer
+        assert cosine_product_integral([2000.0, 2000.0]) == pytest.approx(1.0, abs=1e-12)
+
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             cosine_product_integral([1.0, 0.5])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,10 @@ class TestSubcommands:
                      "--pad-to-multiple"]) == 0
         assert "padded with 2" in capsys.readouterr().out
 
+    def test_prg_test_generator(self, capsys):
+        assert main(["prg-test", "--k", "4", "--n", "8", "--generator", "arange"]) == 0
+        assert float(capsys.readouterr().out.split("] = ")[1].split()[0]) == 0.0625
+
     def test_tightness_csv(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert main(["tightness", "--n-list", "64,128,256", "--lambdas",
@@ -96,7 +101,7 @@ class TestSubcommands:
     def test_verify_claims_schema(self, tmp_path):
         out = str(tmp_path / "claims.json")
         assert main(["verify-claims", "--seed", "3", "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         for claim in ("splitting-inequality", "averaging-sandwich", "l1-product",
                       "diagonal-contraction", "switching-domination",
                       "norm-chain"):
@@ -121,11 +126,21 @@ class TestConfigs:
         ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--mode", "mc",
          "--samples", "0"],
         ["prg-test", "--k", "4", "--n", "8", "--mode", "sampled", "--samples", "0"],
+        ["tightness", "--n-list", "64", "--lambdas", "0", "--out", "{out}"],
+        ["run", "--config", "{one_n}"],
+        ["run", "--config", "{no_chain}"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
         paths = {"missing": str(tmp_path / "nope.json"), "chain": chain_file,
-                 "weights": weights_file}
+                 "weights": weights_file, "out": str(tmp_path / "out.csv")}
+        for name, doc in (
+                ("one_n", {"kind": "diff-scaling", "n_list": [16], "lambda_list": [0.0],
+                           "out": paths["out"]}),
+                ("no_chain", {"kind": "smallball-exact", "chain": paths["missing"],
+                              "generator": "all-ones", "n": 4})):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "error: "))
@@ -178,7 +193,7 @@ class TestDeterminismAndCorruption:
             cfg = ExperimentConfig(kind="diff-scaling", n_list=[9, 16],
                                    lambda_list=[0.3], out=out)
             assert run(cfg) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_halved_constant_fails_bounds(self, tmp_path):
         constants = dict(load_constants())
@@ -201,7 +216,7 @@ class TestPinnedReports:
     the acceptance criteria; any change to a byte of them fails here."""
 
     def _digest(self, path):
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     def test_tightness(self, tmp_path):
         out = str(tmp_path / "t.csv")

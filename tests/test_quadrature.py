@@ -1,10 +1,25 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from smallball import families as fam
 from smallball.errors import QuadratureNonConvergence
-from smallball.quadrature import adaptive_simpson, alias_safe_depth, piecewise_simpson
+from smallball.fitting import esseen_formula
+from smallball.quadrature import adaptive_simpson, alias_safe_depth
+from smallball.sampling import first_coord_tail
+from smallball.transfer import exact_sum_distribution
+
+# sha256 of the comma-joined float.hex values of single-interval runs, pinned
+# while the engine still kept a depth and a budget per interval: keeping one
+# of each per wave must not move a bit
+ESSEEN_CRITERION_12_DIGEST = "37a898705444e09aef881f22439e16554c795afc6d0ff250135b9fd69a2b3c9e"
+COORD_TAIL_DIGEST = "1d15eda02f9a9d25284e5489be82a0377c245e35026f0587cbedde454d21bb87"
+
+
+def _digest(values):
+    return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
 def test_polynomial_is_exact():
@@ -39,13 +54,39 @@ def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureNonConvergence):
         adaptive_simpson(lambda x: np.abs(x) ** 0.1, -1.0, 1.0, tol=1e-14,
                          max_intervals=32)
+    with pytest.raises(QuadratureNonConvergence):
+        adaptive_simpson(lambda x: np.abs(x) ** 0.1, -1.0, 1.0, tol=1e-14,
+                         max_intervals=32, cuts=[-0.5, 0.5])
 
 
 def test_piecewise_matches_plain():
     f = lambda x: np.exp(-x * x)
     plain = adaptive_simpson(f, -2.0, 2.0)
-    pieces = piecewise_simpson(f, [-2.0, -0.5, 0.1, 2.0])
+    # repeated cuts and cuts outside (a, b) are dropped: three pieces
+    pieces = adaptive_simpson(f, -2.0, 2.0, min_depth=2, cuts=[0.1, -0.5, 0.1, 2.0, 7.0])
     assert pieces == pytest.approx(plain, abs=1e-9)
+    assert adaptive_simpson(f, -2.0, 2.0, cuts=[-2.0, 2.0, 7.0]) == plain
+
+
+def test_budget_counts_per_starting_piece():
+    # below min_depth = 2 each piece splits into 1 + 2 + 4 intervals before the
+    # linear integrand is accepted: 28 for four pieces
+    f = lambda x: 2.0 * x + 1.0
+    cuts = [-0.5, 0.0, 0.5]
+    val = adaptive_simpson(f, -1.0, 1.0, max_intervals=7, min_depth=2, cuts=cuts)
+    assert val == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(QuadratureNonConvergence):
+        adaptive_simpson(f, -1.0, 1.0, max_intervals=6, min_depth=2, cuts=cuts)
+
+
+def test_single_interval_runs_keep_their_bits():
+    values = []
+    for inst in fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT):
+        dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+        values.append(esseen_formula(inst.chain, inst.signs, inst.weights, dist,
+                                     inst.radius))
+    assert _digest(values) == ESSEEN_CRITERION_12_DIGEST
+    assert _digest(first_coord_tail(d, 0.3) for d in range(2, 65)) == COORD_TAIL_DIGEST
 
 
 def test_alias_safe_depth_resolves_frequency():
