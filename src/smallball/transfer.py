@@ -29,7 +29,11 @@ from .errors import (
 )
 
 DP_BUDGET = 10**9  # cells = n_states * n_steps * lattice size
-RATIONAL_BUDGET = 10**6
+# same cells; the exact DP's cost grows like cells * n_steps (numerator bits):
+# a random 4-state chain at n = 430 (1.5e6 cells) takes ~3 s on a 2-core Xeon
+RATIONAL_BUDGET = 1_500_000
+PHASE_TABLE_BUDGET = 4 * 2**20  # bytes of the (xi, distinct value) phase table
+PHASE_TABLE_MIN = 512  # (xi, step, state) phases of a sweep worth a table
 MODULUS_SLACK = 1e-12
 
 
@@ -120,16 +124,49 @@ def char_fn_values(chain: MarkovChain, contribs: np.ndarray, xis) -> np.ndarray:
         raise DimensionMismatch(
             f"contribution table covers {contribs.shape[1]} states, chain has {chain.n_states}"
         )
-    # one step's (xi, state) phases at a time: O(m N) memory for m points.
-    # phase stays a named array: numpy then reuses a large temporary w @ at
-    # in place as (w @ at) * phase, and that operand order fixes the last bit
+    # one step's (xi, state) phases at a time: O(m N) memory for m points,
+    # gathered from a table of exp(angular c) over the distinct values c when
+    # that is worth it.  phase stays a named array: numpy then reuses a large
+    # temporary w @ at in place as (w @ at) * phase, and that operand order
+    # fixes the last bit
     angular = 2j * np.pi * xis[:, None]
-    w = np.exp(angular * contribs[n - 1])
+    distinct = _distinct_contributions(contribs, xis.size)
+    if distinct is None:
+        def phases(j):
+            return np.exp(angular * contribs[j])
+    else:
+        table = np.exp(angular * distinct[0])
+
+        def phases(j):
+            return table[:, distinct[1][j]]
+    w = phases(n - 1)
     at = chain.transition.T
     for j in range(n - 2, -1, -1):
-        phase = np.exp(angular * contribs[j])
+        phase = phases(j)
         w = phase * (w @ at)
     return w @ chain.stationary
+
+
+def _distinct_contributions(contribs: np.ndarray, m: int):
+    """(values, index) with contribs == values[index], or None.
+
+    The values are the integer range of an integer table; None unless that
+    range has fewer than half as many values as the table has cells, a phase
+    table of it at m points fits PHASE_TABLE_BUDGET bytes, and the sweep
+    needs at least PHASE_TABLE_MIN phases (below that the table's setup
+    costs what the per-step exps do).
+    """
+    if m * contribs.size < PHASE_TABLE_MIN:
+        return None
+    lo = contribs.min()
+    span = contribs.max() - lo + 1
+    if not (2 * span < contribs.size and 16 * m * span <= PHASE_TABLE_BUDGET):
+        return None
+    offsets = contribs - lo
+    index = offsets.astype(np.intp)
+    if not (index == offsets).all():
+        return None
+    return np.arange(int(span)) + lo, index
 
 
 def char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
@@ -155,8 +192,9 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
                                     exact: bool = False) -> SumDistribution:
     """Forward DP over (step, state, partial sum) for integer contributions.
 
-    Float masses by default; exact=True reruns the DP in rational arithmetic
-    (exact in the binary values of the inputs) and attaches the result.
+    Float masses by default; exact=True runs the DP in integers over the
+    dyadic values of the inputs instead (exact in their binary values) and
+    attaches the rational law, whose rounding gives the float masses.
     """
     table = _integer_table(contribs)
     n, n_states = table.shape
@@ -166,76 +204,94 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
         )
     if n == 0:
         raise PreconditionViolated("cannot build a distribution from zero steps")
-    # the lattice must hold every intermediate partial sum, not just the final range
+    # budgets count the global lattice, which holds every intermediate partial sum
     pmin = np.cumsum(table.min(axis=1))
     pmax = np.cumsum(table.max(axis=1))
     glo = int(min(pmin.min(), 0))
     ghi = int(max(pmax.max(), 0))
     lo, hi = int(pmin[-1]), int(pmax[-1])
-    size = ghi - glo + 1
-    cells = n_states * n * size
+    cells = n_states * n * (ghi - glo + 1)
     if cells > budget:
         raise BudgetExceeded(f"DP needs {cells} cells, budget is {budget}")
-
-    a_t = chain.transition.T
-    dp = np.zeros((n_states, size))
-    for y in range(n_states):
-        dp[y, int(table[0, y]) - glo] = chain.stationary[y]
-    for j in range(1, n):
-        mixed = a_t @ dp
-        nxt = np.zeros_like(dp)
-        for y in range(n_states):
-            c = int(table[j, y])
-            if c >= 0:
-                nxt[y, c:] = mixed[y, : size - c]
-            elif c < 0:
-                nxt[y, : size + c] = mixed[y, -c:]
-        dp = nxt
-    masses = dp.sum(axis=0)
+    if exact and cells > RATIONAL_BUDGET:
+        raise BudgetExceeded(
+            f"rational DP needs {cells} cells, budget is {RATIONAL_BUDGET}"
+        )
+    # after step j mass sits only on pmin[j] + g k: each step adds its row
+    # minimum plus a multiple of g
+    g = max(int(np.gcd.reduce((table - table.min(axis=1)[:, None]).ravel())), 1)
 
     rational = None
     if exact:
-        if cells > RATIONAL_BUDGET:
-            raise BudgetExceeded(
-                f"rational DP needs {cells} cells, budget is {RATIONAL_BUDGET}"
-            )
-        rational = _rational_dp(chain, table)
-        masses = np.zeros(size)
+        rational = _rational_dp(chain, table, pmin, pmax, g)
+        band = np.zeros((hi - lo) // g + 1)
         for s, frac in rational.items():
-            masses[s - glo] = float(frac)
+            band[(s - lo) // g] = float(frac)
+    else:
+        band = _banded_dp(chain.transition.T, chain.stationary, table, pmin, pmax, g)
+    masses = np.zeros(hi - lo + 1)
+    masses[::g] = band
 
     first = int(np.argmax(masses > 0))
-    last = size - 1 - int(np.argmax(masses[::-1] > 0))
+    last = masses.size - 1 - int(np.argmax(masses[::-1] > 0))
     trimmed = masses[first:last + 1].copy()
     trimmed.setflags(write=False)
-    return SumDistribution(offset=glo + first, masses=trimmed, span=(lo, hi),
+    return SumDistribution(offset=lo + first, masses=trimmed, span=(lo, hi),
                            rational=rational)
 
 
-def _rational_dp(chain, table):
+def _banded_dp(a_t, mu, table, pmin, pmax, g):
+    """Masses after the last step on pmin[-1] + g k, k = 0..(pmax[-1] - pmin[-1])/g.
+
+    Sweeps only the strided band of each step.  The dtype of mu sets the
+    arithmetic: float64, or object arrays of Python ints for the exact DP.
+    """
     n, n_states = table.shape
-    a = [[Fraction(x) for x in row] for row in chain.transition.tolist()]
-    mu = [Fraction(x) for x in chain.stationary.tolist()]
-    layer = [{int(table[0, y]): mu[y]} for y in range(n_states)]
+    shifts = (table - np.diff(pmin, prepend=0)[:, None]) // g
+    # pad zero columns on both sides: a row shifted by at most pad carries its
+    # zeros along, so no cell needs clearing, and a_t @ band stays a matrix
+    # product, rounded like the full lattice's (BLAS rounds a matrix-vector
+    # product differently; only an all-zero table has a one-point lattice)
+    pad = int(shifts.max()) or int(table.any())
+    widths = ((pmax - pmin) // g + 1 + 2 * pad).tolist()
+    shifts = shifts.tolist()
+    cur = np.zeros((n_states, widths[-1]), dtype=mu.dtype)
+    nxt, products = np.zeros_like(cur), np.zeros_like(cur)
+    # numpy's object matmul overwrites out= without releasing what it held,
+    # so only the float sweep keeps one buffer for the products
+    reuse = mu.dtype != object
+    for y, s in enumerate(shifts[0]):
+        cur[y, pad + s] = mu[y]
     for j in range(1, n):
-        nxt = [dict() for _ in range(n_states)]
-        for y in range(n_states):
-            row = layer[y]
-            for y2 in range(n_states):
-                p = a[y][y2]
-                if p == 0:
-                    continue
-                c = int(table[j, y2])
-                tgt = nxt[y2]
-                for s, mass in row.items():
-                    key = s + c
-                    tgt[key] = tgt.get(key, Fraction(0)) + mass * p
-        layer = nxt
-    out: dict[int, Fraction] = {}
-    for row in layer:
-        for s, mass in row.items():
-            out[s] = out.get(s, Fraction(0)) + mass
-    return {s: m for s, m in sorted(out.items()) if m != 0}
+        w = widths[j - 1]
+        mixed = np.matmul(a_t, cur[:, :w], out=products[:, :w] if reuse else None)
+        for y, s in enumerate(shifts[j]):
+            nxt[y, s:s + w] = mixed[y]
+        cur, nxt = nxt, cur
+    return cur[:, pad:widths[-1] - pad].sum(axis=0)
+
+
+def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python ints m (object array) and one exponent e with values == m / 2**e."""
+    ratios = [x.as_integer_ratio() for x in values.ravel().tolist()]
+    e = max(q.bit_length() - 1 for _, q in ratios)
+    ints = [p << (e - q.bit_length() + 1) for p, q in ratios]
+    return np.array(ints, dtype=object).reshape(values.shape), e
+
+
+def _rational_dp(chain, table, pmin, pmax, g):
+    """Exact law as {partial sum: Fraction}, zero masses dropped.
+
+    Every float is m 2^e, so the DP runs on integer numerators over the common
+    denominator 2^(e_mu + (n - 1) e_a); no Fraction exists until the one
+    division per support point at the end.
+    """
+    a, e_a = _dyadic(chain.transition)
+    mu, e_mu = _dyadic(chain.stationary)
+    band = _banded_dp(a.T, mu, table, pmin, pmax, g)
+    denom = 1 << (e_mu + (table.shape[0] - 1) * e_a)
+    lo = int(pmin[-1])
+    return {lo + g * k: Fraction(m, denom) for k, m in enumerate(band.tolist()) if m}
 
 
 def exact_sum_distribution(chain: MarkovChain, signs: SignSystem,

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_signs, ones_weights
+from smallball import transfer
 from smallball.chains import (
     make_sign_system,
     make_two_state_chain,
@@ -21,11 +23,19 @@ from smallball.errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from smallball.families import DEFAULT_SEED, oracle_family, random_reversible_chain
+from smallball.families import (
+    DEFAULT_SEED,
+    ESSEEN_SEED,
+    esseen_family,
+    oracle_family,
+    random_reversible_chain,
+)
 from smallball.oracles import brute_force_char_fn, brute_force_distribution
 from smallball.transfer import (
+    PHASE_TABLE_BUDGET,
     char_fn,
     char_fn_values,
+    distribution_from_contributions,
     exact_sum_distribution,
     find_prime,
     fold_mod,
@@ -179,6 +189,69 @@ class TestExactDistribution:
             assert dist.probability_at(s) == pytest.approx(
                 law.get(s, 0.0), abs=1e-10)
 
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_float_dp_against_rational_oracle_at_n400(self, n_states):
+        # rounding of the float DP builds up over the steps; against the exact
+        # law at n = 400 the worst deviations measured 2.1e-17 (two states) and
+        # 1.4e-17 (four) absolute, 1.2e-15 and 1.3e-15 relative: the bounds
+        # below leave a factor of about 5
+        rng = np.random.default_rng(400 + n_states)
+        chain = (make_two_state_chain(0.3) if n_states == 2
+                 else random_reversible_chain(rng, n_states))
+        contribs = rng.choice([-1.0, 1.0], size=(400, n_states))
+        plain = distribution_from_contributions(chain, contribs)
+        exact = distribution_from_contributions(chain, contribs, exact=True)
+        # exact in the binary values of the chain, whose rows need not sum to
+        # 1: the total is mu' A^(n-1) 1 in those values (A = ints / 2^e)
+        e = max(Fraction(x).denominator.bit_length() for x in chain.transition.flat)
+        a = [[int(Fraction(x) * 2**e) for x in row] for row in chain.transition.tolist()]
+        ones = [1] * n_states
+        for _ in range(399):
+            ones = [sum(p * v for p, v in zip(row, ones)) for row in a]
+        total = sum(Fraction(m) * v for m, v in zip(chain.stationary.tolist(), ones))
+        assert sum(exact.rational.values()) == total / 2**(399 * e)
+        assert set(exact.rational) == set(
+            plain.support()[plain.masses > 0].tolist())
+        worst_abs = worst_rel = 0.0
+        for s, frac in exact.rational.items():
+            want = float(frac)
+            assert exact.probability_at(s) == want
+            dev = abs(plain.probability_at(s) - want)
+            worst_abs = max(worst_abs, dev)
+            worst_rel = max(worst_rel, dev / want)
+        assert worst_abs <= 1e-16
+        assert worst_rel <= 6e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_float_dp_matches_exact_dp(self, seed):
+        # mixed signs, zeros and a shared factor d, so the lattice stride is a
+        # multiple of d; seeds 0..299 gave at most 1.1e-16 absolute deviation
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, int(rng.integers(2, 5)))
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 13))
+        contribs = d * rng.integers(-3, 4, size=(n, chain.n_states)).astype(float)
+        plain = distribution_from_contributions(chain, contribs)
+        exact = distribution_from_contributions(chain, contribs, exact=True)
+        assert plain.offset == exact.offset
+        assert all(s % d == exact.offset % d for s in exact.rational)
+        for s in plain.support().tolist():
+            assert plain.probability_at(s) == pytest.approx(
+                float(exact.rational.get(s, 0)), abs=1e-15)
+
+    def test_rational_budget_is_checked_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("DP started")
+
+        monkeypatch.setattr(transfer, "_banded_dp", forbidden)
+        monkeypatch.setattr(transfer, "_rational_dp", forbidden)
+        contribs = np.tile([1.0, -1.0], (1000, 1))  # 2 * 1000 * 2001 cells
+        assert 2 * 1000 * 2001 > transfer.RATIONAL_BUDGET
+        with pytest.raises(BudgetExceeded, match="rational DP"):
+            distribution_from_contributions(make_two_state_chain(0.3), contribs,
+                                            exact=True)
+
 
 class TestSmallballExact:
     def test_window_captures_single_lattice_point(self, uniform_independent):
@@ -308,6 +381,68 @@ def tensor_char_fn_values(chain, contribs, xis):
     return w @ chain.stationary
 
 
+def full_lattice_law(chain, contribs):
+    """Reference DP over the whole lattice of partial sums at every step.
+
+    Returns (offset, masses) trimmed to the first and last nonzero mass.
+    """
+    table = np.asarray(contribs).astype(np.int64)
+    n, n_states = table.shape
+    pmin = np.cumsum(table.min(axis=1))
+    pmax = np.cumsum(table.max(axis=1))
+    glo = int(min(pmin.min(), 0))
+    size = int(max(pmax.max(), 0)) - glo + 1
+    a_t = chain.transition.T
+    dp = np.zeros((n_states, size))
+    for y in range(n_states):
+        dp[y, table[0, y] - glo] = chain.stationary[y]
+    for j in range(1, n):
+        mixed = a_t @ dp
+        dp = np.zeros_like(dp)
+        for y in range(n_states):
+            c = int(table[j, y])
+            if c >= 0:
+                dp[y, c:] = mixed[y, :size - c]
+            else:
+                dp[y, :size + c] = mixed[y, -c:]
+    masses = dp.sum(axis=0)
+    nonzero = np.flatnonzero(masses)
+    return glo + int(nonzero[0]), masses[nonzero[0]:nonzero[-1] + 1]
+
+
+def _dp_cases():
+    for inst in esseen_family(ESSEEN_SEED, 200):
+        yield inst.chain, sign_contributions(inst.signs, inst.weights)
+    for inst in oracle_family(DEFAULT_SEED, 200):
+        yield inst["chain"], sign_contributions(inst["signs"], inst["weights"])
+    rng = np.random.default_rng(16)
+    chain16 = random_reversible_chain(rng, 16)
+    for n in (1, 2, 3, 5, 9, 17, 40, 200):  # small and large band widths
+        yield chain16, rng.choice([-1.0, 1.0], size=(n, 16))
+        yield chain16, rng.integers(-3, 4, size=(n, 16)).astype(float)
+    for n_states in (2, 4, 5, 16):
+        chain = random_reversible_chain(rng, n_states)
+        signs = rng.choice([-1.0, 1.0], size=(30, n_states))
+        yield chain, 2.0 * signs  # all-even weights: stride 4
+        zero_rows = signs.copy()
+        zero_rows[[0, 7, 8, 29]] = 0.0
+        yield chain, zero_rows
+        same_first = signs.copy()
+        same_first[0] = 2.0  # a band of width 1 after step 0
+        yield chain, same_first
+        for _ in range(4):  # every row constant: a band of width 1 at every step
+            yield chain, np.repeat(rng.integers(-2, 3, size=(12, 1)), n_states, axis=1)
+        yield chain, np.zeros((6, n_states))
+
+
+def test_banded_dp_bit_identical_to_full_lattice():
+    for chain, contribs in _dp_cases():
+        offset, masses = full_lattice_law(chain, contribs)
+        dist = distribution_from_contributions(chain, contribs)
+        assert dist.offset == offset
+        assert np.array_equal(dist.masses, masses)
+
+
 @pytest.mark.parametrize("n_states", [2, 3, 8])
 @pytest.mark.parametrize("m", [1, 7, 1000, 4096])
 def test_char_fn_values_bit_identical_to_tensor_sweep(n_states, m):
@@ -353,3 +488,49 @@ def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
         worst_paths = max(worst_paths, float(np.max(np.abs(got - paths))))
     assert worst_sweep <= 1e-12
     assert worst_paths <= 1e-12
+
+
+def test_phase_table_rule_takes_integer_tables_only():
+    rng = np.random.default_rng(5)
+    ints = rng.integers(-4, 5, size=(20, 3)).astype(float)
+    values, index = transfer._distinct_contributions(ints, 1000)
+    assert np.array_equal(values[index], ints)
+    for contribs in (rng.normal(scale=3.0, size=(20, 3)),  # all distinct
+                     ints[:4]):  # a range as wide as the table
+        assert transfer._distinct_contributions(contribs, 1000) is None
+    # a sweep of few phases keeps its per-step exps
+    assert 8 * ints.size < transfer.PHASE_TABLE_MIN
+    assert transfer._distinct_contributions(ints, 8) is None
+
+
+def test_negative_zero_contributions_keep_their_bits():
+    # the table holds 0.0 for -0.0 cells, whose phase differs in the sign of
+    # a zero imaginary part at xi < 0; an all-zero table has phi = 1 exactly,
+    # so that sign would show, but the BLAS sums start from +0.0
+    chain = random_reversible_chain(np.random.default_rng(6), 3)
+    xis = np.linspace(-1.0, 1.0, 65)
+    for contribs in (np.zeros((8, 3)), np.full((8, 3), -0.0)):
+        assert transfer._distinct_contributions(contribs, xis.size) is not None
+        assert (char_fn_values(chain, contribs, xis).tobytes()
+                == tensor_char_fn_values(chain, contribs, xis).tobytes())
+
+
+@pytest.mark.parametrize("m, tabled", [(4096, True), (8192, False)])
+def test_phase_table_fits_its_byte_budget(m, tabled):
+    # 64 distinct values among 200 cells: the table takes 16 * m * 64 bytes,
+    # 4 MiB at m = 4096 (the budget) and twice that at m = 8192
+    rng = np.random.default_rng(m)
+    chain = random_reversible_chain(rng, 2)
+    contribs = rng.integers(0, 64, size=(100, 2)).astype(float)
+    contribs[0] = [0.0, 63.0]
+    table_bytes = 16 * m * 64
+    assert (table_bytes <= PHASE_TABLE_BUDGET) == tabled
+    xis = rng.uniform(-1.0, 1.0, m)
+    tracemalloc.start()
+    try:
+        vals = char_fn_values(chain, contribs, xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak >= table_bytes) == tabled
+    assert np.array_equal(vals, tensor_char_fn_values(chain, contribs, xis))
