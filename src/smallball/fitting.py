@@ -73,9 +73,10 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
     law has many masses per step and state.  On the integer lattice |phi| is
     even and 1-periodic, so the integral folds exactly onto [0, eps], and onto
     the half-period [0, 1/2] when eps >= 1/2 is a power of two.  Only those
-    folds map the dyadic grid of one run over [-eps, eps] onto itself, so the
-    folded run keeps that run's nodes and per-interval error budget and gives
-    its value up to rounding.
+    folds map the dyadic panels of one run over [-eps, eps] onto themselves,
+    so the folded run keeps that run's nodes and per-panel error budget and
+    gives its value up to rounding; when that run's starting panels straddle a
+    fold point (small eps max |v|), it is that run started finer until none does.
     """
     if not 0.0 < eps < math.inf or radius < 0:
         raise OutOfRange(f"need finite eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")

@@ -29,9 +29,11 @@ from .errors import (
 )
 
 DP_BUDGET = 10**9  # cells = n_states * n_steps * lattice size
-# same cells; the exact DP's cost grows like cells * n_steps (numerator bits):
-# a random 4-state chain at n = 430 (1.5e6 cells) takes ~3 s on a 2-core Xeon
-RATIONAL_BUDGET = 1_500_000
+# the exact DP's cost grows like cells * n_states * n_steps (n_states^2
+# products per band column, numerators of ~55 n_steps bits), about 2 ns each
+# on a 2-core Xeon: random chains with 4 states at n = 430 (2.5e9) take 3-4.5 s,
+# with 16 states at n = 180 (3.0e9) 6.3 s and at n = 216 (5.2e9) 6-9 s
+RATIONAL_BUDGET = 3 * 10**9
 PHASE_TABLE_BUDGET = 4 * 2**20  # bytes of the (xi, distinct value) phase table
 PHASE_TABLE_MIN = 512  # (xi, step, state) phases of a sweep worth a table
 MODULUS_SLACK = 1e-12
@@ -213,9 +215,10 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
     cells = n_states * n * (ghi - glo + 1)
     if cells > budget:
         raise BudgetExceeded(f"DP needs {cells} cells, budget is {budget}")
-    if exact and cells > RATIONAL_BUDGET:
+    if exact and cells * n_states * n > RATIONAL_BUDGET:
         raise BudgetExceeded(
-            f"rational DP needs {cells} cells, budget is {RATIONAL_BUDGET}"
+            f"rational DP needs {cells} cells x {n_states} states x {n} steps "
+            f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}"
         )
     # after step j mass sits only on pmin[j] + g k: each step adds its row
     # minimum plus a multiple of g

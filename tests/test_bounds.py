@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import balanced_signs, ones_weights
 from smallball.bounds import (
+    QUAD_TOL,
     BoundReport,
     FittedConstant,
     binomial_negative_moment,
@@ -23,6 +25,7 @@ from smallball.errors import (
     HypothesisViolated,
     OutOfRange,
     PreconditionViolated,
+    QuadratureNonConvergence,
     UnsupportedDimension,
 )
 from smallball.transfer import exact_sum_distribution, smallball_exact
@@ -106,6 +109,27 @@ class TestCosineProductIntegral:
     def test_thousands_of_zeros_in_one_run(self):
         # cos^2(2 pi xi v) averages 1/2 over [-1, 1] when 4v is an integer
         assert cosine_product_integral([2000.0, 2000.0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_powers_within_quad_tol_of_closed_form(self):
+        # integral of |cos(2 pi xi)|^k over [-1, 1] = 2 G((k+1)/2) / (sqrt(pi) G(k/2+1))
+        for k in range(1, 101):
+            expect = 2.0 * math.exp(math.lgamma((k + 1) / 2) - math.lgamma(k / 2 + 1)
+                                    ) / math.sqrt(math.pi)
+            assert abs(cosine_product_integral(np.ones(k)) - expect) <= QUAD_TOL, k
+
+    def test_one_budget_bounds_a_run_with_forty_thousand_pieces(self):
+        # 4 |v| + 1 starting pieces share one panel budget, so memory stays
+        # bounded for any |v|: the run finishes within it or gives up
+        tracemalloc.start()
+        try:
+            val = cosine_product_integral([10000.0, 10000.0])
+        except QuadratureNonConvergence:
+            val = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert val is None or abs(val - 1.0) <= 1e-10
+        assert peak <= 128 * 2**20
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):

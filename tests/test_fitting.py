@@ -1,13 +1,14 @@
 """Fitted constants re-derived from their families, and the Esseen kernel."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from smallball import families as fam
-from smallball.bounds import esseen_bound
+from smallball.bounds import QUAD_TOL, esseen_bound
 from smallball.chains import make_sign_system, make_weight_system
 from smallball.errors import OutOfRange
 from smallball.fitting import (
@@ -87,6 +88,47 @@ def test_folded_sweep_integrand_for_large_weights(eps):
         assert dist.masses.size > LAW_MASSES_PER_SWEEP_CELL * 8 * n_states
         instances.append((chain, signs, weights, 1.0))
     assert _worst_fold_error(instances, eps) <= 1e-12
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _gauss_legendre_reference(modulus, eps, tol):
+    """Integral of an even modulus over [-eps, eps] by 20-point Gauss-Legendre
+    panels: a panel is kept once its two halves agree with it within tol times
+    its share of [0, eps], and contributes the halves' sum."""
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
+        return half * (modulus(nodes.ravel()).reshape(lo.size, -1) @ GL_WEIGHTS)
+
+    edges = np.linspace(0.0, eps, 65)
+    lo, hi = edges[:-1], edges[1:]
+    whole, parts = rule(lo, hi), []
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        done = np.abs(left + right - whole) <= tol * (hi - lo) / eps
+        parts.extend((left + right)[done].tolist())
+        keep = ~done
+        lo, mid, hi = lo[keep], mid[keep], hi[keep]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left[keep], right[keep]])
+    return 2.0 * math.fsum(parts)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.7])
+def test_esseen_formula_within_quad_tol_of_gauss_legendre(eps, esseen_families):
+    # the reference runs at two tolerances, which must agree to 1e-13; it uses
+    # neither the engine nor its |K15 - G7| estimate
+    for inst in esseen_families:
+        dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+        coarse = _gauss_legendre_reference(dist.char_fn_modulus, eps, 1e-13)
+        ref = _gauss_legendre_reference(dist.char_fn_modulus, eps, 1e-14)
+        assert abs(coarse - ref) <= 1e-13, inst.instance_id
+        got = esseen_formula(inst.chain, inst.signs, inst.weights, dist, inst.radius, eps)
+        assert abs(got / (inst.radius + 1.0 / eps) - ref) <= QUAD_TOL, inst.instance_id
 
 
 @pytest.mark.parametrize("eps, radius", [(0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0),

@@ -7,15 +7,22 @@ import pytest
 from smallball import families as fam
 from smallball.errors import QuadratureNonConvergence
 from smallball.fitting import esseen_formula
-from smallball.quadrature import adaptive_simpson, alias_safe_depth
+from smallball.quadrature import (
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
+    PANEL_DEPTH_OFFSET,
+    adaptive_simpson,
+    alias_safe_depth,
+)
 from smallball.sampling import first_coord_tail
 from smallball.transfer import exact_sum_distribution
 
-# sha256 of the comma-joined float.hex values of single-interval runs, pinned
-# while the engine still kept a depth and a budget per interval: keeping one
-# of each per wave must not move a bit
-ESSEEN_CRITERION_12_DIGEST = "37a898705444e09aef881f22439e16554c795afc6d0ff250135b9fd69a2b3c9e"
-COORD_TAIL_DIGEST = "1d15eda02f9a9d25284e5489be82a0377c245e35026f0587cbedde454d21bb87"
+# sha256 of the comma-joined float.hex values of single-interval runs of the
+# G7-K15 engine, pinned once its closed-form and Gauss-Legendre oracle tests
+# passed: a refactor of the engine must not move a bit
+ESSEEN_CRITERION_12_DIGEST = "ab93bf4ed496657f2dbb6b430107d9fed2e53e7510c7bccc5e483c7f00471765"
+COORD_TAIL_DIGEST = "5669add6c8755566e3f888808ffa8a4139af383f32be3aae273f75e09828ce56"
 
 
 def _digest(values):
@@ -69,14 +76,39 @@ def test_piecewise_matches_plain():
 
 
 def test_budget_counts_per_starting_piece():
-    # below min_depth = 2 each piece splits into 1 + 2 + 4 intervals before the
-    # linear integrand is accepted: 28 for four pieces
+    # one budget for the whole run: three starting pieces are three panels,
+    # and the middle one, which holds the kink, bisects into two more
+    cuts = [-0.5, 0.5]
+    val = adaptive_simpson(np.abs, -1.0, 1.0, max_intervals=5, cuts=cuts)
+    assert val == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(QuadratureNonConvergence):
+        adaptive_simpson(np.abs, -1.0, 1.0, max_intervals=4, cuts=cuts)
+    # min_depth = PANEL_DEPTH_OFFSET + 1 starts each piece from two panels
     f = lambda x: 2.0 * x + 1.0
-    cuts = [-0.5, 0.0, 0.5]
-    val = adaptive_simpson(f, -1.0, 1.0, max_intervals=7, min_depth=2, cuts=cuts)
+    depth = PANEL_DEPTH_OFFSET + 1
+    val = adaptive_simpson(f, -1.0, 1.0, max_intervals=6, min_depth=depth, cuts=cuts)
     assert val == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(QuadratureNonConvergence):
-        adaptive_simpson(f, -1.0, 1.0, max_intervals=6, min_depth=2, cuts=cuts)
+        adaptive_simpson(f, -1.0, 1.0, max_intervals=5, min_depth=depth, cuts=cuts)
+
+
+def _rule_errors(degree):
+    """(K15 error, G7 error) on the monomial x^degree over [-1, 1]."""
+    exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+    kronrod = float(np.sum(KRONROD_WEIGHTS * KRONROD_NODES**degree))
+    gauss = float(np.sum(GAUSS_WEIGHTS * KRONROD_NODES[1::2]**degree))
+    return abs(kronrod - exact), abs(gauss - exact)
+
+
+def test_rules_integrate_monomials_exactly():
+    # K15 is exact through degree 22 and G7 through degree 13 on [-1, 1], and
+    # neither further: the next even degree is missed
+    for degree in range(23):
+        kronrod, gauss = _rule_errors(degree)
+        assert kronrod <= 1e-15, degree
+        assert gauss <= 1e-15 or degree > 13, degree
+    assert _rule_errors(24)[0] > 1e-12
+    assert _rule_errors(14)[1] > 1e-12
 
 
 def test_single_interval_runs_keep_their_bits():

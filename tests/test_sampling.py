@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import beta, betainc
 
 from conftest import balanced_signs, ones_weights
 from smallball import sampling
@@ -243,6 +243,17 @@ class TestFirstCoordTail:
             for t in (0.15, 0.4, 0.75):
                 expect = 1.0 - betainc(0.5, (d - 1) / 2.0, t * t)
                 assert first_coord_tail(d, t) == pytest.approx(expect, abs=1e-10)
+
+    def test_closed_form_up_to_dimension_64(self):
+        # P[|v_1| >= t] = I_{1-t^2}((d-1)/2, 1/2); upper and total are each
+        # integrated to 1e-12, so their ratio may be off by 2e-12 / total,
+        # total = integral of cos^(d-2) over [0, pi/2] = B((d-1)/2, 1/2) / 2
+        ts = np.linspace(0.0, 1.0, 41)
+        for d in range(2, 65):
+            allowed = 2e-12 / (beta((d - 1) / 2.0, 0.5) / 2.0)
+            expect = betainc((d - 1) / 2.0, 0.5, 1.0 - ts * ts)
+            for t, want in zip(ts.tolist(), expect.tolist()):
+                assert abs(first_coord_tail(d, t) - want) <= allowed, (d, t)
 
     def test_endpoints(self):
         assert first_coord_tail(5, 0.0) == pytest.approx(1.0, abs=1e-12)

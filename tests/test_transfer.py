@@ -247,10 +247,25 @@ class TestExactDistribution:
         monkeypatch.setattr(transfer, "_banded_dp", forbidden)
         monkeypatch.setattr(transfer, "_rational_dp", forbidden)
         contribs = np.tile([1.0, -1.0], (1000, 1))  # 2 * 1000 * 2001 cells
-        assert 2 * 1000 * 2001 > transfer.RATIONAL_BUDGET
+        assert 2 * 1000 * 2001 * 2 * 1000 > transfer.RATIONAL_BUDGET
         with pytest.raises(BudgetExceeded, match="rational DP"):
             distribution_from_contributions(make_two_state_chain(0.3), contribs,
                                             exact=True)
+
+    def test_rational_budget_counts_states_and_steps(self, monkeypatch):
+        # 16 states at n = 216 and 4 states at n = 430 both fit 1.5e6 cells,
+        # but each band column costs 16^2 products: 6-9 s against ~3 s
+        def forbidden(*args):
+            raise AssertionError("DP started")
+
+        monkeypatch.setattr(transfer, "_banded_dp", forbidden)
+        monkeypatch.setattr(transfer, "_rational_dp", forbidden)
+        rng = np.random.default_rng(216)
+        chain = random_reversible_chain(rng, 16)
+        contribs = rng.choice([-1.0, 1.0], size=(216, 16))
+        assert 16 * 216 * 433 <= 1_500_000
+        with pytest.raises(BudgetExceeded, match="rational DP"):
+            distribution_from_contributions(chain, contribs, exact=True)
 
 
 class TestSmallballExact:
