@@ -36,6 +36,7 @@ from .oracles import (
     brute_force_char_fn,
     brute_force_distribution,
     check_averaging_identities,
+    enumerate_paths,
     holder_lhs_rhs,
     switching_stats,
 )

@@ -41,9 +41,8 @@ from .fitting import (
 )
 from .oracles import (
     SWITCHING_N_BUDGET,
-    brute_force_char_fn,
-    brute_force_distribution,
     check_averaging_identities,
+    enumerate_paths,
     holder_lhs_rhs,
     switching_stats,
 )
@@ -139,14 +138,14 @@ def criterion_1(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
         worst_char = 0.0
         worst_mass = 0.0
         for inst in instances:
+            paths = enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
             for xi in inst["xis"]:
                 fast = char_fn(inst["chain"], inst["signs"], inst["weights"], xi)
-                slow = brute_force_char_fn(inst["chain"], inst["signs"],
-                                           inst["weights"], xi)
+                slow = paths.char_fn(xi)
                 dev = abs(complex(fast.re, fast.im) - complex(slow.re, slow.im))
                 worst_char = max(worst_char, dev)
             dist = exact_sum_distribution(inst["chain"], inst["signs"], inst["weights"])
-            law = brute_force_distribution(inst["chain"], inst["signs"], inst["weights"])
+            law = paths.law()
             pts = set(law) | set(dist.support().tolist())
             for s in pts:
                 worst_mass = max(worst_mass,

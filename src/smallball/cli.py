@@ -116,9 +116,11 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 
 def _resolve_weights(config: ExperimentConfig):
+    n = config.n
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+        raise ConfigError(f"'n' must be an integer >= 1, got {n!r}")
     if config.weights is not None:
         return load_weights_file(config.weights)
-    n = config.n
     if n is None:
         raise ConfigError("weight generator needs 'n'")
     if config.generator in (None, "all-ones"):

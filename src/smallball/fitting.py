@@ -34,7 +34,7 @@ from .prg import (
     size_bound_exponent,
 )
 from .quadrature import adaptive_simpson, alias_safe_depth
-from .sampling import first_coord_tail
+from .sampling import coord_tail_total, first_coord_tail
 from .transfer import (
     SumDistribution,
     char_fn_values,
@@ -200,7 +200,8 @@ def fit_c_cos() -> FittedConstant:
 
 def coordinate_median(d: int) -> float:
     """Median of |v_1| for a uniform unit vector in R^d."""
-    return brentq(lambda t: first_coord_tail(d, t) - 0.5, 0.0, 1.0,
+    total = coord_tail_total(d)
+    return brentq(lambda t: first_coord_tail(d, t, total=total) - 0.5, 0.0, 1.0,
                   xtol=1e-13, rtol=8.9e-16)
 
 

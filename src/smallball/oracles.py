@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MarkovChain, SignSystem, WeightSystem
-from .errors import BudgetExceeded, HypothesisViolated, PreconditionViolated
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    HypothesisViolated,
+    PreconditionViolated,
+)
 from .transfer import CharFnValue, sign_contributions
 
 PATH_BUDGET = 10**7
@@ -37,11 +42,18 @@ def lp_norm(v, mu, p) -> float:
     return float(np.sum(np.abs(v) ** p * mu) ** (1.0 / p))
 
 
-def operator_norm_l2mu(m, mu) -> float:
-    """||M||_{L2(mu)->L2(mu)} = largest singular value of D^1/2 M D^-1/2."""
+def operator_norm_l2mu(m, mu):
+    """||M||_{L2(mu)->L2(mu)} = largest singular value of D^1/2 M D^-1/2.
+
+    m may be a stack (..., N, N); its norms then come back as an array, one
+    batched SVD for the whole stack, each norm bit for bit the single
+    matrix's.
+    """
     mu = np.asarray(mu, dtype=float)
     root = np.sqrt(mu)
-    return float(np.linalg.norm(np.asarray(m) * (root[:, None] / root[None, :]), ord=2))
+    scaled = np.asarray(m) * (root[:, None] / root[None, :])
+    norms = np.linalg.svd(scaled, compute_uv=False).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def averaging_operator(mu) -> np.ndarray:
@@ -51,57 +63,144 @@ def averaging_operator(mu) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# exactly rounded array sums
+# ---------------------------------------------------------------------------
+
+
+HALF_BITS = 26  # fewer than 2^26 halves below 2^27 sum exactly in a float
+# below this many values a list for math.fsum costs less than the array passes
+FSUM_MAX_SIZE = 1024
+
+
+def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
+    """math.fsum of x over each group g in 0..n_groups-1, without a list.
+
+    groups (broadcast against x) gives each value's group; None puts all of
+    them in group 0.  frexp writes every finite x as M 2^(e-53) with an
+    integer |M| < 2^53, and M = hi 2^26 + lo with |hi| < 2^27, |lo| < 2^26.
+    Per-(exponent, group) bincounts of fewer than 2^26 halves stay below
+    2^53, so they are exact; Python ints add the buckets, and one
+    int-to-float division rounds the total correctly.  Non-finite input, 2^26
+    or more values, sums that might overflow (fsum decides whether it
+    raises) and exact zeros (fsum decides their sign) go to math.fsum, as do
+    arrays too small to gain from the passes.
+    """
+    x = np.asarray(x, dtype=float)
+    groups = np.zeros((), dtype=np.int64) if groups is None else np.asarray(groups)
+    if (x.size <= FSUM_MAX_SIZE or x.size >= 1 << HALF_BITS
+            or not np.isfinite(x).all()):
+        return _fsums(x, groups, n_groups)
+    mant, e = np.frexp(x)
+    low, high = int(e.min()), int(e.max())
+    if high + x.size.bit_length() > 1023:
+        return _fsums(x, groups, n_groups)
+    lo, hi = np.modf(mant * 2.0**(53 - HALF_BITS))  # lo: a multiple of 2^-26
+    keys = ((e - low) * n_groups + groups).ravel()
+    size = (high - low + 1) * n_groups
+    his = np.bincount(keys, weights=hi.ravel(), minlength=size)
+    los = np.bincount(keys, weights=lo.ravel(), minlength=size) * 2.0**HALF_BITS
+    his = his.astype(np.int64).reshape(-1, n_groups).T.tolist()
+    los = los.astype(np.int64).reshape(-1, n_groups).T.tolist()
+    scale = low - 53
+    out = []
+    for g in range(n_groups):
+        acc = 0
+        for h, l in zip(reversed(his[g]), reversed(los[g])):
+            acc = (acc << 1) + (h << HALF_BITS) + l
+        if acc == 0:
+            out.append(_fsums(x, groups, n_groups, only=g)[0])
+        elif scale >= 0:
+            out.append(float(acc << scale))
+        else:
+            out.append(acc / (1 << -scale))
+    return out
+
+
+def _fsums(x, groups, n_groups, only=None) -> list[float]:
+    x, groups = np.broadcast_arrays(x, groups)
+    picks = range(n_groups) if only is None else (only,)
+    return [math.fsum(x[groups == g].tolist()) for g in picks]
+
+
+def exact_sum(x) -> float:
+    """math.fsum(x) for a float array: the exactly rounded sum."""
+    return exact_sums(x)[0]
+
+
+# ---------------------------------------------------------------------------
 # exhaustive path enumeration
 # ---------------------------------------------------------------------------
 
 
-def _all_paths(n_states: int, n_steps: int, budget: int) -> np.ndarray:
-    count = n_states**n_steps
+# the group of each float in a complex array viewed as (re, im) pairs
+RE_IM = np.arange(2)
+
+
+@dataclass(frozen=True)
+class PathEnumeration:
+    """Every state path of one instance, in lexicographic order, with its own
+    measure and its own sum; nothing is aggregated across paths until a
+    characteristic function or the law sums them."""
+
+    measure: np.ndarray   # mu(y_1) A(y_1, y_2) ... A(y_{n-1}, y_n)
+    sums: np.ndarray      # c_1(y_1) + ... + c_n(y_n) in floats
+    int_sums: np.ndarray  # the same with every contribution rounded to an int
+
+    def char_fn(self, xi: float) -> CharFnValue:
+        """phi(xi) = sum over paths of measure * exp(2 pi i xi sum)."""
+        vals = self.measure * np.exp(2j * np.pi * xi * self.sums)
+        re, im = exact_sums(vals.view(float).reshape(-1, 2), RE_IM, 2)
+        return CharFnValue(re=re, im=im)
+
+    def law(self) -> dict[int, float]:
+        """Lattice law {sum value: probability}, each mass one exact sum."""
+        values, groups = np.unique(self.int_sums, return_inverse=True)
+        return dict(zip(values.tolist(), exact_sums(self.measure, groups, values.size)))
+
+
+def enumerate_paths(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
+                    budget: int = PATH_BUDGET) -> PathEnumeration:
+    """All n_states^n paths, each weighted and summed step by step on its own.
+
+    Step j extends every path of length j by every state, multiplying its
+    measure by one transition probability and adding one contribution, in
+    the order a single path's loop would.  n = 0 has one empty path.
+    """
+    contribs = sign_contributions(signs, weights)
+    n, n_states = contribs.shape
+    if n_states != chain.n_states:
+        raise DimensionMismatch(
+            f"sign functions cover {n_states} states, chain has {chain.n_states}")
+    count = n_states**n
     if count > budget:
         raise BudgetExceeded(f"{count} paths exceed the budget of {budget}")
-    return np.indices((n_states,) * n_steps).reshape(n_steps, -1).T
-
-
-def _path_measure(chain: MarkovChain, paths: np.ndarray) -> np.ndarray:
-    w = chain.stationary[paths[:, 0]].copy()
-    for i in range(1, paths.shape[1]):
-        w *= chain.transition[paths[:, i - 1], paths[:, i]]
-    return w
+    if n == 0:
+        return PathEnumeration(measure=np.ones(1), sums=np.zeros(1),
+                               int_sums=np.zeros(1, dtype=np.int64))
+    ints = np.rint(contribs).astype(np.int64)
+    measure = chain.stationary.copy()
+    sums = np.zeros(n_states) + contribs[0]
+    int_sums = ints[0].copy()
+    for j in range(1, n):
+        # the last axis of each path-prefix block is its current state
+        measure = (measure.reshape(-1, n_states, 1) * chain.transition).ravel()
+        sums = (sums[:, None] + contribs[j]).ravel()
+        int_sums = (int_sums[:, None] + ints[j]).ravel()
+    return PathEnumeration(measure=measure, sums=sums, int_sums=int_sums)
 
 
 def brute_force_char_fn(chain: MarkovChain, signs: SignSystem,
                         weights: WeightSystem, xi: float,
                         budget: int = PATH_BUDGET) -> CharFnValue:
     """Characteristic function summed over every state path individually."""
-    contribs = sign_contributions(signs, weights)
-    n = contribs.shape[0]
-    if n == 0:
-        return CharFnValue(re=1.0, im=0.0)
-    paths = _all_paths(chain.n_states, n, budget)
-    w = _path_measure(chain, paths)
-    sums = np.zeros(paths.shape[0])
-    for j in range(n):
-        sums += contribs[j, paths[:, j]]
-    vals = w * np.exp(2j * np.pi * xi * sums)
-    return CharFnValue(re=math.fsum(vals.real.tolist()),
-                       im=math.fsum(vals.imag.tolist()))
+    return enumerate_paths(chain, signs, weights, budget).char_fn(xi)
 
 
 def brute_force_distribution(chain: MarkovChain, signs: SignSystem,
                              weights: WeightSystem,
                              budget: int = PATH_BUDGET) -> dict[int, float]:
     """Lattice law by path enumeration: {sum value: probability}."""
-    contribs = np.rint(sign_contributions(signs, weights)).astype(np.int64)
-    n = contribs.shape[0]
-    paths = _all_paths(chain.n_states, n, budget)
-    w = _path_measure(chain, paths)
-    sums = np.zeros(paths.shape[0], dtype=np.int64)
-    for j in range(n):
-        sums += contribs[j, paths[:, j]]
-    out: dict[int, list] = {}
-    for s, mass in zip(sums.tolist(), w.tolist()):
-        out.setdefault(s, []).append(mass)
-    return {s: math.fsum(masses) for s, masses in sorted(out.items())}
+    return enumerate_paths(chain, signs, weights, budget).law()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +283,8 @@ def holder_lhs_rhs(inst: HolderInstance) -> tuple[float, float]:
         w = np.asarray(inst.us[j], dtype=complex) * (block @ w)
     lhs = lp_norm(w, inst.mu, 1)
 
-    t_norms = [operator_norm_l2mu(t, inst.mu) for t in inst.ts]
+    n = inst.mu.size
+    t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)), inst.mu).tolist()
     u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
     terms = []
     for code in range(2**inst.k):
@@ -239,12 +339,13 @@ def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:
     for i, u in enumerate(us):
         if lp_norm(u, mu, np.inf) > 1.0 + 1e-12:
             raise PreconditionViolated(f"||u_{i}||_inf(mu) > 1")
+    ts = np.asarray(t_mats, dtype=complex).reshape(len(t_mats), mu.size, mu.size)
+    t_norms = operator_norm_l2mu(ts, mu).tolist()
     w = np.asarray(us[len(t_mats)], dtype=complex).copy()
     bound = 1.0
     for j in range(len(t_mats) - 1, -1, -1):
-        t = np.asarray(t_mats[j], dtype=complex)
-        w = np.asarray(us[j], dtype=complex) * (t @ w)
-        bound *= operator_norm_l2mu(t, mu)
+        w = np.asarray(us[j], dtype=complex) * (ts[j] @ w)
+        bound *= t_norms[j]
     contraction = max(0.0, lp_norm(w, mu, 1) - bound)
 
     return IdentityReport(averaging_sandwich=sandwich, l1_product=l1_product,

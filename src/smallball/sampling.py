@@ -151,14 +151,34 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
 # ---------------------------------------------------------------------------
 
 
+def _cos_power(d: int):
+    """theta -> cos(theta)^(d-2), the density of v_1 = sin(theta) up to a constant."""
+    power = d - 2
+
+    def f(theta):
+        return np.cos(theta) ** power
+
+    return f
+
+
+def coord_tail_total(d: int) -> float:
+    """The normaliser of first_coord_tail's exact mode for dimension d >= 2."""
+    if d < 2:
+        raise UnsupportedDimension(f"the normaliser needs dimension >= 2, got {d}")
+    return adaptive_simpson(_cos_power(d), 0.0, math.pi / 2.0, tol=1e-12)
+
+
 def first_coord_tail(d: int, t: float, mode: str = "exact",
-                     samples: int = 200_000, seed: int = 0):
+                     samples: int = 200_000, seed: int = 0,
+                     total: float | None = None):
     """P[|v_1| >= t] for v uniform on the unit sphere in R^d.
 
     The density of v_1 is proportional to (1-s^2)^((d-3)/2); substituting
     s = sin(theta) removes the d = 2 endpoint singularity, so exact mode is a
-    ratio of two smooth quadratures.  mc mode normalizes spherical Gaussians
-    built from counter streams and returns an McEstimate.
+    ratio of two smooth quadratures.  A caller that evaluates many t at one d
+    passes the normaliser coord_tail_total(d) as total, so it is integrated
+    once.  mc mode normalizes spherical Gaussians built from counter streams
+    and returns an McEstimate.
     """
     if d < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {d}")
@@ -168,13 +188,9 @@ def first_coord_tail(d: int, t: float, mode: str = "exact",
         # the coordinate is +-1, no density involved
         return 1.0
     if mode == "exact":
-        power = d - 2
-
-        def f(theta):
-            return np.cos(theta) ** power
-
-        upper = adaptive_simpson(f, math.asin(t), math.pi / 2.0, tol=1e-12)
-        total = adaptive_simpson(f, 0.0, math.pi / 2.0, tol=1e-12)
+        upper = adaptive_simpson(_cos_power(d), math.asin(t), math.pi / 2.0, tol=1e-12)
+        if total is None:
+            total = coord_tail_total(d)
         return min(1.0, upper / total)
     if mode != "mc":
         raise OutOfRange(f"mode must be 'exact' or 'mc', got {mode!r}")

@@ -97,7 +97,8 @@ class SumDistribution:
         acc = np.full(z.shape, self.masses[-1], dtype=complex)
         for m in self.masses[-2::-1].tolist():
             acc *= z
-            acc += m
+            if m:  # adding +0.0 moves no bit of |acc|; parity lattices are half zeros
+                acc += m
         return np.abs(acc)
 
 
@@ -111,8 +112,6 @@ def sign_contributions(signs: SignSystem, weights: WeightSystem) -> np.ndarray:
         raise DimensionMismatch(
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights"
         )
-    if signs.n_steps == 0:
-        return np.zeros((0, 1))
     return signs.functions.astype(float) * weights.scalars[:, None]
 
 
@@ -205,7 +204,11 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
             f"contribution table covers {n_states} states, chain has {chain.n_states}"
         )
     if n == 0:
-        raise PreconditionViolated("cannot build a distribution from zero steps")
+        # the empty sum is 0 on every path
+        point = np.ones(1)
+        point.setflags(write=False)
+        return SumDistribution(offset=0, masses=point, span=(0, 0),
+                               rational={0: Fraction(1)} if exact else None)
     # budgets count the global lattice, which holds every intermediate partial sum
     pmin = np.cumsum(table.min(axis=1))
     pmax = np.cumsum(table.max(axis=1))

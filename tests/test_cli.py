@@ -129,6 +129,11 @@ class TestConfigs:
         ["tightness", "--n-list", "64", "--lambdas", "0", "--out", "{out}"],
         ["run", "--config", "{one_n}"],
         ["run", "--config", "{no_chain}"],
+        ["exact-dist", "--chain", "{chain}", "--n", "-3"],
+        ["esseen", "--chain", "{chain}", "--n", "-3"],
+        ["run", "--config", "{n_negative}"],
+        ["run", "--config", "{n_string}"],
+        ["run", "--config", "{n_fraction}"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -138,7 +143,11 @@ class TestConfigs:
                 ("one_n", {"kind": "diff-scaling", "n_list": [16], "lambda_list": [0.0],
                            "out": paths["out"]}),
                 ("no_chain", {"kind": "smallball-exact", "chain": paths["missing"],
-                              "generator": "all-ones", "n": 4})):
+                              "generator": "all-ones", "n": 4}),
+                *((name, {"kind": "smallball-exact", "chain": chain_file,
+                          "generator": "all-ones", "n": n})
+                  for name, n in (("n_negative", -2), ("n_string", "7"),
+                                  ("n_fraction", 2.5)))):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
         assert main([a.format(**paths) for a in argv]) == 2

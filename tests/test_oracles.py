@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_signs, ones_weights
+from smallball import oracles
 from smallball.chains import make_sign_system, make_weight_system
-from smallball.errors import BudgetExceeded, HypothesisViolated, PreconditionViolated
-from smallball.families import holder_family, identity_inputs, random_reversible_chain
+from smallball.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    HypothesisViolated,
+    PreconditionViolated,
+)
+from smallball.families import (
+    holder_family,
+    identity_inputs,
+    oracle_family,
+    random_reversible_chain,
+)
 from smallball.oracles import (
     HolderInstance,
     averaging_operator,
     brute_force_char_fn,
     check_averaging_identities,
+    enumerate_paths,
+    exact_sum,
+    exact_sums,
     extraction_indices,
     holder_lhs_rhs,
     lp_norm,
@@ -52,6 +68,22 @@ class TestNorms:
         assert operator_norm_l2mu(gap, chain.stationary) == pytest.approx(
             spectral_lambda(chain), abs=1e-10)
 
+    def test_stacked_norms_match_single_matrix_norms_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            n = int(rng.integers(1, 9))
+            mu = rng.dirichlet(np.ones(n))
+            stack = rng.normal(size=(int(rng.integers(1, 7)), n, n))
+            if i % 2:
+                stack = stack + 1j * rng.normal(size=stack.shape)
+            root = np.sqrt(mu)
+            got = operator_norm_l2mu(stack, mu)
+            assert got.shape == stack.shape[:1]
+            for m, norm in zip(stack, got.tolist()):
+                single = np.linalg.norm(m * (root[:, None] / root[None, :]), ord=2)
+                assert norm.hex() == float(single).hex()
+                assert norm.hex() == operator_norm_l2mu(m, mu).hex()
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_jensen_norm_chain(self, seed):
@@ -82,6 +114,147 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_char_fn(two_state_03, balanced_signs(two_state_03, 8),
                                 ones_weights(8), 0.1, budget=10)
+
+    def test_one_enumeration_matches_per_xi_paths_bit_for_bit(self):
+        # the reference materialises every path and sums it with math.fsum,
+        # once per xi, as the oracle did before it enumerated once
+        xis = (-1.7, -0.3, 0.0, 0.125, 0.61, 1.9)
+        for inst in oracle_family(99, 40):
+            chain, signs, weights = inst["chain"], inst["signs"], inst["weights"]
+            paths = enumerate_paths(chain, signs, weights)
+            assert paths.measure.size == chain.n_states ** signs.n_steps
+            for xi in xis:
+                got = paths.char_fn(xi)
+                want = _reference_char_fn(chain, signs, weights, xi)
+                assert (got.re.hex(), got.im.hex()) == (want.real.hex(), want.imag.hex())
+            assert {s: m.hex() for s, m in paths.law().items()} == {
+                s: m.hex() for s, m in _reference_law(chain, signs, weights).items()}
+
+    def test_oracle_family_keeps_its_bits(self):
+        # recorded from the per-xi enumeration with math.fsum over lists
+        h = hashlib.sha256()
+        for inst in oracle_family(20240513, 200):
+            paths = enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
+            for xi in inst["xis"]:
+                v = paths.char_fn(xi)
+                h.update(f"{v.re.hex()} {v.im.hex()}\n".encode())
+            for s, m in paths.law().items():
+                h.update(f"{s} {m.hex()}\n".encode())
+        assert h.hexdigest() == ORACLE_FAMILY_DIGEST
+
+    def test_sign_system_on_other_states_is_rejected(self):
+        chain = random_reversible_chain(np.random.default_rng(4), 3)
+        signs = make_sign_system([[1, -1], [-1, 1]], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            enumerate_paths(chain, signs, make_weight_system([1.0, 2.0]))
+
+    def test_empty_sum_is_one_path(self, two_state_03):
+        paths = enumerate_paths(two_state_03, balanced_signs(two_state_03, 0),
+                                ones_weights(0))
+        assert paths.law() == {0: 1.0}
+        assert paths.char_fn(0.3) == brute_force_char_fn(
+            two_state_03, balanced_signs(two_state_03, 0), ones_weights(0), 0.3)
+        assert (paths.char_fn(0.3).re, paths.char_fn(0.3).im) == (1.0, 0.0)
+
+
+ORACLE_FAMILY_DIGEST = "d9b47633eb6cffe814328dbc6dc0c3cbfa04d04162de5183866ddab26d04ae31"
+
+
+def _reference_paths(chain, signs, weights):
+    contribs = signs.functions.astype(float) * weights.scalars[:, None]
+    n = contribs.shape[0]
+    paths = np.indices((chain.n_states,) * n).reshape(n, -1).T
+    w = chain.stationary[paths[:, 0]].copy()
+    for i in range(1, n):
+        w *= chain.transition[paths[:, i - 1], paths[:, i]]
+    return contribs, paths, w
+
+
+def _reference_char_fn(chain, signs, weights, xi) -> complex:
+    contribs, paths, w = _reference_paths(chain, signs, weights)
+    sums = np.zeros(paths.shape[0])
+    for j in range(contribs.shape[0]):
+        sums += contribs[j, paths[:, j]]
+    vals = w * np.exp(2j * np.pi * xi * sums)
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+
+
+def _reference_law(chain, signs, weights) -> dict:
+    contribs, paths, w = _reference_paths(chain, signs, weights)
+    ints = np.rint(contribs).astype(np.int64)
+    sums = ints[np.arange(ints.shape[0]), paths].sum(axis=1)
+    out: dict = {}
+    for s, mass in zip(sums.tolist(), w.tolist()):
+        out.setdefault(s, []).append(mass)
+    return {s: math.fsum(masses) for s, masses in sorted(out.items())}
+
+
+def _assert_fsum(values, groups=None, n_groups=1):
+    """exact_sums agrees with math.fsum per group, signed zeros and raising included."""
+    x = np.array(values, dtype=float)
+    picks = [x[np.asarray(groups) == g] if groups is not None else x
+             for g in range(n_groups)]
+    try:
+        want = [math.fsum(p.tolist()).hex() for p in picks]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sums(x, groups, n_groups)
+        return
+    assert [v.hex() for v in exact_sums(x, groups, n_groups)] == want
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPREAD = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300))
+SUBNORMAL = st.floats(-2.3e-308, 2.3e-308)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(FINITE, SPREAD, SUBNORMAL, st.sampled_from([0.0, -0.0])),
+                    max_size=60))
+    def test_matches_fsum(self, values):
+        with mock.patch.object(oracles, "FSUM_MAX_SIZE", 0):  # every size on arrays
+            _assert_fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(SPREAD, SUBNORMAL), min_size=1, max_size=40),
+           st.lists(st.one_of(SPREAD, SUBNORMAL, st.just(-0.0)), max_size=5),
+           st.randoms(use_true_random=False))
+    def test_cancellation_matches_fsum(self, values, extra, rnd):
+        pairs = values + [-v for v in values] + extra
+        rnd.shuffle(pairs)
+        with mock.patch.object(oracles, "FSUM_MAX_SIZE", 0):
+            _assert_fsum(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(SPREAD, SUBNORMAL), min_size=1, max_size=60),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_groups_match_fsum_per_group(self, values, n_groups, seed):
+        groups = np.random.default_rng(seed).integers(0, n_groups, size=len(values))
+        with mock.patch.object(oracles, "FSUM_MAX_SIZE", 0):
+            _assert_fsum(values, groups, n_groups)
+
+    def test_large_adversarial_arrays_take_the_array_path(self):
+        rng = np.random.default_rng(8)
+        for i in range(40):
+            size = int(rng.integers(oracles.FSUM_MAX_SIZE + 1, 20_000))
+            x = rng.normal(size=size) * np.ldexp(1.0, rng.integers(-300, 301, size=size))
+            if i % 4 == 1:
+                x[: size // 2] = -x[size // 2: 2 * (size // 2)]  # near-total cancellation
+            elif i % 4 == 2:
+                x *= 2.0**-760  # down into the subnormals
+            elif i % 4 == 3:
+                x[rng.random(size) < 0.3] = -0.0
+            _assert_fsum(x)
+
+    def test_empty_and_fallbacks(self):
+        assert exact_sum(np.array([])).hex() == (0.0).hex()
+        for big in (np.full(2000, 1.5e308), np.array([1e308, 1e308, -1e308] + [0.0] * 1200)):
+            with pytest.raises(OverflowError):
+                exact_sum(big)  # fsum's intermediate overflow, even for a finite sum
+        assert math.isinf(exact_sum(np.array([1.0, np.inf] * 600)))
+        with pytest.raises(ValueError):
+            exact_sum(np.array([np.inf, -np.inf] * 600))  # as fsum raises
 
 
 class TestIndexConventions:

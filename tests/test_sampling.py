@@ -18,7 +18,13 @@ from smallball.chains import (
 from smallball.errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from smallball.families import random_reversible_chain
 from smallball.rngstreams import uniforms
-from smallball.sampling import CHUNK, first_coord_tail, sample_signs, smallball_mc
+from smallball.sampling import (
+    CHUNK,
+    coord_tail_total,
+    first_coord_tail,
+    sample_signs,
+    smallball_mc,
+)
 from smallball.transfer import exact_sum_distribution, smallball_exact
 
 # CHUNK + 3 samples cross one chunk edge
@@ -261,6 +267,15 @@ class TestFirstCoordTail:
 
     def test_one_dimension_special_case(self):
         assert first_coord_tail(1, 0.7) == 1.0
+
+    def test_passed_normaliser_keeps_the_bits(self):
+        for d in (2, 3, 17, 64):
+            total = coord_tail_total(d)
+            for t in (0.0, 0.05, 0.3, 0.9, 1.0):
+                assert (first_coord_tail(d, t, total=total).hex()
+                        == first_coord_tail(d, t).hex())
+        with pytest.raises(UnsupportedDimension):
+            coord_tail_total(1)
 
     def test_rejects_bad_input(self):
         with pytest.raises(UnsupportedDimension):

@@ -179,6 +179,17 @@ class TestExactDistribution:
             assert plain.probability_at(s) == pytest.approx(
                 exact.probability_at(s), abs=1e-13)
 
+    def test_empty_sum_is_the_point_mass_at_zero(self, two_state_03):
+        signs, weights = balanced_signs(two_state_03, 0), ones_weights(0)
+        assert sign_contributions(signs, weights).shape == (0, 2)
+        law = brute_force_distribution(two_state_03, signs, weights)
+        for exact in (False, True):
+            dist = exact_sum_distribution(two_state_03, signs, weights, exact=exact)
+            assert (dist.offset, dist.masses.tolist(), dist.span) == (0, [1.0], (0, 0))
+            assert {int(s): p for s, p in zip(dist.support(), dist.masses)} == law
+        assert exact_sum_distribution(two_state_03, signs, weights,
+                                      exact=True).rational == {0: 1}
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_path_enumeration(self, seed):
