@@ -103,6 +103,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate_config(config: ExperimentConfig) -> None:
+    for name, low in (("samples", 1), ("seed", None)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or (
+                low is not None and value < low):
+            need = "an integer" if low is None else f"an integer >= {low}"
+            raise ConfigError(f"'{name}' must be {need}, got {value!r}")
     if config.kind in ("smallball-exact", "smallball-mc"):
         if config.chain is None:
             raise ConfigError(f"kind {config.kind}: field 'chain' is required")

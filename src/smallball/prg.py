@@ -30,7 +30,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .rngstreams import uniform_block
+from .rngstreams import step_words, to_unit
 from .sampling import CHUNK, from_hits
 
 MGG_DEGREE = 8
@@ -254,18 +254,28 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     labels = spec.graph.labels().astype(float)
     block_w = w.reshape(spec.blocks, spec.graph.k)
     contrib = (labels @ block_w.T).T.copy()  # (blocks, vertices)
-    nv, degree = spec.graph.n_vertices, spec.graph.degree
+    k, degree = spec.graph.k, spec.graph.degree
     flat_neighbors = spec.graph.neighbors.ravel()
+    # the top b <= 53 bits of a word are floor(u * 2^b) for its uniform u, so
+    # the start vertex and a power-of-two degree's edge need no float; any
+    # other degree keeps the float rule
+    power_of_two = degree > 1 and degree & (degree - 1) == 0
+    edge_bits = degree.bit_length() - 1 if power_of_two else 0
     hits = 0
     for start in range(0, samples, CHUNK):
         streams = np.arange(start, min(start + CHUNK, samples))
-        u = uniform_block(seed, streams, spec.blocks)  # row j drives block j
-        vertex = np.minimum((u[0] * nv).astype(np.intp), nv - 1)
+        words = step_words(seed, streams, spec.blocks)  # word j drives block j
+        vertex = np.right_shift(next(words), np.uint64(64 - k)).view(np.intp)
         sums = contrib[0][vertex]
-        for j in range(1, spec.blocks):
-            edge = np.minimum((u[j] * degree).astype(np.intp), degree - 1)
+        cell = np.empty(streams.size, dtype=np.uint64)
+        edge = cell.view(np.intp)
+        for j, word in enumerate(words, start=1):
+            if edge_bits:
+                np.right_shift(word, np.uint64(64 - edge_bits), out=cell)
+            else:
+                np.minimum((to_unit(word) * degree).astype(np.intp), degree - 1, out=edge)
             vertex = flat_neighbors[vertex * degree + edge]
-            sums = sums + contrib[j][vertex]
+            sums += contrib[j][vertex]
         hits += int(np.count_nonzero(np.abs(sums - x0) <= radius))
     return from_hits(hits, samples, seed)
 

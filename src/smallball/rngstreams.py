@@ -39,12 +39,6 @@ def _finalize(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(z, tmp, out=z)
 
 
-def _to_unit(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each word as a double in [0,1); consumes words."""
-    np.right_shift(words, _SHIFT_53, out=words)
-    return np.multiply(words, _INV_2_53, out=out)
-
-
 def stream_key(seed: int, stream: int) -> int:
     base = _finalize_int((seed & _MASK) + _GOLDEN_INT)
     return _finalize_int(base + ((stream & _MASK) * _GOLDEN_INT & _MASK))
@@ -55,7 +49,31 @@ def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     key = np.uint64(stream_key(seed, stream))
     idx = (np.arange(start, start + count, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
     words = key + idx
-    return _to_unit(_finalize(words, np.empty_like(words)), np.empty(count))
+    return to_unit(_finalize(words, np.empty_like(words)))
+
+
+def step_words(seed: int, streams: np.ndarray, n_steps: int):
+    """Yield the raw 64-bit words of draw i of every stream, for i = 0..n_steps-1.
+
+    One buffer is reused, so each yielded array is valid until the next step
+    and the caller may consume it in place.  The words' top 53 bits are the
+    doubles of uniforms(): u = (word >> 11) * 2^-53, so the top b <= 53 bits
+    (word >> (64 - b)) are exactly floor(u * 2^b).
+    """
+    base = np.uint64(_finalize_int((seed & _MASK) + _GOLDEN_INT))
+    keys = base + np.asarray(streams).astype(np.uint64) * _GOLDEN
+    words, tmp = np.empty_like(keys), np.empty_like(keys)
+    _finalize(keys, tmp)
+    idx = (np.arange(n_steps, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    for i in range(n_steps):
+        np.add(keys, idx[i], out=words)
+        yield _finalize(words, tmp)
+
+
+def to_unit(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The doubles in [0,1) that step_words' words stand for; consumes words."""
+    np.right_shift(words, _SHIFT_53, out=words)
+    return np.multiply(words, _INV_2_53, out=out)
 
 
 def uniform_block(seed: int, streams: np.ndarray, n_per_stream: int) -> np.ndarray:
@@ -65,15 +83,9 @@ def uniform_block(seed: int, streams: np.ndarray, n_per_stream: int) -> np.ndarr
     Filled one row at a time, so each row's temporaries stay in cache; every
     draw equals uniforms(seed, stream, i, 1).
     """
-    base = np.uint64(_finalize_int((seed & _MASK) + _GOLDEN_INT))
-    keys = base + np.asarray(streams).astype(np.uint64) * _GOLDEN
-    words, tmp = np.empty_like(keys), np.empty_like(keys)
-    _finalize(keys, tmp)
-    idx = (np.arange(n_per_stream, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    out = np.empty((n_per_stream, keys.size))
-    for i in range(n_per_stream):
-        np.add(keys, idx[i], out=words)
-        _to_unit(_finalize(words, tmp), out[i])
+    out = np.empty((n_per_stream, np.size(streams)))
+    for row, words in zip(out, step_words(seed, streams, n_per_stream)):
+        to_unit(words, row)
     return out
 
 

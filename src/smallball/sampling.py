@@ -18,9 +18,13 @@ from scipy.stats import beta
 from .chains import MarkovChain, SignSystem, WeightSystem
 from .errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from .quadrature import adaptive_simpson
-from .rngstreams import standard_normals, uniform_block
+from .rngstreams import standard_normals, step_words, to_unit, uniform_block
 
 CHUNK = 1 << 14
+# bytes of one chain's inverse-CDF cell table
+CELL_TABLE_BUDGET = 1 << 18
+# steps whose signs are gathered step-major before moving into sample rows
+SIGN_BLOCK = 32
 CI_LEVEL = 0.99
 
 
@@ -68,29 +72,79 @@ def from_hits(hits: int, total: int, seed: int) -> McEstimate:
                       ci_high=max(hi, est), seed=seed)
 
 
-def _sample_states(chain: MarkovChain, n_steps: int, streams: np.ndarray,
-                   seed: int) -> np.ndarray:
-    """(n_steps, len(streams)) state paths, step-major: column s is the path
-    of sample streams[s], driven by its counter stream."""
-    u = uniform_block(seed, streams, n_steps)
-    last = chain.n_states - 1
-    # inverse CDF by counting: the state after y is the number of c < last
-    # with cum[y, c] <= u, which also clamps to last when a row's cumulative
-    # total rounds below 1 (cum is nondecreasing along a row)
-    cum_cols = np.cumsum(chain.transition, axis=1).T[:last].copy()
-    states = np.empty(u.shape, dtype=np.intp)
-    states[0] = np.minimum(
-        np.searchsorted(np.cumsum(chain.stationary), u[0], side="right"), last)
-    threshold = np.empty(streams.size)
-    below = np.empty(streams.size, dtype=bool)
-    for i in range(1, n_steps):
-        prev, cur = states[i - 1], states[i]
-        cur.fill(0)
-        for col in cum_cols:
-            np.take(col, prev, out=threshold)
-            np.less_equal(threshold, u[i], out=below)
-            cur += below
-    return states
+def _cell_bits(rows: int) -> int:
+    """The most cell bits b with rows * 2^b table entries within CELL_TABLE_BUDGET."""
+    cells = CELL_TABLE_BUDGET // (rows * np.dtype(np.intp).itemsize)
+    return max(cells.bit_length() - 1, 0)
+
+
+class _InverseCdf:
+    """A chain's next-state rule as a table of cells with an exact fallback.
+
+    Row y < N of cum holds the cumulative transition row y and row N the
+    cumulative stationary law, both without their last entry.  From row y the
+    uniform u picks the number of c with cum[y, c] <= u: the inverse CDF by
+    counting, which also clamps to the last state when a row's total rounds
+    below 1.  Cell j of a row covers the doubles u = (word >> 11) 2^-53 whose
+    top `bits` bits are j; the table holds the state that every such u picks,
+    or -1 when a cut of the row falls inside the cell, and only those lanes
+    count exactly.
+    """
+
+    def __init__(self, chain: MarkovChain):
+        n = chain.n_states
+        self.start = n
+        self.cum = np.empty((n + 1, n - 1))
+        self.cum[:n] = np.cumsum(chain.transition, axis=1)[:, :-1]
+        self.cum[n] = np.cumsum(chain.stationary)[:-1]
+        self.bits = _cell_bits(n + 1)
+        self.shift = np.uint64(64 - self.bits)
+        # the first and last double of each cell, both exact; a validated row
+        # is nondecreasing, so searchsorted counts the cuts <= u
+        cells = np.arange(1 << self.bits, dtype=np.int64) << (53 - self.bits)
+        lo = cells * 2.0**-53
+        hi = (cells + ((1 << (53 - self.bits)) - 1)) * 2.0**-53
+        table = np.empty((n + 1, 1 << self.bits), dtype=np.intp)
+        for y, row in enumerate(self.cum):
+            first = np.searchsorted(row, lo, side="right")
+            table[y] = np.where(first == np.searchsorted(row, hi, side="right"),
+                                first, -1)
+        self.table = table.ravel()
+        # exact lanes counted at once, so their gathered rows fit the budget too
+        self.exact_batch = max(CELL_TABLE_BUDGET // (self.cum.itemsize * max(n - 1, 1)), 1)
+
+    def fill_signs(self, functions: np.ndarray, streams: np.ndarray, seed: int,
+                   out: np.ndarray) -> np.ndarray:
+        """out[s, j] = f_j(state j of sample streams[s]), one step at a time."""
+        m, n_steps = streams.size, functions.shape[0]
+        state = np.full(m, self.start, dtype=np.intp)
+        idx = np.empty(m, dtype=np.intp)
+        cell = np.empty(m, dtype=np.uint64)
+        exact = np.empty(m, dtype=bool)
+        # signs gather step-major, then move into out's rows a block at a time
+        block = np.empty((min(SIGN_BLOCK, n_steps), m), dtype=out.dtype)
+        for j, words in enumerate(step_words(seed, streams, n_steps)):
+            if self.bits:
+                np.left_shift(state, self.bits, out=idx)
+                np.right_shift(words, self.shift, out=cell)
+                np.bitwise_or(idx, cell.view(np.intp), out=idx)
+            else:
+                np.copyto(idx, state)
+            # every index is in range (no -1 reaches the sign gather), so
+            # "clip" only skips the bounds check
+            np.take(self.table, idx, out=state, mode="clip")
+            np.less(state, 0, out=exact)
+            lanes = np.flatnonzero(exact)
+            for a in range(0, lanes.size, self.exact_batch):
+                part = lanes[a:a + self.exact_batch]
+                u = to_unit(words[part])
+                prev = idx[part] >> self.bits
+                state[part] = np.count_nonzero(self.cum[prev] <= u[:, None], axis=1)
+            row = j % block.shape[0]
+            np.take(functions[j], state, out=block[row], mode="clip")
+            if row == block.shape[0] - 1 or j == n_steps - 1:
+                np.copyto(out[:, j - row:j + 1], block[:row + 1].T)
+        return out
 
 
 def _check_states(chain: MarkovChain, signs: SignSystem) -> None:
@@ -100,21 +154,16 @@ def _check_states(chain: MarkovChain, signs: SignSystem) -> None:
             f"chain has {chain.n_states}")
 
 
-def _sign_paths(chain: MarkovChain, signs: SignSystem, streams: np.ndarray,
-                seed: int) -> np.ndarray:
-    """(len(streams), n) +-1 matrix, row-major; row s is sample streams[s]."""
-    states = _sample_states(chain, signs.n_steps, streams, seed)
-    return np.take_along_axis(signs.functions, states, axis=1).T
-
-
 def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
                  seed: int) -> np.ndarray:
     """(count, n) matrix of +-1 samples; row i is sample i's sign sequence."""
     _check_states(chain, signs)
+    sampler = _InverseCdf(chain)
+    functions = signs.functions.astype(np.int8)
     out = np.empty((count, signs.n_steps), dtype=np.int8)
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        out[streams] = _sign_paths(chain, signs, streams, seed)
+        sampler.fill_signs(functions, streams, seed, out[start:start + streams.size])
     return out
 
 
@@ -134,13 +183,15 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
             f"{weights.dimension}")
     center = np.broadcast_to(center, (weights.dimension,))
     w = weights.weights
+    sampler = _InverseCdf(chain)
+    functions = signs.functions.astype(float)
+    # one C-ordered (samples, n) matrix, reused: BLAS sums each row in the
+    # order it always has
+    eps = np.empty((min(max(count, 0), CHUNK), signs.n_steps))
     hits = 0
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        # a C-ordered (samples, n) matrix keeps BLAS's summation order per sum
-        eps = np.ascontiguousarray(_sign_paths(chain, signs, streams, seed),
-                                   dtype=float)
-        sums = eps @ w
+        sums = sampler.fill_signs(functions, streams, seed, eps[:streams.size]) @ w
         dist = np.linalg.norm(sums - center[None, :], axis=1)
         hits += int(np.count_nonzero(dist <= radius))
     return from_hits(hits, count, seed)

@@ -134,6 +134,13 @@ class TestConfigs:
         ["run", "--config", "{n_negative}"],
         ["run", "--config", "{n_string}"],
         ["run", "--config", "{n_fraction}"],
+        ["run", "--config", "{samples_float}"],
+        ["run", "--config", "{samples_string}"],
+        ["run", "--config", "{samples_bool}"],
+        ["run", "--config", "{samples_zero}"],
+        ["run", "--config", "{seed_float}"],
+        ["run", "--config", "{seed_null}"],
+        ["run", "--config", "{seed_bool}"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -147,7 +154,17 @@ class TestConfigs:
                 *((name, {"kind": "smallball-exact", "chain": chain_file,
                           "generator": "all-ones", "n": n})
                   for name, n in (("n_negative", -2), ("n_string", "7"),
-                                  ("n_fraction", 2.5)))):
+                                  ("n_fraction", 2.5))),
+                *((name, {"kind": "smallball-mc", "chain": chain_file,
+                          "generator": "all-ones", "n": 4, field: value})
+                  for name, field, value in (
+                      ("samples_float", "samples", 1e3),
+                      ("samples_string", "samples", "1000"),
+                      ("samples_bool", "samples", True),
+                      ("samples_zero", "samples", 0),
+                      ("seed_float", "seed", 3.0),
+                      ("seed_null", "seed", None),
+                      ("seed_bool", "seed", False)))):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
         assert main([a.format(**paths) for a in argv]) == 2

@@ -28,6 +28,7 @@ from smallball.prg import (
     save_graph,
     size_bound_exponent,
 )
+from smallball.rngstreams import uniforms
 from smallball.sampling import CHUNK
 from smallball.transfer import distribution_from_contributions, smallball_exact
 
@@ -167,6 +168,37 @@ class TestPrgSmallball:
         est = prg_smallball(spec, scalars, 1.0, 3.0, mode="sampled",
                             samples=CHUNK + 3, seed=k)
         assert hashlib.sha256(est.serialize().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("graph", [
+        build_mgg_expander(4),
+        # K4 without self-loops: degree 3 takes the float edge rule
+        ExpanderGraph(k=2, degree=3, neighbors=np.array(
+            [[w for w in range(4) if w != v] for v in range(4)])),
+    ])
+    def test_sampled_hits_follow_a_pure_python_walk(self, graph):
+        # integer weights keep every sum exact, so the hit count must agree
+        # to the walk; CHUNK + 3 walks cross one chunk edge
+        k, seed, x0, radius = graph.k, 5, 1.0, 3.0
+        spec = PrgSpec(graph=graph, n=4 * k)
+        scalars = np.random.default_rng(9).integers(1, 3, spec.n).astype(float)
+        labels = graph.labels().astype(int).tolist()
+        weights = scalars.astype(int).tolist()
+        hits = 0
+        for stream in range(CHUNK + 3):
+            u = uniforms(seed, stream, 0, spec.blocks).tolist()
+            vertex = min(int(u[0] * graph.n_vertices), graph.n_vertices - 1)
+            total = 0
+            for j in range(spec.blocks):
+                if j:
+                    edge = min(int(u[j] * graph.degree), graph.degree - 1)
+                    vertex = graph.neighbor(vertex, edge)
+                total += sum(a * b for a, b in zip(labels[vertex],
+                                                   weights[j * k:(j + 1) * k]))
+            hits += abs(total - x0) <= radius
+        est = prg_smallball(spec, scalars, x0, radius, mode="sampled",
+                            samples=CHUNK + 3, seed=seed)
+        assert 0 < hits < CHUNK + 3
+        assert est.estimate == hits / (CHUNK + 3)
 
     def test_hypothesis_guard(self):
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -51,6 +52,20 @@ def pinned_instance(n_states, kind, n=24):
     return chain, signs, make_weight_system(w)
 
 
+# cumulative cuts on cell edges, one double below one, and one uniform below one
+EDGE_CHAINS = [
+    make_independent_chain([0.5, 0.5]),
+    make_independent_chain([0.25] * 4),
+    make_independent_chain([np.nextafter(0.5, 0.0), 0.5]),
+    make_independent_chain([0.5 - 2.0**-53, 0.5 + 2.0**-53]),
+]
+
+
+def _words_at(grid: list) -> np.ndarray:
+    """Stream words whose uniforms are t * 2^-53, with junk in the 11 low bits."""
+    return (np.array(grid, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("sampling started before the inputs were checked")
 
@@ -89,9 +104,13 @@ class TestSampleSigns:
         random_reversible_chain(np.random.default_rng(5), 4),
         # ten masses of 0.1 accumulate to 0.9999999999999999: the clamp case
         make_independent_chain([0.1] * 10),
+        *EDGE_CHAINS,
+        # so many states that the table budget leaves few cell bits
+        random_reversible_chain(np.random.default_rng(600), 600),
     ])
     def test_rows_follow_a_pure_python_walk(self, chain):
-        n, seed, last = 12, 3, chain.n_states - 1
+        # n crosses a sign-block edge
+        n, seed, last = sampling.SIGN_BLOCK + 5, 3, chain.n_states - 1
         signs = make_sign_system(
             np.random.default_rng(6).choice([-1, 1], size=(n, chain.n_states)),
             chain.stationary)
@@ -107,6 +126,58 @@ class TestSampleSigns:
                 path.append(y)
             expect = [int(signs.functions[j, y]) for j, y in enumerate(path)]
             assert eps[stream].tolist() == expect
+
+    def test_zero_cell_bits_keep_the_digest(self, monkeypatch):
+        # one cell per row: every lane of a row with two successors counts
+        monkeypatch.setattr(sampling, "_cell_bits", lambda rows: 0)
+        self.test_pinned_digest()
+
+    def test_fewer_cell_bits_for_many_states(self):
+        many = sampling._InverseCdf(random_reversible_chain(np.random.default_rng(600), 600))
+        few = sampling._InverseCdf(random_reversible_chain(np.random.default_rng(5), 4))
+        assert 0 < many.bits < few.bits
+        assert many.table.nbytes <= sampling.CELL_TABLE_BUDGET
+        assert few.table.nbytes <= sampling.CELL_TABLE_BUDGET
+
+    @pytest.mark.parametrize("chain", [
+        random_reversible_chain(np.random.default_rng(5), 4),
+        make_independent_chain([0.1] * 10),
+        *EDGE_CHAINS,
+    ])
+    def test_cuts_and_cell_edges_follow_bisect(self, chain, monkeypatch):
+        # words on every cumulative cut and cell edge and one uniform either
+        # side: step 0 probes the stationary row, step 1 the row of a state
+        # reached at step 0
+        table = sampling._InverseCdf(chain)
+        grid_top, last = (1 << 53) - 1, chain.n_states - 1
+        cum_mu = list(accumulate(chain.stationary.tolist()))
+        cum_rows = [list(accumulate(row)) for row in chain.transition.tolist()]
+
+        def probes(cum):
+            marks = [math.floor(c * 2.0**53) for c in cum[:last]]
+            marks += [j << (53 - table.bits) for j in range(1 << table.bits)]
+            return sorted({min(max(t + d, 0), grid_top)
+                           for t in marks for d in (-1, 0, 1)} | {grid_top})
+
+        def state(cum, t):
+            return min(bisect_right(cum, t * 2.0**-53), last)
+
+        first = probes(cum_mu)
+        second = [0] * len(first)
+        for y, row in enumerate(cum_rows):
+            reach = [t for t in probes(cum_mu) if state(cum_mu, t) == y]
+            if reach:  # a state of zero stationary mass is never entered
+                first += [reach[0]] * len(probes(row))
+                second += probes(row)
+        expect = np.array([[state(cum_mu, a), state(cum_rows[state(cum_mu, a)], b)]
+                           for a, b in zip(first, second)])
+        words = [_words_at(first), _words_at(second)]
+        monkeypatch.setattr(sampling, "step_words", lambda *args: iter(words))
+        # "sign functions" that read back the state
+        states = np.tile(np.arange(chain.n_states), (2, 1))
+        out = np.empty((len(first), 2), dtype=np.intp)
+        table.fill_signs(states, np.arange(len(first)), 0, out)
+        assert np.array_equal(out, expect)
 
     def test_deterministic_in_seed(self, two_state_03):
         a = sample_signs(two_state_03, balanced_signs(two_state_03, 5), 100, seed=1)
@@ -141,6 +212,12 @@ class TestSmallballMc:
                            ones_weights(4), 0.0, 1.0, 3000, seed=5)
         assert 0.0 <= est.ci_low <= est.estimate <= est.ci_high <= 1.0
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_rejected(self, two_state_03, count):
+        with pytest.raises(OutOfRange, match="at least one sample"):
+            smallball_mc(two_state_03, balanced_signs(two_state_03, 2),
+                         ones_weights(2), 0.0, 1.0, count, seed=0)
+
     def test_negative_radius_rejected(self, two_state_03):
         with pytest.raises(OutOfRange):
             smallball_mc(two_state_03, balanced_signs(two_state_03, 2),
@@ -148,7 +225,7 @@ class TestSmallballMc:
 
     def test_center_of_wrong_dimension_rejected_before_sampling(
             self, uniform_independent, monkeypatch):
-        monkeypatch.setattr(sampling, "uniform_block", _no_draws)
+        monkeypatch.setattr(sampling, "step_words", _no_draws)
         w = make_weight_system([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionMismatch, match="3 coordinates"):
             smallball_mc(uniform_independent, balanced_signs(uniform_independent, 2),
@@ -156,7 +233,7 @@ class TestSmallballMc:
 
     def test_step_count_mismatch_rejected_before_sampling(self, two_state_03,
                                                           monkeypatch):
-        monkeypatch.setattr(sampling, "uniform_block", _no_draws)
+        monkeypatch.setattr(sampling, "step_words", _no_draws)
         with pytest.raises(DimensionMismatch,
                            match="3 sign functions vs 4 weights"):
             smallball_mc(two_state_03, balanced_signs(two_state_03, 3),
@@ -165,7 +242,7 @@ class TestSmallballMc:
     @pytest.mark.parametrize("chain_states,sign_states", [(4, 2), (2, 4)])
     def test_sign_state_count_mismatch_rejected_before_sampling(
             self, chain_states, sign_states, monkeypatch):
-        monkeypatch.setattr(sampling, "uniform_block", _no_draws)
+        monkeypatch.setattr(sampling, "step_words", _no_draws)
         chain = make_independent_chain(np.full(chain_states, 1.0 / chain_states))
         other = make_independent_chain(np.full(sign_states, 1.0 / sign_states))
         signs = balanced_signs(other, 3)
@@ -201,6 +278,18 @@ class TestSmallballMc:
         est = smallball_mc(chain, signs, weights, x0, radius, PINNED_COUNT,
                            seed=n_states)
         assert sha256(est.serialize().encode()) == digest
+
+    def test_memory_stays_within_one_sign_matrix(self):
+        # the C-ordered float signs of one chunk are 8 n CHUNK bytes; the
+        # sampler reuses that matrix and adds only step-sized buffers
+        chain, signs, weights = pinned_instance(4, "unit", n=256)
+        tracemalloc.start()
+        try:
+            smallball_mc(chain, signs, weights, 0.0, 2.0, PINNED_COUNT, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * 256 * CHUNK
 
     @pytest.mark.parametrize("lam,n,x0,radius", [
         (0.0, 6, 0.0, 1.0), (0.3, 5, 1.0, 1.0), (0.6, 4, 0.0, 0.0),
