@@ -9,6 +9,7 @@ independent and 1 - lambda is the spectral gap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,8 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
         raise PreconditionViolated(f"weights must be 1-d or 2-d, got shape {w.shape}")
     if variant not in WEIGHT_VARIANTS:
         raise PreconditionViolated(f"unknown weight variant {variant!r}")
+    if not np.isfinite(w).all():
+        raise PreconditionViolated("weights must be finite numbers")
     n, d = w.shape
     norms = np.linalg.norm(w, axis=1)
     if variant == "at-least-unit":
@@ -295,6 +298,14 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
         if len(set(vals.tolist())) != n:
             raise PreconditionViolated("weights are not distinct")
     return WeightSystem(dimension=d, weights=_freeze(w), variant=variant)
+
+
+def check_window(x0, radius) -> None:
+    """A window |s - x0| <= radius needs a finite center and a finite radius >= 0."""
+    if not (math.isfinite(radius) and radius >= 0 and np.isfinite(x0).all()):
+        raise OutOfRange(
+            f"need a finite center and a finite radius >= 0, got x0 = {x0!r}, "
+            f"radius = {radius!r}")
 
 
 # ---------------------------------------------------------------------------

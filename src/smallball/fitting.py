@@ -78,7 +78,7 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
     gives its value up to rounding; when that run's starting panels straddle a
     fold point (small eps max |v|), it is that run started finer until none does.
     """
-    if not 0.0 < eps < math.inf or radius < 0:
+    if not (0.0 < eps < math.inf and 0.0 <= radius < math.inf):
         raise OutOfRange(f"need finite eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
     if dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states:
         modulus = dist.char_fn_modulus

@@ -6,6 +6,11 @@ n/k steps on a degree-8 expander over {-1,1}^k; sampling a walk uniformly
 The expander is the Margulis-Gabber-Galil construction on Z_m x Z_m with
 m = 2^(k/2): its vertex count is exactly a power of two and its spectral bound
 is re-certified numerically instead of trusted.
+
+The uniform walk measure is the walk as a Markov chain, so exact window
+probabilities come from a sweep over distinct (vertex, partial sum) states
+with integer walk counts, not from a list of the |D| walks; enumerate_walks
+lists them one by one as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .chains import MarkovChain, read_json_file, validate_chain
+from .chains import MarkovChain, check_window, read_json_file, validate_chain
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -28,6 +33,7 @@ from .errors import (
     NotReversible,
     OddK,
     OutOfRange,
+    PreconditionViolated,
     TooLarge,
 )
 from .rngstreams import step_words, to_unit
@@ -36,6 +42,9 @@ from .sampling import CHUNK, from_hits
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
 DENSE_CERTIFY = 2**10
+# |D| bound of exact mode and of enumerate_walks.  It also keeps every walk
+# count of the exact sweep below 2^53, so hits and |D| are exact doubles and
+# hits / |D| rounds once
 ENUM_BUDGET = 10**8
 
 
@@ -190,17 +199,42 @@ def enumerate_walks(spec: PrgSpec, budget: int = ENUM_BUDGET):
             yield np.concatenate(parts), weight
 
 
-def _walk_sums(spec: PrgSpec, scalars: np.ndarray) -> np.ndarray:
-    """Signed sum of every walk in D, enumerated vectorially block by block."""
+def _window_hits(spec: PrgSpec, scalars: np.ndarray, x0: float,
+                 radius: float) -> int:
+    """Number of walks in D whose signed sum lies in |sum - x0| <= radius.
+
+    Sweeps the distinct (vertex, partial sum) states block by block, each
+    carrying the number of walks that reach it.  Every walk's sum is the same
+    float addition chain `sum + contrib[vertex, j]` as when each walk is summed
+    on its own, so walks that share a state share their future sums bit for
+    bit and the count is that of per-walk enumeration.
+    """
+    degree, neighbors = spec.graph.degree, spec.graph.neighbors
     labels = spec.graph.labels().astype(float)
     block_w = scalars.reshape(spec.blocks, spec.graph.k)
     contrib = labels @ block_w.T  # (vertices, blocks)
     vertices = np.arange(spec.graph.n_vertices)
-    sums = contrib[vertices, 0]
+    sums = contrib[:, :1].copy()  # (states, successors): each successor's sum
+    counts = np.ones(vertices.size, dtype=np.int64)  # walks per state
     for j in range(1, spec.blocks):
-        vertices = spec.graph.neighbors[vertices].ravel()
-        sums = np.repeat(sums, spec.graph.degree) + contrib[vertices, j]
-    return sums
+        if j > 1:
+            vertices = neighbors[vertices].ravel()
+            sums = sums.ravel()
+            counts = np.repeat(counts, degree)
+            order = np.lexsort((sums, vertices))
+            vertices, sums, counts = vertices[order], sums[order], counts[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], (vertices[1:] != vertices[:-1]) | (sums[1:] != sums[:-1]))))
+            vertices, sums = vertices[starts], sums[starts]
+            counts = np.add.reduceat(counts, starts)
+        # row i: state i's successors in edge order; float addition commutes,
+        # so contrib += sum is sum + contrib bit for bit
+        successors = contrib[neighbors, j][vertices]
+        successors += sums.reshape(-1, 1)
+        sums = successors
+    sums -= x0
+    np.abs(sums, out=sums)
+    return int(counts @ np.count_nonzero(sums <= radius, axis=1))
 
 
 def block_contributions(spec: PrgSpec, scalars: np.ndarray) -> np.ndarray:
@@ -221,6 +255,8 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
     w = np.asarray(scalars, dtype=float)
     if w.shape != (n,):
         raise DimensionMismatch(f"need {n} scalar weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise PreconditionViolated("weights must be finite numbers")
     checked = w[w != 0.0] if allow_zero_padding else w
     if checked.size and checked.min() < 1.0 - 1e-12:
         raise HypothesisViolated(
@@ -234,20 +270,19 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
                   budget: int = ENUM_BUDGET, allow_zero_padding: bool = False):
     """P[|sum - x0| <= radius] under the uniform walk measure on D.
 
-    Exact mode enumerates every walk (full multiset, vectorized); sampled mode
-    draws walks from counter streams and returns an McEstimate.  Zero weights
-    are rejected unless allow_zero_padding is set (the CLI's pad-to-multiple
-    convenience); the v_i >= 1 hypothesis then applies to the nonzero entries.
+    Exact mode counts the walks of D (with multiplicity) in the window by a
+    sweep over distinct (vertex, partial sum) states, without listing walks;
+    sampled mode draws walks from counter streams and returns an McEstimate.
+    x0, radius and the weights must be finite.  Zero weights are rejected
+    unless allow_zero_padding is set (the CLI's pad-to-multiple convenience);
+    the v_i >= 1 hypothesis then applies to the nonzero entries.
     """
     w = _check_unit_weights(scalars, spec.n, allow_zero_padding)
-    if radius < 0:
-        raise OutOfRange(f"radius must be nonnegative, got {radius!r}")
+    check_window(x0, radius)
     if mode == "exact":
         if spec.size > budget:
             raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {budget}")
-        sums = _walk_sums(spec, w)
-        hits = int(np.count_nonzero(np.abs(sums - x0) <= radius))
-        return hits / spec.size
+        return _window_hits(spec, w, x0, radius) / spec.size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
 

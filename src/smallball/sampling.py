@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta
 
-from .chains import MarkovChain, SignSystem, WeightSystem
+from .chains import MarkovChain, SignSystem, WeightSystem, check_window
 from .errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from .quadrature import adaptive_simpson
 from .rngstreams import standard_normals, step_words, to_unit, uniform_block
@@ -170,8 +170,7 @@ def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
 def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
                  x0, radius: float, count: int, seed: int) -> McEstimate:
     """Fraction of sampled sums inside the closed ball of the given radius."""
-    if radius < 0:
-        raise OutOfRange(f"radius must be nonnegative, got {radius!r}")
+    check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
         raise DimensionMismatch(
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights")

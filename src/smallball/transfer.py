@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import MarkovChain, SignSystem, WeightSystem
+from .chains import MarkovChain, SignSystem, WeightSystem, check_window
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -310,8 +310,7 @@ def exact_sum_distribution(chain: MarkovChain, signs: SignSystem,
 
 def smallball_exact(dist: SumDistribution, x0: float, radius: float) -> float:
     """Mass of the closed window |s - x0| <= radius over the lattice law."""
-    if radius < 0:
-        raise OutOfRange(f"radius must be nonnegative, got {radius!r}")
+    check_window(x0, radius)
     lo = math.ceil(x0 - radius)
     hi = math.floor(x0 + radius)
     i0 = max(lo - dist.offset, 0)

@@ -181,6 +181,14 @@ class TestWeightSystem:
         with pytest.raises(PreconditionViolated):
             make_weight_system([1.0, 0.5], "at-least-unit")
 
+    @pytest.mark.parametrize("variant", ["general", "at-least-unit"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, variant, bad):
+        with pytest.raises(PreconditionViolated):
+            make_weight_system([1.0, bad, 1.0], variant)
+        with pytest.raises(PreconditionViolated):
+            make_weight_system([[1.0, 0.0], [0.0, bad]], variant)
+
     def test_half_at_least_unit(self):
         make_weight_system([2.0, 0.1, 3.0, 0.2, 1.0], "half-at-least-unit")
         with pytest.raises(PreconditionViolated):

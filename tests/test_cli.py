@@ -141,6 +141,16 @@ class TestConfigs:
         ["run", "--config", "{seed_float}"],
         ["run", "--config", "{seed_null}"],
         ["run", "--config", "{seed_bool}"],
+        ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--radius", "nan"],
+        ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--x0", "nan"],
+        ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--radius", "inf"],
+        ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--mode", "mc",
+         "--radius", "nan"],
+        ["esseen", "--chain", "{chain}", "--weights", "{weights}", "--radius", "nan"],
+        ["prg-test", "--k", "2", "--radius", "nan"],
+        ["prg-test", "--k", "2", "--x0", "inf"],
+        ["prg-test", "--k", "2", "--weights", "{nan_weights}"],
+        ["smallball", "--chain", "{chain}", "--weights", "{inf_weights}"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -167,6 +177,10 @@ class TestConfigs:
                       ("seed_bool", "seed", False)))):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
+        for name, text in (("nan_weights", "[1, NaN, 1, 1]"),
+                           ("inf_weights", "[1, 1, Infinity, 1]")):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(text)
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "error: "))

@@ -132,7 +132,8 @@ def test_esseen_formula_within_quad_tol_of_gauss_legendre(eps, esseen_families):
 
 
 @pytest.mark.parametrize("eps, radius", [(0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0),
-                                         (np.nan, 1.0), (1.0, -1.0)])
+                                         (np.nan, 1.0), (1.0, -1.0), (1.0, np.nan),
+                                         (1.0, np.inf)])
 def test_esseen_formula_rejects_bad_window(eps, radius, esseen_families):
     inst = esseen_families[0]
     dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,8 @@ from smallball.errors import (
     HypothesisViolated,
     NotReversible,
     OddK,
+    OutOfRange,
+    PreconditionViolated,
     TooLarge,
 )
 from smallball.prg import (
@@ -142,7 +145,66 @@ class TestPrgSmallball:
         fast = prg_smallball(spec, w, 1.0, 1.5)
         slow = math.fsum(weight for signs, weight in enumerate_walks(spec)
                          if abs(float(signs @ w) - 1.0) <= 1.5)
-        assert fast == pytest.approx(slow, abs=1e-12)
+        assert fast == slow  # |D| is a power of two: both are hits * 2^-log2|D|
+
+    @pytest.mark.parametrize("k,blocks", [(2, 4), (4, 4), (6, 3)])
+    @pytest.mark.parametrize("kind", ["integer", "float", "zero-padded"])
+    def test_exact_equals_hits_over_enumerated_walks(self, k, blocks, kind):
+        # each walk from the generator is summed on its own, block by block in
+        # the order the exact sweep adds (contrib[vertex, j] onto the partial
+        # sum), so float weights must give the same hits too; window edges are
+        # put exactly on walk sums
+        graph = build_mgg_expander(k)
+        spec = PrgSpec(graph=graph, n=k * blocks)
+        rng = np.random.default_rng(k * 10 + blocks)
+        if kind == "float":
+            w = rng.uniform(1.0, 3.0, spec.n)
+        else:
+            w = rng.integers(1, 4, spec.n).astype(float)
+            if kind == "zero-padded":
+                w[rng.permutation(spec.n)[:k]] = 0.0
+        contrib = graph.labels().astype(float) @ w.reshape(blocks, k).T
+        powers = 1 << np.arange(k - 1, -1, -1)
+        sums = []
+        for signs, _ in enumerate_walks(spec):
+            vertices = ((signs.reshape(blocks, k) > 0) @ powers).tolist()
+            total = contrib[vertices[0], 0]
+            for j in range(1, blocks):
+                total = total + contrib[vertices[j], j]
+            sums.append(float(total))
+        sums = np.array(sums)
+        a, b = sums[0], sums[sums.size // 2]
+        for x0, radius in ((0.0, 1.0), (a, 0.0), (a, abs(b - a)), (b, abs(sums[-1] - b))):
+            hits = int(np.count_nonzero(np.abs(sums - x0) <= radius))
+            assert hits > 0
+            assert prg_smallball(spec, w, x0, radius,
+                                 allow_zero_padding=kind == "zero-padded") == hits / spec.size
+
+    def test_exact_memory_does_not_grow_with_walk_count(self):
+        # 8,388,608 walks; one float per walk alone would be 64 MiB
+        spec = PrgSpec(graph=build_mgg_expander(2), n=16)
+        tracemalloc.start()
+        try:
+            prob = prg_smallball(spec, np.ones(16), 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < prob < 1.0
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("x0, radius", [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0),
+                                            (0.0, np.inf), (0.0, -1.0)])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_bad_window_rejected(self, x0, radius, mode):
+        spec = PrgSpec(graph=build_mgg_expander(2), n=4)
+        with pytest.raises(OutOfRange):
+            prg_smallball(spec, np.ones(4), x0, radius, mode=mode, samples=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        spec = PrgSpec(graph=build_mgg_expander(2), n=4)
+        with pytest.raises(PreconditionViolated):
+            prg_smallball(spec, [1.0, bad, 1.0, 1.0], 0.0, 1.0)
 
     def test_is_bounded_by_committed_constant(self, constants):
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)

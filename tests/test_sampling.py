@@ -223,6 +223,13 @@ class TestSmallballMc:
             smallball_mc(two_state_03, balanced_signs(two_state_03, 2),
                          ones_weights(2), 0.0, -1.0, 10, seed=0)
 
+    @pytest.mark.parametrize("x0, radius", [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0),
+                                            (0.0, np.inf), ([np.nan], 1.0)])
+    def test_non_finite_window_rejected(self, two_state_03, x0, radius):
+        with pytest.raises(OutOfRange):
+            smallball_mc(two_state_03, balanced_signs(two_state_03, 2),
+                         ones_weights(2), x0, radius, 10, seed=0)
+
     def test_center_of_wrong_dimension_rejected_before_sampling(
             self, uniform_independent, monkeypatch):
         monkeypatch.setattr(sampling, "step_words", _no_draws)

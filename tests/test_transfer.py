@@ -311,6 +311,15 @@ class TestSmallballExact:
         with pytest.raises(OutOfRange):
             smallball_exact(dist, 0.0, -1.0)
 
+    @pytest.mark.parametrize("x0, radius", [(np.nan, 1.0), (0.0, np.nan),
+                                            (np.inf, 1.0), (0.0, np.inf)])
+    def test_non_finite_window_rejected(self, uniform_independent, x0, radius):
+        dist = exact_sum_distribution(uniform_independent,
+                                      balanced_signs(uniform_independent, 2),
+                                      ones_weights(2))
+        with pytest.raises(OutOfRange):
+            smallball_exact(dist, x0, radius)
+
 
 class TestPrimesAndZp:
     def test_find_prime_examples(self):
