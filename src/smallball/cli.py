@@ -5,6 +5,11 @@ smallball, esseen, zp-average, prg-build, prg-test), experiment sweeps
 (tightness, run --config), constant fitting, and the verification suites
 (verify-claims, verify-all).  Exit codes: 0 pass, 1 bound or claim violation,
 2 usage/config error.
+
+SETTINGS gives each setting its flags, type and help; COMMANDS gives each
+subcommand or config kind its handler, help, flags and required settings.
+`main` overlays the given flags on the config file (or on ExperimentConfig's
+defaults) and calls `run(config)`, which checks every setting by its type.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
 from .oracles import SWITCHING_N_BUDGET, lp_norm
 from .prg import (
+    CERTIFY_BUDGET,
     PrgSpec,
     build_mgg_expander,
     certify_lambda,
@@ -52,7 +59,6 @@ from .prg import (
 from .sampling import McEstimate, smallball_mc
 from .transfer import (
     exact_sum_distribution,
-    find_prime,
     mod_p_point_probability,
     next_prime_above,
     smallball_exact,
@@ -66,10 +72,12 @@ GENERATORS = ("all-ones", "arange", "random-unit")
 
 @dataclass
 class ExperimentConfig:
+    """One run of a config kind or subcommand; the only home of every default."""
+
     kind: str
     chain: str | None = None
     weights: str | None = None
-    generator: str | None = None
+    generator: str = "all-ones"
     n: int | None = None
     dim: int = 1
     x0: float = 0.0
@@ -78,13 +86,84 @@ class ExperimentConfig:
     lambda_list: list = field(default_factory=list)
     seed: int = fam.DEFAULT_SEED
     samples: int = 100_000
-    k: int | None = None
+    k: int = 4
     constants: str | None = None
     out: str | None = None
     budget: int = 10**6
+    eps: float = 1.0
+    prime: int | None = None
+    graph: str | None = None
+    mode: str = "exact"
+    pad_to_multiple: bool = False
 
 
-CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
+COMMAND_LINE_ONLY = ("eps", "prime", "graph", "mode", "pad_to_multiple")
+CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)
+                 if f.name not in COMMAND_LINE_ONLY]
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+class Setting(NamedTuple):
+    flags: tuple[str, ...]
+    type: object  # int, float, str, bool, list[int], list[float] or choices (tuple/dict)
+    help: str | None = None
+    low: int | None = None  # least value of an int, or of each list entry
+
+
+SETTINGS = {
+    "config": Setting(("--config",), str, "experiment config JSON; flags override"),
+    # smallball's --mode picks the config kind
+    "kind": Setting(("--mode",), {"exact": "smallball-exact", "mc": "smallball-mc"}),
+    "chain": Setting(("--chain",), str, "chain JSON file"),
+    "weights": Setting(("--weights",), str, "weights JSON file"),
+    "generator": Setting(("--generator",), GENERATORS,
+                         "generate weights instead of reading a file"),
+    "n": Setting(("--n",), int, "weight count for a generator", 1),
+    "dim": Setting((), int, None, 1),  # random-unit dimension, file only
+    "x0": Setting(("--x0", "--center"), float, "window center"),
+    "radius": Setting(("--radius",), float, "window radius"),
+    "n_list": Setting(("--n-list",), list[int], "comma-separated n values", 1),
+    "lambda_list": Setting(("--lambdas",), list[float], "comma-separated lambdas"),
+    "seed": Setting(("--seed",), int, "random seed", 0),
+    "samples": Setting(("--samples",), int, "Monte Carlo samples", 1),
+    "k": Setting(("--k",), int, "expander block size; 2^k vertices", 1),
+    "constants": Setting(("--constants",), str, "fitted constants JSON to use"),
+    "out": Setting(("--out",), str, "output file (verify-all: report directory)"),
+    "budget": Setting(("--budget",), int, "switching-count enumeration budget", 1),
+    "eps": Setting(("--eps",), float, "Esseen smoothing width"),
+    "prime": Setting(("--prime",), int, "modulus; default from the weights"),
+    "graph": Setting(("--graph",), str, "graph JSON; default builds MGG for k"),
+    "mode": Setting(("--mode",), ("exact", "sampled"), "count or sample walks"),
+    "pad_to_multiple": Setting(("--pad-to-multiple",), bool,
+                               "append zero weights until k divides n"),
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _fits(typ, value, low) -> bool:
+    if isinstance(typ, tuple):
+        return value in typ
+    return (isinstance(value, (int, float) if typ is float else typ)
+            and (typ is bool or not isinstance(value, bool))
+            and (low is None or value >= low))
+
+
+def _check(name: str, value) -> None:
+    """Raise ConfigError unless `value` has the type and range of setting `name`."""
+    typ, low = SETTINGS[name].type, SETTINGS[name].low
+    if value is None and _DEFAULTS[name] is None:
+        return
+    if get_origin(typ) is list:
+        item = get_args(typ)[0]
+        ok = isinstance(value, list) and all(_fits(item, v, low) for v in value)
+        need = f"a list whose entries are each {_TYPE_NAMES[item]}"
+    else:
+        ok = _fits(typ, value, low)
+        need = f"one of {typ}" if isinstance(typ, tuple) else _TYPE_NAMES[typ]
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"'{name}' must be {need}{bound}, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -96,53 +175,31 @@ def load_config(path) -> ExperimentConfig:
     if doc["kind"] not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"{path}: 'kind' must be one of {EXPERIMENT_KINDS}, got {doc['kind']!r}")
-    unknown = set(doc) - CONFIG_FIELDS
+    unknown = set(doc) - set(CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
     return ExperimentConfig(**doc)
 
 
-def _validate_config(config: ExperimentConfig) -> None:
-    for name, low in (("samples", 1), ("seed", None)):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or (
-                low is not None and value < low):
-            need = "an integer" if low is None else f"an integer >= {low}"
-            raise ConfigError(f"'{name}' must be {need}, got {value!r}")
-    if config.kind in ("smallball-exact", "smallball-mc"):
-        if config.chain is None:
-            raise ConfigError(f"kind {config.kind}: field 'chain' is required")
-        if config.weights is None and config.generator is None:
-            raise ConfigError(
-                f"kind {config.kind}: one of 'weights' or 'generator' is required")
-    if config.generator is not None and config.generator not in GENERATORS:
-        raise ConfigError(f"'generator': must be one of {GENERATORS}")
-    if config.kind == "prg" and config.k is None and not config.n_list:
-        raise ConfigError("kind prg: field 'k' (with 'n') or 'n_list' is required")
-
-
-def _resolve_weights(config: ExperimentConfig):
-    n = config.n
-    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
-        raise ConfigError(f"'n' must be an integer >= 1, got {n!r}")
+def _load_weights(config: ExperimentConfig):
     if config.weights is not None:
         return load_weights_file(config.weights)
-    if n is None:
+    if config.n is None:
         raise ConfigError("weight generator needs 'n'")
-    if config.generator in (None, "all-ones"):
-        return make_weight_system(np.ones(n))
+    if config.generator == "all-ones":
+        return make_weight_system(np.ones(config.n))
     if config.generator == "arange":
-        return make_weight_system(np.arange(1.0, n + 1.0),
+        return make_weight_system(np.arange(1.0, config.n + 1.0),
                                   "distinct-positive-integers")
     rng = np.random.default_rng(config.seed)
-    v = rng.normal(size=(n, config.dim))
+    v = rng.normal(size=(config.n, config.dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return make_weight_system(v)
 
 
 def _load_instance(config: ExperimentConfig):
     """(chain, signs, weights) from the config's chain file and weights."""
-    weights = _resolve_weights(config)
+    weights = _load_weights(config)
     n = weights.n_weights
     chain, signs = load_chain_file(config.chain)
     if signs is None:
@@ -151,14 +208,6 @@ def _load_instance(config: ExperimentConfig):
         raise ConfigError(
             f"chain file provides {signs.n_steps} sign rows but n = {n} are needed")
     return chain, signs, weights
-
-
-def _instance_from_args(args):
-    if args.chain is None:
-        raise ConfigError(f"{args.command}: --chain is required")
-    return _load_instance(ExperimentConfig(
-        kind="smallball-exact", chain=args.chain, weights=args.weights,
-        generator=args.generator, n=args.n))
 
 
 def _write_csv(path, header, rows):
@@ -174,39 +223,31 @@ def _write_distribution_csv(path, dist):
                                              dist.masses.tolist())))
 
 
-# ---------------------------------------------------------------------------
-# experiment dispatch
-# ---------------------------------------------------------------------------
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment config; returns the process exit code."""
-    _validate_config(config)
-    handler = {
-        "smallball-exact": _run_smallball_exact,
-        "smallball-mc": _run_smallball_mc,
-        "diff-scaling": _run_diff_scaling,
-        "prg": _run_prg,
-        "tightness": _run_tightness,
-        "verify-claims": _run_verify_claims,
-        "fit-constants": _run_fit_constants,
-    }[config.kind]
-    return handler(config)
-
-
-def _run_smallball_exact(config: ExperimentConfig) -> int:
-    chain, signs, weights = _load_instance(config)
-    dist = exact_sum_distribution(chain, signs, weights)
-    prob = smallball_exact(dist, config.x0, config.radius)
-    print(f"P[|sum - {config.x0}| <= {config.radius}] = {prob!r}")
-    if config.out:
-        _write_distribution_csv(config.out, dist)
-        print(f"distribution written to {config.out}")
+def _spectral_gap(config: ExperimentConfig) -> int:
+    chain, _ = load_chain_file(config.chain)
+    print(repr(spectral_lambda(chain)))
     return 0
 
 
-def _run_smallball_mc(config: ExperimentConfig) -> int:
+def _exact_dist(config: ExperimentConfig) -> int:
     chain, signs, weights = _load_instance(config)
+    dist = exact_sum_distribution(chain, signs, weights)
+    out = config.out or "distribution.csv"
+    _write_distribution_csv(out, dist)
+    print(f"{dist.masses.size} lattice points written to {out}")
+    return 0
+
+
+def _smallball(config: ExperimentConfig) -> int:
+    chain, signs, weights = _load_instance(config)
+    if config.kind == "smallball-exact":
+        dist = exact_sum_distribution(chain, signs, weights)
+        prob = smallball_exact(dist, config.x0, config.radius)
+        print(f"P[|sum - {config.x0}| <= {config.radius}] = {prob!r}")
+        if config.out:
+            _write_distribution_csv(config.out, dist)
+            print(f"distribution written to {config.out}")
+        return 0
     est = smallball_mc(chain, signs, weights, config.x0, config.radius,
                        config.samples, config.seed)
     print(f"estimate {est.estimate!r}  99% CI [{est.ci_low!r}, {est.ci_high!r}]  "
@@ -220,7 +261,62 @@ def _run_smallball_mc(config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_diff_scaling(config: ExperimentConfig) -> int:
+def _esseen(config: ExperimentConfig) -> int:
+    constants = load_constants(config.constants)
+    chain, signs, weights = _load_instance(config)
+    dist = exact_sum_distribution(chain, signs, weights)
+    prob = smallball_exact(dist, config.x0, config.radius)
+    bound = constants["C_esseen"].value * esseen_formula(
+        chain, signs, weights, dist, config.radius, config.eps)
+    print(f"prob {prob!r}  bound {bound!r}  ratio {prob / bound!r}")
+    return 0 if prob <= bound else 1
+
+
+def _zp_average(config: ExperimentConfig) -> int:
+    chain, signs, weights = _load_instance(config)
+    # find_prime's rule, which also serves weights that are not distinct integers
+    p = config.prime if config.prime is not None else next_prime_above(
+        2 * int(np.abs(weights.scalars).max()))
+    avg = zp_fourier_average(chain, signs, weights, p)
+    point = mod_p_point_probability(chain, signs, weights, p, config.x0)
+    print(f"p {p}  average {avg!r}  P[sum = {int(config.x0)} mod p] <= {point!r}")
+    return 0
+
+
+def _prg_build(config: ExperimentConfig) -> int:
+    graph = build_mgg_expander(config.k)
+    if graph.n_vertices <= CERTIFY_BUDGET:
+        certify_lambda(graph)
+    save_graph(graph, config.out)
+    lam = graph.certified_lambda
+    print(f"graph with {graph.n_vertices} vertices written to {config.out}; "
+          f"lambda {'uncertified' if lam is None else repr(lam)}")
+    return 0
+
+
+def _prg_test(config: ExperimentConfig) -> int:
+    graph = load_graph(config.graph) if config.graph else build_mgg_expander(config.k)
+    w = _load_weights(config).scalars
+    if config.pad_to_multiple and len(w) % graph.k:
+        if w.min() < 1.0 - 1e-12:
+            raise ConfigError("--pad-to-multiple: original weights must be >= 1")
+        pad = graph.k - len(w) % graph.k
+        w = np.concatenate([w, np.zeros(pad)])
+        print(f"padded with {pad} zero weights to n = {len(w)}")
+    spec = PrgSpec(graph=graph, n=len(w))
+    result = prg_smallball(spec, w, config.x0, config.radius, mode=config.mode,
+                           samples=config.samples, seed=config.seed,
+                           allow_zero_padding=config.pad_to_multiple)
+    if isinstance(result, McEstimate):
+        print(f"estimate {result.estimate!r}  99% CI "
+              f"[{result.ci_low!r}, {result.ci_high!r}]")
+    else:
+        print(f"P[|sum - {config.x0}| <= {config.radius}] = {result!r}  "
+              f"over |D| = {spec.size}")
+    return 0
+
+
+def _diff_scaling(config: ExperimentConfig) -> int:
     constants = load_constants(config.constants)
     n_list = config.n_list or fam.DIFF_N_GRID
     rows = []
@@ -237,12 +333,12 @@ def _run_diff_scaling(config: ExperimentConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _run_prg(config: ExperimentConfig) -> int:
+def _prg(config: ExperimentConfig) -> int:
     constants = load_constants(config.constants)
-    graph = build_mgg_expander(config.k or 4)
+    graph = build_mgg_expander(config.k)
     certify_lambda(graph)
-    n_list = [int(x) for x in (config.n_list or fam.PRG_N_GRID)]
-    rows = walk_reports(constants, graph, n_list, config.x0, config.radius)
+    rows = walk_reports(constants, graph, config.n_list or fam.PRG_N_GRID,
+                        config.x0, config.radius)
     out = config.out or "prg_bounds.csv"
     all_pass = write_bound_reports(out, rows)
     print(f"certified lambda {graph.certified_lambda!r}; "
@@ -250,8 +346,8 @@ def _run_prg(config: ExperimentConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _run_tightness(config: ExperimentConfig) -> int:
-    n_list = [int(x) for x in (config.n_list or fam.TIGHTNESS_N_GRID)]
+def _tightness(config: ExperimentConfig) -> int:
+    n_list = config.n_list or fam.TIGHTNESS_N_GRID
     rows = []
     for lam in map(float, config.lambda_list or fam.TIGHTNESS_LAMBDAS):
         probs = acceptance.zero_masses(lam, n_list)
@@ -270,7 +366,7 @@ def _claim(instances: int, violation: float, passed: bool) -> dict:
     return {"instances": instances, "max_violation": violation, "pass": passed}
 
 
-def _run_verify_claims(config: ExperimentConfig) -> int:
+def _verify_claims(config: ExperimentConfig) -> int:
     seed = config.seed
     worst = acceptance.splitting_worst(seed)
     report = {"splitting-inequality": _claim(500, worst,
@@ -306,7 +402,7 @@ def _run_verify_claims(config: ExperimentConfig) -> int:
     return 0 if all(sub["pass"] for sub in report.values()) else 1
 
 
-def _run_fit_constants(config: ExperimentConfig) -> int:
+def _fit_constants(config: ExperimentConfig) -> int:
     committed = load_constants(config.constants)
     fitted = {}
     for name, fitter in FITTERS.items():
@@ -324,211 +420,16 @@ def _run_fit_constants(config: ExperimentConfig) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-
-def _config_from_args(args, kind: str) -> ExperimentConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else \
-        ExperimentConfig(kind=kind)
-    if config.kind != kind:
-        raise ConfigError(
-            f"config kind {config.kind!r} does not match subcommand {kind!r}")
-    for name in CONFIG_FIELDS:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            setattr(config, name, value)
-    return config
-
-
-def _add_common(sub, *names):
-    if "config" in names:
-        sub.add_argument("--config", help="experiment config JSON; flags override")
-    if "chain" in names:
-        sub.add_argument("--chain", help="chain JSON file")
-    if "weights" in names:
-        sub.add_argument("--weights", help="weights JSON file")
-        sub.add_argument("--generator", choices=GENERATORS,
-                         help="generate weights instead of reading a file")
-        sub.add_argument("--n", type=int, help="weight count for a generator")
-    if "window" in names:
-        sub.add_argument("--x0", "--center", dest="x0", type=float,
-                         help="window center")
-        sub.add_argument("--radius", type=float, help="window radius")
-    if "seed" in names:
-        sub.add_argument("--seed", type=int, help="random seed")
-    if "out" in names:
-        sub.add_argument("--out", help="output file")
-    if "constants" in names:
-        sub.add_argument("--constants", help="fitted constants JSON to use")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="smallball",
-        description="Small-ball probabilities of Markov-driven signed sums: "
-                    "exact computation, bounds, and expander-walk sign sets.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("spectral-gap", help="validate a chain and print lambda")
-    sub.add_argument("--chain", required=True)
-
-    sub = subs.add_parser("exact-dist", help="exact lattice law of the signed sum")
-    _add_common(sub, "chain", "weights", "out")
-
-    sub = subs.add_parser("smallball", help="window probability, exact or MC")
-    _add_common(sub, "config", "chain", "weights", "window", "seed", "out")
-    sub.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    sub.add_argument("--samples", type=int)
-
-    sub = subs.add_parser("esseen", help="window probability vs its Fourier bound")
-    _add_common(sub, "chain", "weights", "window", "constants")
-    sub.add_argument("--eps", type=float, default=1.0)
-
-    sub = subs.add_parser("zp-average", help="averaged |char fn| over Z_p")
-    _add_common(sub, "chain", "weights")
-    sub.add_argument("--prime", type=int, help="modulus; default from the weights")
-    sub.add_argument("--x0", type=float, default=0.0)
-
-    sub = subs.add_parser("verify-claims", help="run the proof-oracle suite")
-    _add_common(sub, "config", "seed", "out")
-    sub.add_argument("--budget", type=int)
-
-    sub = subs.add_parser("fit-constants", help="re-derive every fitted constant")
-    _add_common(sub, "config", "out")
-
-    sub = subs.add_parser("prg-build", help="build an expander graph file")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--out", required=True)
-
-    sub = subs.add_parser("prg-test", help="small-ball probability over walk signs")
-    _add_common(sub, "weights", "window", "seed")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--graph", help="graph JSON; default builds MGG for k")
-    sub.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--pad-to-multiple", action="store_true",
-                     help="append zero weights until k divides n")
-
-    sub = subs.add_parser("tightness", help="two-state P(sum=0) scaling sweep")
-    _add_common(sub, "config", "out")
-    sub.add_argument("--n-list", dest="n_list",
-                     type=lambda s: [int(x) for x in s.split(",")])
-    sub.add_argument("--lambdas", dest="lambda_list",
-                     type=lambda s: [float(x) for x in s.split(",")])
-
-    sub = subs.add_parser("run", help="run an experiment config file")
-    sub.add_argument("--config", required=True)
-
-    sub = subs.add_parser("verify-all", help="run the full acceptance battery")
-    _add_common(sub, "seed", "constants")
-    sub.add_argument("--out", help="report directory", default="verify_reports")
-
-    return parser
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_spectral_gap(args) -> int:
-    chain, _ = load_chain_file(args.chain)
-    print(repr(spectral_lambda(chain)))
-    return 0
-
-
-def _cmd_exact_dist(args) -> int:
-    chain, signs, weights = _instance_from_args(args)
-    dist = exact_sum_distribution(chain, signs, weights)
-    out = args.out or "distribution.csv"
-    _write_distribution_csv(out, dist)
-    print(f"{dist.masses.size} lattice points written to {out}")
-    return 0
-
-
-def _cmd_smallball(args) -> int:
-    kind = "smallball-mc" if args.mode == "mc" else "smallball-exact"
-    config = _config_from_args(args, kind)
-    return run(config)
-
-
-def _cmd_esseen(args) -> int:
-    constants = load_constants(args.constants)
-    chain, signs, weights = _instance_from_args(args)
-    radius = args.radius if args.radius is not None else 1.0
-    x0 = args.x0 if args.x0 is not None else 0.0
-    dist = exact_sum_distribution(chain, signs, weights)
-    prob = smallball_exact(dist, x0, radius)
-    bound = constants["C_esseen"].value * esseen_formula(chain, signs, weights, dist,
-                                                         radius, args.eps)
-    print(f"prob {prob!r}  bound {bound!r}  ratio {prob / bound!r}")
-    return 0 if prob <= bound else 1
-
-
-def _cmd_zp_average(args) -> int:
-    chain, signs, weights = _instance_from_args(args)
-    if args.prime is not None:
-        p = args.prime
-    elif weights.variant == "distinct-positive-integers":
-        p = find_prime(weights)
-    else:
-        p = next_prime_above(2 * int(np.abs(weights.scalars).max()))
-    avg = zp_fourier_average(chain, signs, weights, p)
-    point = mod_p_point_probability(chain, signs, weights, p, int(args.x0))
-    print(f"p {p}  average {avg!r}  P[sum = {int(args.x0)} mod p] <= {point!r}")
-    return 0
-
-
-def _cmd_prg_build(args) -> int:
-    graph = build_mgg_expander(args.k)
-    if graph.n_vertices <= 2**14:
-        certify_lambda(graph)
-    save_graph(graph, args.out)
-    lam = graph.certified_lambda
-    print(f"graph with {graph.n_vertices} vertices written to {args.out}; "
-          f"lambda {'uncertified' if lam is None else repr(lam)}")
-    return 0
-
-
-def _cmd_prg_test(args) -> int:
-    graph = load_graph(args.graph) if args.graph else build_mgg_expander(args.k)
-    w = _resolve_weights(ExperimentConfig(
-        kind="prg", weights=args.weights, generator=args.generator,
-        n=args.n or 4 * args.k)).scalars
-    if args.pad_to_multiple and len(w) % graph.k:
-        if w.min() < 1.0 - 1e-12:
-            raise ConfigError("--pad-to-multiple: original weights must be >= 1")
-        pad = graph.k - len(w) % graph.k
-        w = np.concatenate([w, np.zeros(pad)])
-        print(f"padded with {pad} zero weights to n = {len(w)}")
-    spec = PrgSpec(graph=graph, n=len(w))
-    x0 = args.x0 if args.x0 is not None else 0.0
-    radius = args.radius if args.radius is not None else 1.0
-    allow_pad = bool(args.pad_to_multiple)
-    result = prg_smallball(spec, w, x0, radius, mode=args.mode,
-                           samples=args.samples, seed=args.seed or 0,
-                           allow_zero_padding=allow_pad)
-    if isinstance(result, McEstimate):
-        print(f"estimate {result.estimate!r}  99% CI "
-              f"[{result.ci_low!r}, {result.ci_high!r}]")
-    else:
-        print(f"P[|sum - {x0}| <= {radius}] = {result!r}  over |D| = {spec.size}")
-    return 0
-
-
-def _cmd_verify_all(args) -> int:
-    constants = load_constants(args.constants)
-    seed = args.seed if args.seed is not None else fam.DEFAULT_SEED
-    out_dir = Path(args.out)
+def _verify_all(config: ExperimentConfig) -> int:
+    constants = load_constants(config.constants)
+    out_dir = Path(config.out or "verify_reports")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = acceptance.run_criteria(seed, constants)
-    results.append(acceptance.criterion_13(results, seed, constants))
+    results = acceptance.run_criteria(config.seed, constants)
+    results.append(acceptance.criterion_13(results, config.seed, constants))
 
     (out_dir / "acceptance.json").write_text(
-        acceptance.render_report(results, seed))
+        acceptance.render_report(results, config.seed))
     for r in results:
         if r.bound_reports:
             write_bound_reports(out_dir / f"criterion_{r.cid:02d}_bounds.csv",
@@ -540,30 +441,112 @@ def _cmd_verify_all(args) -> int:
     return 0 if ok else 1
 
 
+class Command(NamedTuple):
+    handler: Callable[[ExperimentConfig], int] | None
+    help: str | None  # None: a config kind with no subcommand of its own
+    flags: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    kinds: tuple[str, ...] = ()  # config kinds it runs, if not just its name
+
+
+_WEIGHTS = ("weights", "generator", "n")
+_INSTANCE = ("chain",) + _WEIGHTS
+_WINDOW = ("x0", "radius")
+
+COMMANDS = {
+    "spectral-gap": Command(_spectral_gap, "validate a chain and print lambda",
+                            ("chain",), ("chain",)),
+    "exact-dist": Command(_exact_dist, "exact lattice law of the signed sum",
+                          _INSTANCE + ("out",), ("chain",)),
+    "smallball": Command(_smallball, "window probability, exact or MC",
+                         ("config",) + _INSTANCE + _WINDOW
+                         + ("seed", "out", "kind", "samples"),
+                         ("chain",), ("smallball-exact", "smallball-mc")),
+    "esseen": Command(_esseen, "window probability vs its Fourier bound",
+                      _INSTANCE + _WINDOW + ("constants", "eps"), ("chain",)),
+    "zp-average": Command(_zp_average, "averaged |char fn| over Z_p",
+                          _INSTANCE + ("prime", "x0"), ("chain",)),
+    "verify-claims": Command(_verify_claims, "run the proof-oracle suite",
+                             ("config", "seed", "out", "budget")),
+    "fit-constants": Command(_fit_constants, "re-derive every fitted constant",
+                             ("config", "out")),
+    "prg-build": Command(_prg_build, "build an expander graph file",
+                         ("k", "out"), ("k", "out")),
+    "prg-test": Command(_prg_test, "small-ball probability over walk signs",
+                        _WEIGHTS + _WINDOW
+                        + ("seed", "k", "graph", "mode", "samples", "pad_to_multiple"),
+                        ("k",)),
+    "tightness": Command(_tightness, "two-state P(sum=0) scaling sweep",
+                         ("config", "out", "n_list", "lambda_list")),
+    "run": Command(None, "run an experiment config file", ("config",), ("config",),
+                   EXPERIMENT_KINDS),
+    "verify-all": Command(_verify_all, "run the full acceptance battery",
+                          ("seed", "constants", "out")),
+    "diff-scaling": Command(_diff_scaling, None),
+    "prg": Command(_prg, None),
+}
+
+
+def run(config: ExperimentConfig) -> int:
+    """Check every setting of `config`, then run its kind; returns the exit code."""
+    name = next((name for name, row in COMMANDS.items()
+                 if row.handler and config.kind in (row.kinds or (name,))), None)
+    if name is None:
+        raise ConfigError(f"unknown kind {config.kind!r}")
+    for f in fields(config)[1:]:  # the kind was checked by the lookup
+        _check(f.name, getattr(config, f.name))
+    for setting in COMMANDS[name].required:
+        if getattr(config, setting) is None:
+            raise ConfigError(f"kind {config.kind}: field '{setting}' is required")
+    return COMMANDS[name].handler(config)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="smallball",
+        description="Small-ball probabilities of Markov-driven signed sums: "
+                    "exact computation, bounds, and expander-walk sign sets.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, row in COMMANDS.items():
+        if row.help is None:
+            continue
+        sub = subs.add_parser(command, help=row.help)
+        for name in row.flags:
+            setting = SETTINGS[name]
+            kw = {"dest": name, "default": argparse.SUPPRESS, "help": setting.help,
+                  # a setting a config file may supply is checked after the overlay
+                  "required": name in row.required and not (
+                      "config" in row.flags and name in CONFIG_FIELDS)}
+            if setting.type is bool:
+                kw["action"] = "store_true"
+            elif isinstance(setting.type, (tuple, dict)):
+                kw["choices"] = setting.type
+            elif get_origin(setting.type) is list:
+                item = get_args(setting.type)[0]
+                kw["type"] = lambda text, item=item: [item(x) for x in text.split(",")]
+            else:
+                kw["type"] = setting.type
+            sub.add_argument(*setting.flags, **kw)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "spectral-gap": _cmd_spectral_gap,
-        "exact-dist": _cmd_exact_dist,
-        "smallball": _cmd_smallball,
-        "esseen": _cmd_esseen,
-        "zp-average": _cmd_zp_average,
-        "verify-claims": lambda a: run(_config_from_args(a, "verify-claims")),
-        "fit-constants": lambda a: run(_config_from_args(a, "fit-constants")),
-        "prg-build": _cmd_prg_build,
-        "prg-test": _cmd_prg_test,
-        "tightness": lambda a: run(_config_from_args(a, "tightness")),
-        "run": lambda a: run(load_config(a.config)),
-        "verify-all": _cmd_verify_all,
-    }
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
+    kinds = COMMANDS[command].kinds or (command,)
     try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        path = flags.pop("config", None)
+        config = load_config(path) if path else ExperimentConfig(kind=kinds[0])
+        if config.kind not in kinds:
+            raise ConfigError(
+                f"config kind {config.kind!r} does not match subcommand {command!r}")
+        for name, value in flags.items():
+            choices = SETTINGS[name].type
+            setattr(config, name, choices[value] if isinstance(choices, dict) else value)
+        return run(config)
     except SmallballError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        label = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 2
 
 

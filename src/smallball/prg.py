@@ -41,6 +41,7 @@ from .sampling import CHUNK, from_hits
 
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
+MAX_VERTICES = 2**20  # build_mgg_expander's cap: k = 20 peaks at ~475 MiB, 4x per k + 2
 DENSE_CERTIFY = 2**10
 # |D| bound of exact mode and of enumerate_walks.  It also keeps every walk
 # count of the exact sweep below 2^53, so hits and |D| are exact doubles and
@@ -107,6 +108,8 @@ def build_mgg_expander(k: int) -> ExpanderGraph:
     """
     if k < 2 or k % 2 != 0:
         raise OddK(f"k must be an even integer >= 2, got {k}")
+    if 2**k > MAX_VERTICES:
+        raise TooLarge(f"2^{k} vertices exceed the limit of 2^20")
     m = 1 << (k // 2)
     x, y = np.divmod(np.arange(m * m), m)
     maps = [

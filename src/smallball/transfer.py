@@ -366,7 +366,9 @@ def zp_fourier_average(chain: MarkovChain, signs: SignSystem,
 
 def mod_p_point_probability(chain: MarkovChain, signs: SignSystem,
                             weights: WeightSystem, p: int, x0: int) -> float:
-    """Pr[S = x0 mod p] by exact Fourier inversion over Z_p."""
+    """Pr[S = x0 mod p] by exact Fourier inversion over Z_p; x0 must be integral."""
+    if not (math.isfinite(x0) and x0 == int(x0)):
+        raise OutOfRange(f"x0 must be a finite integer, got {x0!r}")
     _check_prime_for(weights, p)
     contribs = sign_contributions(signs, weights)
     vals = char_fn_values(chain, contribs, np.arange(p) / p)

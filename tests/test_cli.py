@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,14 @@ from smallball.bounds import (
     read_bound_reports,
     save_constants,
 )
-from smallball.cli import ExperimentConfig, load_config, main, run
+from smallball.cli import (
+    COMMANDS,
+    ExperimentConfig,
+    build_parser,
+    load_config,
+    main,
+    run,
+)
 from smallball.errors import ConfigError
 
 CHAIN_DOC = ('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
@@ -147,10 +156,22 @@ class TestConfigs:
         ["smallball", "--chain", "{chain}", "--weights", "{weights}", "--mode", "mc",
          "--radius", "nan"],
         ["esseen", "--chain", "{chain}", "--weights", "{weights}", "--radius", "nan"],
-        ["prg-test", "--k", "2", "--radius", "nan"],
-        ["prg-test", "--k", "2", "--x0", "inf"],
+        ["prg-test", "--k", "2", "--n", "8", "--radius", "nan"],
+        ["prg-test", "--k", "2", "--n", "8", "--x0", "inf"],
         ["prg-test", "--k", "2", "--weights", "{nan_weights}"],
         ["smallball", "--chain", "{chain}", "--weights", "{inf_weights}"],
+        ["run", "--config", "{budget_string}"],
+        ["run", "--config", "{n_list_string}"],
+        ["run", "--config", "{n_list_zero}"],
+        ["run", "--config", "{k_string}"],
+        ["run", "--config", "{radius_string}"],
+        ["run", "--config", "{constants_int}"],
+        ["run", "--config", "{seed_negative}"],
+        ["tightness", "--n-list", "0,64"],
+        ["prg-test", "--k", "4", "--n", "0"],
+        ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "nan"],
+        ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "1.7"],
+        ["prg-build", "--k", "40", "--out", "{out}"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -174,7 +195,15 @@ class TestConfigs:
                       ("samples_zero", "samples", 0),
                       ("seed_float", "seed", 3.0),
                       ("seed_null", "seed", None),
-                      ("seed_bool", "seed", False)))):
+                      ("seed_bool", "seed", False))),
+                ("budget_string", {"kind": "verify-claims", "budget": "x"}),
+                ("n_list_string", {"kind": "tightness", "n_list": ["a", 2]}),
+                ("n_list_zero", {"kind": "tightness", "n_list": [0, 2]}),
+                ("k_string", {"kind": "prg", "k": "4"}),
+                ("radius_string", {"kind": "smallball-exact", "chain": chain_file,
+                                   "weights": weights_file, "radius": "1"}),
+                ("constants_int", {"kind": "fit-constants", "constants": 5}),
+                ("seed_negative", {"kind": "verify-claims", "seed": -1})):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
         for name, text in (("nan_weights", "[1, NaN, 1, 1]"),
@@ -206,6 +235,16 @@ class TestConfigs:
         code = main(["smallball", "--config", str(path)])
         assert code == 2
 
+    def test_config_kind_picks_smallball_mode(self, tmp_path, chain_file,
+                                              weights_file, capsys):
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"kind": "smallball-mc", "chain": chain_file,
+                                   "weights": weights_file, "samples": 1000}))
+        assert main(["smallball", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("estimate ")
+        assert main(["smallball", "--config", str(cfg), "--mode", "exact"]) == 0
+        assert capsys.readouterr().out.startswith("P[|sum - 0.0| <= 1.0] = ")
+
     def test_run_diff_scaling_exit_and_report(self, tmp_path):
         out = str(tmp_path / "diff.csv")
         cfg = tmp_path / "exp.json"
@@ -224,6 +263,19 @@ class TestConfigs:
                                    "radius": 0.0}))
         assert main(["smallball", "--config", str(cfg), "--radius", "1"]) == 0
         assert "<= 1.0" in capsys.readouterr().out
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", readme, re.S | re.M).group(1)
+    parser = build_parser()
+    named = set()
+    for line in block.splitlines():
+        argv = shlex.split(line.replace("[", "").replace("]", ""))
+        assert argv[0] == "smallball"
+        parser.parse_args(argv[1:])
+        named.add(argv[1])
+    assert named == {name for name, row in COMMANDS.items() if row.help}
 
 
 class TestDeterminismAndCorruption:

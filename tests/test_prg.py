@@ -53,6 +53,11 @@ class TestBuild:
         with pytest.raises(OddK):
             build_mgg_expander(0)
 
+    def test_size_bound_before_allocation(self):
+        # 2^40 vertices would need terabytes; the bound refuses at once
+        with pytest.raises(TooLarge, match="2\\^40"):
+            build_mgg_expander(40)
+
     def test_labels_are_big_endian(self):
         g = build_mgg_expander(4)
         labels = g.labels()

@@ -386,6 +386,18 @@ class TestPrimesAndZp:
         inverted = mod_p_point_probability(chain, signs, weights, p, x0)
         assert inverted == pytest.approx(residue, abs=1e-11)
 
+    def test_point_prob_needs_an_integral_x0(self, uniform_independent):
+        signs = balanced_signs(uniform_independent, 3)
+        weights = make_weight_system([1.0, 2.0, 3.0])
+
+        def point(x0):
+            return mod_p_point_probability(uniform_independent, signs, weights, 11, x0)
+
+        assert point(2.0) == point(2)
+        for x0 in (1.7, float("nan"), float("inf")):
+            with pytest.raises(OutOfRange, match="x0"):
+                point(x0)
+
 
 def test_contribution_table_shapes(two_state_03):
     signs = balanced_signs(two_state_03, 3)
