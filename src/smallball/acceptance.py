@@ -2,9 +2,13 @@
 
 Each criterion returns a CriterionResult with JSON-able details; the CLI's
 verify-all renders them to report files, and criterion 13 reruns the whole
-battery to certify byte-identical output.  The sweeps behind criteria 4, 7, 8
-and 10 are the ones the CLI's diff-scaling, verify-claims and tightness
-experiments run over their own grids.
+battery to certify byte-identical output.  Each family sweep is defined once:
+criteria 3, 4, 6, 9 and 12 run the sweeps of smallball.fitting
+(half_unit_reports, point_mass_reports, cosine_pairs, walk_reports and
+size_pairs, esseen_report) at the committed constants, where the fitters run
+them at 1.0; criterion 10 and the CLI's tightness run tightness_sweep; criteria
+7 and 8 and the CLI's verify-claims run splitting_worst, identity_worsts and
+switching_grid.
 """
 
 from __future__ import annotations
@@ -17,14 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam
-from .bounds import (
-    BoundReport,
-    FittedConstant,
-    binomial_negative_moment,
-    cosine_product_integral,
-    load_constants,
-    theorem_bound,
-)
+from .bounds import FittedConstant, binomial_negative_moment, load_constants
 from .chains import (
     make_two_state_chain,
     make_weight_system,
@@ -33,11 +30,13 @@ from .chains import (
 )
 from .errors import OutOfRange
 from .fitting import (
-    esseen_formula,
+    cosine_pairs,
+    esseen_report,
     fit_c_equal,
+    half_unit_reports,
     point_mass_reports,
+    size_pairs,
     walk_reports,
-    window_probability,
 )
 from .oracles import (
     SWITCHING_N_BUDGET,
@@ -46,7 +45,7 @@ from .oracles import (
     holder_lhs_rhs,
     switching_stats,
 )
-from .prg import build_mgg_expander, certify_lambda, size_bound_exponent
+from .prg import build_mgg_expander, certify_lambda
 from .sampling import first_coord_tail
 from .transfer import (
     char_fn,
@@ -54,7 +53,6 @@ from .transfer import (
     fold_mod,
     mod_p_point_probability,
     next_prime_above,
-    smallball_exact,
 )
 
 MGG_SPECTRAL_CEILING = 0.884
@@ -88,6 +86,10 @@ def loglog_slope(ns, probs) -> float:
     """Least-squares slope of log(prob) against log(n) over two or more distinct n."""
     if len(set(ns)) < 2:
         raise OutOfRange(f"a log-log slope needs two or more distinct n, got {list(ns)}")
+    for n, p in zip(ns, probs):
+        if not p > 0.0:
+            raise OutOfRange(
+                f"a log-log slope needs positive probabilities, got {p!r} at n = {n}")
     return float(np.polyfit([math.log(n) for n in ns],
                             [math.log(p) for p in probs], 1)[0])
 
@@ -103,9 +105,16 @@ def zero_masses(lam: float, ns) -> list[float]:
     return out
 
 
-def gap_normalized(prob: float, lam: float, n: int) -> float:
-    """prob * sqrt((1 - lam) n / (1 + lam)), flat in n when prob ~ 1/sqrt(n)."""
-    return prob * math.sqrt((1.0 - lam) * n / (1.0 + lam))
+def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
+    """(lambda, log-log slope, P(sum = 0) per n, gap-normalized P per n) for
+    each lambda; P sqrt((1 - lambda) n / (1 + lambda)) is flat in n when
+    P ~ 1/sqrt(n)."""
+    out = []
+    for lam in map(float, lams):
+        probs = zero_masses(lam, ns)
+        out.append((lam, loglog_slope(ns, probs), probs,
+                    [p * math.sqrt((1.0 - lam) * n / (1.0 + lam)) for n, p in zip(ns, probs)]))
+    return out
 
 
 def splitting_worst(seed: int, count: int = 500) -> float:
@@ -171,14 +180,7 @@ def criterion_2() -> CriterionResult:
 def criterion_3(constants, seed: int = fam.DEFAULT_SEED) -> CriterionResult:
     def run():
         c_equal = constants["C_equal"]
-        reports = []
-        for inst in fam.half_unit_family(seed):
-            n = inst.signs.n_steps
-            reports.append(BoundReport(
-                instance_id=inst.instance_id, n=n, d=1, lam=inst.lam,
-                radius=inst.radius, prob=window_probability(inst),
-                bound=theorem_bound("scalar-half-unit", {"n": n, "lam": inst.lam},
-                                    constants)))
+        reports = half_unit_reports(constants, seed)
         all_bounded = all(r.passed for r in reports)
         refit = fit_c_equal(seed, [r.prob for r in reports])
         drift = abs(refit.value - c_equal.value) / c_equal.value
@@ -219,10 +221,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6(constants) -> CriterionResult:
     def run():
         c_cos = constants["C_cos"]
-        worst_ratio = 0.0
-        for k in range(1, fam.COS_K_MAX + 1):
-            val = cosine_product_integral(np.ones(k)) * math.sqrt(k)
-            worst_ratio = max(worst_ratio, val / c_cos.value)
+        worst_ratio = max(v / bound for v, bound in cosine_pairs(c_cos.value))
         return worst_ratio <= 1.0, {"k_max": fam.COS_K_MAX,
                                     "worst_ratio": worst_ratio,
                                     "committed": c_cos.value}, []
@@ -257,7 +256,6 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9(constants) -> CriterionResult:
     def run():
-        c_size = constants["C_size"]
         graphs = {k: build_mgg_expander(k) for k in fam.PRG_K_GRID}
         lam4 = certify_lambda(graphs[4])
         spectral_ok = lam4 < MGG_SPECTRAL_CEILING
@@ -266,10 +264,7 @@ def criterion_9(constants) -> CriterionResult:
                    for r in walk_reports(constants, graphs[k], fam.PRG_N_GRID)]
         bounds_ok = all(r.passed for r in reports)
 
-        worst_size = 0.0
-        for n in fam.SIZE_N_RANGE:
-            worst_size = max(worst_size,
-                             size_bound_exponent(n) / (c_size.value * math.sqrt(n)))
+        worst_size = max(v / bound for v, bound in size_pairs(constants["C_size"].value))
         size_ok = worst_size <= 1.0
         ok = spectral_ok and bounds_ok and size_ok
         return ok, {"mgg_k4_lambda": lam4, "ceiling": MGG_SPECTRAL_CEILING,
@@ -280,14 +275,9 @@ def criterion_9(constants) -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     def run():
-        normalized = {}
-        slopes = {}
-        ns = fam.TIGHTNESS_N_GRID
-        for lam in fam.TIGHTNESS_LAMBDAS:
-            probs = zero_masses(lam, ns)
-            slopes[str(lam)] = loglog_slope(ns, probs)
-            normalized[str(lam)] = max(gap_normalized(p, lam, n)
-                                       for n, p in zip(ns, probs))
+        sweep = tightness_sweep(fam.TIGHTNESS_LAMBDAS, fam.TIGHTNESS_N_GRID)
+        slopes = {str(lam): slope for lam, slope, _, _ in sweep}
+        normalized = {str(lam): max(norm) for lam, _, _, norm in sweep}
         slopes_ok = all(-0.55 <= s <= -0.45 for s in slopes.values())
         ratio_ok = max(normalized.values()) <= 2.0 * normalized["0.0"]
         return slopes_ok and ratio_ok, {"slopes": slopes,
@@ -314,19 +304,14 @@ def criterion_11(constants) -> CriterionResult:
 
 def criterion_12(constants) -> CriterionResult:
     def run():
-        c_esseen = constants["C_esseen"]
+        c_esseen = constants["C_esseen"].value
         reports = []
         mod_ok = True
         fourier_worst = 0.0
         for inst in fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT):
+            # one law per instance, for its Esseen report and its mod-p check
             dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-            prob = smallball_exact(dist, inst.x0, inst.radius)
-            bound = c_esseen.value * esseen_formula(inst.chain, inst.signs, inst.weights,
-                                                    dist, inst.radius)
-            reports.append(BoundReport(
-                instance_id=inst.instance_id, n=inst.signs.n_steps, d=1,
-                lam=inst.lam, radius=inst.radius, prob=prob, bound=bound))
-
+            reports.append(esseen_report(inst, dist, c_esseen))
             p = next_prime_above(2 * int(np.abs(inst.weights.scalars).max()))
             x0 = int(inst.x0)
             point = dist.probability_at(x0)

@@ -242,16 +242,17 @@ class BoundReport:
                 "true" if self.passed else "false"]
 
 
-def write_bound_reports(path, reports) -> bool:
-    """Write the CSV report; returns True when every row passed."""
-    all_pass = True
+def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        for rep in reports:
-            writer.writerow(rep.row())
-            all_pass = all_pass and rep.passed
-    return all_pass
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_bound_reports(path, reports) -> bool:
+    """Write the CSV report; returns True when every row passed."""
+    write_csv(path, REPORT_FIELDS, (rep.row() for rep in reports))
+    return all(rep.passed for rep in reports)
 
 
 def read_bound_reports(path) -> list[BoundReport]:

@@ -15,7 +15,6 @@ defaults) and calls `run(config)`, which checks every setting by its type.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -34,6 +33,7 @@ from .bounds import (
     load_constants,
     save_constants,
     write_bound_reports,
+    write_csv,
 )
 from .chains import (
     load_chain_file,
@@ -210,17 +210,9 @@ def _load_instance(config: ExperimentConfig):
     return chain, signs, weights
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_distribution_csv(path, dist):
-    _write_csv(path, ["sum", "probability"],
-               ([s, repr(p)] for s, p in zip(dist.support().tolist(),
-                                             dist.masses.tolist())))
+    write_csv(path, ["sum", "probability"],
+              ([s, repr(p)] for s, p in zip(dist.support().tolist(), dist.masses.tolist())))
 
 
 def _spectral_gap(config: ExperimentConfig) -> int:
@@ -296,6 +288,8 @@ def _prg_build(config: ExperimentConfig) -> int:
 
 def _prg_test(config: ExperimentConfig) -> int:
     graph = load_graph(config.graph) if config.graph else build_mgg_expander(config.k)
+    if graph.k != config.k:
+        raise ConfigError(f"--k {config.k} differs from k = {graph.k} in {config.graph}")
     w = _load_weights(config).scalars
     if config.pad_to_multiple and len(w) % graph.k:
         if w.min() < 1.0 - 1e-12:
@@ -327,8 +321,7 @@ def _diff_scaling(config: ExperimentConfig) -> int:
         rows += [(r, repr(slope)) for r in reports]
     all_pass = all(r.passed for r, _ in rows)
     out = config.out or "diff_scaling.csv"
-    _write_csv(out, list(REPORT_FIELDS) + ["slope"],
-               (r.row() + [slope] for r, slope in rows))
+    write_csv(out, list(REPORT_FIELDS) + ["slope"], (r.row() + [slope] for r, slope in rows))
     print(f"{'all bounds hold' if all_pass else 'BOUND VIOLATION'}; report: {out}")
     return 0 if all_pass else 1
 
@@ -347,17 +340,12 @@ def _prg(config: ExperimentConfig) -> int:
 
 
 def _tightness(config: ExperimentConfig) -> int:
-    n_list = config.n_list or fam.TIGHTNESS_N_GRID
-    rows = []
-    for lam in map(float, config.lambda_list or fam.TIGHTNESS_LAMBDAS):
-        probs = acceptance.zero_masses(lam, n_list)
-        slope = acceptance.loglog_slope(n_list, probs)
-        rows += [[f"tight-l{lam}-n{n}", lam, n, repr(p0),
-                  repr(acceptance.gap_normalized(p0, lam, n)), repr(slope)]
-                 for n, p0 in zip(n_list, probs)]
+    ns = config.n_list or fam.TIGHTNESS_N_GRID
+    sweep = acceptance.tightness_sweep(config.lambda_list or fam.TIGHTNESS_LAMBDAS, ns)
+    rows = [[f"tight-l{lam}-n{n}", lam, n, repr(p0), repr(norm), repr(slope)]
+            for lam, slope, probs, norms in sweep for n, p0, norm in zip(ns, probs, norms)]
     out = config.out or "tightness.csv"
-    _write_csv(out, ["instance_id", "lambda", "n", "prob_zero", "normalized", "slope"],
-               rows)
+    write_csv(out, ["instance_id", "lambda", "n", "prob_zero", "normalized", "slope"], rows)
     print(f"tightness sweep written to {out}")
     return 0
 

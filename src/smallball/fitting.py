@@ -3,9 +3,18 @@
 Each routine walks a deterministic instance family, computes the exact (or
 quadrature-exact) probability and the bound formula stripped of its constant,
 and records the supremum of their ratio.  Rerunning reproduces the committed
-values bit-for-bit.  The closed-form formulas come from bounds.theorem_bound
-with every constant 1.0; the point-mass and walk sweeps also report against
-the committed constants, for the acceptance criteria and the CLI.
+values bit-for-bit.  Every family is walked by one sweep that takes the
+constant, which the fitter runs at 1.0 and the acceptance criterion (and the
+CLI, where it has a command) at the committed value:
+
+- half_unit_reports: fit_c_equal, criterion 3
+- point_mass_reports: fit_c_diff, criterion 4, the diff-scaling config kind
+- walk_reports: fit_c_prg, criterion 9, the prg config kind
+- esseen_report (one instance and its law): fit_c_esseen, criterion 12
+- cosine_pairs: fit_c_cos, criterion 6
+- size_pairs: fit_c_size, criterion 9
+
+The closed-form formulas come from bounds.theorem_bound.
 """
 
 from __future__ import annotations
@@ -102,20 +111,27 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
 UNIT_CONSTANTS = {"C_equal": 1.0, "C_diff": 1.0, "C_prg": 1.0}
 
 
-def window_probability(inst: fam.BoundInstance) -> float:
-    dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-    return smallball_exact(dist, inst.x0, inst.radius)
+def _instance_report(inst: fam.BoundInstance, prob: float, bound: float) -> BoundReport:
+    return BoundReport(instance_id=inst.instance_id, n=inst.signs.n_steps, d=1,
+                       lam=inst.lam, radius=inst.radius, prob=prob, bound=bound)
+
+
+def half_unit_reports(constants, seed: int, probs=None) -> list[BoundReport]:
+    """Window probability of each half-unit instance vs its C_equal bound;
+    probs, when given, are the family's window probabilities in order."""
+    insts = fam.half_unit_family(seed)
+    if probs is None:
+        probs = [smallball_exact(exact_sum_distribution(inst.chain, inst.signs,
+                                                        inst.weights),
+                                 inst.x0, inst.radius) for inst in insts]
+    return [_instance_report(inst, prob, theorem_bound(
+                "scalar-half-unit", {"n": inst.signs.n_steps, "lam": inst.lam}, constants))
+            for inst, prob in zip(insts, probs)]
 
 
 def fit_c_equal(seed: int = fam.DEFAULT_SEED, probs=None) -> FittedConstant:
     """probs, when given, are the family's window probabilities in order."""
-    insts = fam.half_unit_family(seed)
-    if probs is None:
-        probs = [window_probability(inst) for inst in insts]
-    pairs = [(prob, theorem_bound("scalar-half-unit",
-                                  {"n": inst.signs.n_steps, "lam": inst.lam},
-                                  UNIT_CONSTANTS))
-             for inst, prob in zip(insts, probs)]
+    pairs = [(r.prob, r.bound) for r in half_unit_reports(UNIT_CONSTANTS, seed, probs)]
     return fit_constant(pairs, "C_equal", fam.HALF_UNIT_FAMILY_DESC,
                         grid={"seed": seed, "buckets": list(fam.HALF_UNIT_BUCKETS),
                               "n": [fam.HALF_UNIT_N_RANGE[0], fam.HALF_UNIT_N_RANGE[-1]]})
@@ -176,25 +192,34 @@ def fit_c_prg() -> FittedConstant:
                         grid={"k": list(fam.PRG_K_GRID), "n": list(fam.PRG_N_GRID)})
 
 
+def esseen_report(inst: fam.BoundInstance, dist: SumDistribution, c: float) -> BoundReport:
+    """Window probability of inst, whose exact law is dist, vs c times its
+    Esseen formula at eps = 1."""
+    return _instance_report(inst, smallball_exact(dist, inst.x0, inst.radius),
+                            c * esseen_formula(inst.chain, inst.signs, inst.weights,
+                                               dist, inst.radius))
+
+
 def fit_c_esseen() -> FittedConstant:
     pairs = []
     for seed in (fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED):
         for inst in fam.esseen_family(seed, fam.ESSEEN_COUNT):
             dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-            pairs.append((smallball_exact(dist, inst.x0, inst.radius),
-                          esseen_formula(inst.chain, inst.signs, inst.weights, dist,
-                                         inst.radius)))
+            r = esseen_report(inst, dist, 1.0)
+            pairs.append((r.prob, r.bound))
     return fit_constant(pairs, "C_esseen", fam.ESSEEN_FAMILY_DESC,
                         grid={"seeds": [fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED],
                               "count": fam.ESSEEN_COUNT})
 
 
+def cosine_pairs(c: float) -> list[tuple[float, float]]:
+    """(integral of |cos(2 pi xi)|^k over [-1, 1], c / sqrt(k)) for k = 1..COS_K_MAX."""
+    return [(cosine_product_integral(np.ones(k)), c / math.sqrt(k))
+            for k in range(1, fam.COS_K_MAX + 1)]
+
+
 def fit_c_cos() -> FittedConstant:
-    pairs = []
-    for k in range(1, fam.COS_K_MAX + 1):
-        integral = cosine_product_integral(np.ones(k))
-        pairs.append((integral, 1.0 / math.sqrt(k)))
-    return fit_constant(pairs, "C_cos", fam.COS_FAMILY_DESC,
+    return fit_constant(cosine_pairs(1.0), "C_cos", fam.COS_FAMILY_DESC,
                         grid={"k_max": fam.COS_K_MAX})
 
 
@@ -214,11 +239,13 @@ def fit_c_coord() -> FittedConstant:
                         grid={"d": [fam.COORD_D_RANGE[0], fam.COORD_D_RANGE[-1]]})
 
 
+def size_pairs(c: float) -> list[tuple[float, float]]:
+    """(log2 |D| at the even-rounded block size, c sqrt(n)) for n in SIZE_N_RANGE."""
+    return [(size_bound_exponent(n), c * math.sqrt(n)) for n in fam.SIZE_N_RANGE]
+
+
 def fit_c_size() -> FittedConstant:
-    pairs = []
-    for n in fam.SIZE_N_RANGE:
-        pairs.append((size_bound_exponent(n), math.sqrt(n)))
-    return fit_constant(pairs, "C_size", fam.SIZE_FAMILY_DESC,
+    return fit_constant(size_pairs(1.0), "C_size", fam.SIZE_FAMILY_DESC,
                         grid={"n": [fam.SIZE_N_RANGE[0], fam.SIZE_N_RANGE[-1]]})
 
 

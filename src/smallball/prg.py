@@ -202,22 +202,28 @@ def enumerate_walks(spec: PrgSpec, budget: int = ENUM_BUDGET):
             yield np.concatenate(parts), weight
 
 
+def block_contributions(spec: PrgSpec, scalars: np.ndarray) -> np.ndarray:
+    """(blocks, vertices) table of label(vertex) . (block j's weights): the
+    walk's contribution when block j sits at the vertex."""
+    labels = spec.graph.labels().astype(float)
+    block_w = np.asarray(scalars, dtype=float).reshape(spec.blocks, spec.graph.k)
+    return (labels @ block_w.T).T.copy()
+
+
 def _window_hits(spec: PrgSpec, scalars: np.ndarray, x0: float,
                  radius: float) -> int:
     """Number of walks in D whose signed sum lies in |sum - x0| <= radius.
 
     Sweeps the distinct (vertex, partial sum) states block by block, each
     carrying the number of walks that reach it.  Every walk's sum is the same
-    float addition chain `sum + contrib[vertex, j]` as when each walk is summed
+    float addition chain `sum + contrib[j, vertex]` as when each walk is summed
     on its own, so walks that share a state share their future sums bit for
     bit and the count is that of per-walk enumeration.
     """
     degree, neighbors = spec.graph.degree, spec.graph.neighbors
-    labels = spec.graph.labels().astype(float)
-    block_w = scalars.reshape(spec.blocks, spec.graph.k)
-    contrib = labels @ block_w.T  # (vertices, blocks)
+    contrib = block_contributions(spec, scalars)
     vertices = np.arange(spec.graph.n_vertices)
-    sums = contrib[:, :1].copy()  # (states, successors): each successor's sum
+    sums = contrib[0, :, None].copy()  # (states, successors): each successor's sum
     counts = np.ones(vertices.size, dtype=np.int64)  # walks per state
     for j in range(1, spec.blocks):
         if j > 1:
@@ -232,19 +238,12 @@ def _window_hits(spec: PrgSpec, scalars: np.ndarray, x0: float,
             counts = np.add.reduceat(counts, starts)
         # row i: state i's successors in edge order; float addition commutes,
         # so contrib += sum is sum + contrib bit for bit
-        successors = contrib[neighbors, j][vertices]
+        successors = contrib[j][neighbors[vertices]]
         successors += sums.reshape(-1, 1)
         sums = successors
     sums -= x0
     np.abs(sums, out=sums)
     return int(counts @ np.count_nonzero(sums <= radius, axis=1))
-
-
-def block_contributions(spec: PrgSpec, scalars: np.ndarray) -> np.ndarray:
-    """Per-block per-vertex contributions; feeds the transfer-engine cross-check."""
-    labels = spec.graph.labels().astype(float)
-    block_w = np.asarray(scalars, dtype=float).reshape(spec.blocks, spec.graph.k)
-    return block_w @ labels.T  # (blocks, vertices)
 
 
 def induced_chain(spec: PrgSpec) -> MarkovChain:
@@ -289,9 +288,7 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
-    labels = spec.graph.labels().astype(float)
-    block_w = w.reshape(spec.blocks, spec.graph.k)
-    contrib = (labels @ block_w.T).T.copy()  # (blocks, vertices)
+    contrib = block_contributions(spec, w)
     k, degree = spec.graph.k, spec.graph.degree
     flat_neighbors = spec.graph.neighbors.ravel()
     # the top b <= 53 bits of a word are floor(u * 2^b) for its uniform u, so

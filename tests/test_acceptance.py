@@ -4,10 +4,12 @@ Run with -s to see the per-criterion lines; verify-all on the CLI renders the
 same checks into report files.
 """
 
+import hashlib
+
 import pytest
 
 from smallball import acceptance
-from smallball.bounds import load_constants
+from smallball.bounds import load_constants, write_bound_reports
 from smallball.families import DEFAULT_SEED
 
 
@@ -97,8 +99,29 @@ def test_criterion_12_esseen_and_mod_p(committed):
     _report(result)
 
 
-def test_criterion_13_determinism_and_runtime(committed):
+# sha256 of the rendered criteria 1-12 and of each bound report verify-all
+# writes beside it; any change to a byte of them fails here
+REPORT_DIGEST = "026cd9050aa50158ad98cd7bf449904e4f42cfec398d556d4b599ff65bfec704"
+BOUND_REPORT_DIGESTS = {
+    3: "4a3358dd01aaf471f45216463808c62733b0c39ef8bea92e3914d91c585593b1",
+    4: "26484d45c59bbdd14547eec81c04faa8d88d1e0949cbec4e7e0e2bbe98489711",
+    9: "7af186a4802e9cca8a5ba22fbad5afe1dec9b84c0f41747d2efc159754d09d83",
+    12: "ea261707b389778be0f656646a7a4eea44ea1bd91bfe54c0cb98bd28a8d77cef",
+}
+
+
+def test_criterion_13_determinism_and_runtime(committed, tmp_path):
     first = acceptance.run_criteria(DEFAULT_SEED, committed)
     result = acceptance.criterion_13(first, DEFAULT_SEED, committed)
     assert result.details == {"byte_identical": True, "under_time_budget": True}
     _report(result)
+
+    report = acceptance.render_report(first, DEFAULT_SEED).encode()
+    assert hashlib.sha256(report).hexdigest() == REPORT_DIGEST
+    digests = {}
+    for r in first:
+        if r.bound_reports:
+            path = tmp_path / f"criterion_{r.cid:02d}_bounds.csv"
+            write_bound_reports(path, r.bound_reports)
+            digests[r.cid] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == BOUND_REPORT_DIGESTS

@@ -22,6 +22,7 @@ from smallball.cli import (
     run,
 )
 from smallball.errors import ConfigError
+from smallball.prg import build_mgg_expander, save_graph
 
 CHAIN_DOC = ('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
              '"stationary": [0.5, 0.5]}')
@@ -172,6 +173,8 @@ class TestConfigs:
         ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "nan"],
         ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "1.7"],
         ["prg-build", "--k", "40", "--out", "{out}"],
+        # P(sum = 0) is 0 at odd n, which has no logarithm
+        ["tightness", "--n-list", "3,5", "--lambdas", "0"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -214,6 +217,13 @@ class TestConfigs:
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "error: "))
         assert "Traceback" not in err
+
+    def test_prg_test_k_must_match_graph_file(self, tmp_path, capsys):
+        graph = str(tmp_path / "g4.json")
+        save_graph(build_mgg_expander(4), graph)
+        assert main(["prg-test", "--k", "2", "--graph", graph, "--n", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--k 2" in err and "k = 4" in err
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "exp.json"

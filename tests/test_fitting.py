@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,12 @@ def esseen_families():
 
 def test_every_committed_constant_has_a_fitter(committed):
     assert set(committed) == set(FITTERS)
+
+
+def test_readme_constants_table_names_every_fitter():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"^## Fitted constants\n(.*?)^## ", readme, re.S | re.M).group(1)
+    assert set(re.findall(r"^\| `(C_\w+)` \|", section, re.M)) == set(FITTERS)
 
 
 @pytest.mark.parametrize("name", sorted(FITTERS))
