@@ -182,7 +182,7 @@ def criterion_3(constants, seed: int = fam.DEFAULT_SEED) -> CriterionResult:
         c_equal = constants["C_equal"]
         reports = half_unit_reports(constants, seed)
         all_bounded = all(r.passed for r in reports)
-        refit = fit_c_equal(seed, [r.prob for r in reports])
+        refit = fit_c_equal(seed, reports)
         drift = abs(refit.value - c_equal.value) / c_equal.value
         ok = all_bounded and drift < 0.05
         return ok, {"instances": len(reports), "all_bounded": all_bounded,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .chains import read_json_file
 from .errors import (
@@ -153,6 +152,8 @@ def cosine_product_integral(vs, tol: float = QUAD_TOL) -> float:
 
 def binomial_negative_moment(n: int, p: float, d: int) -> tuple[float, float]:
     """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound d^d/(np)^d)."""
+    from scipy.special import gammaln, xlogy
+
     if n < 1 or d < 1:
         raise OutOfRange(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
     if not 0.0 < p <= 1.0:

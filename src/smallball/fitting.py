@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import families as fam
 from .bounds import (
@@ -116,22 +115,25 @@ def _instance_report(inst: fam.BoundInstance, prob: float, bound: float) -> Boun
                        lam=inst.lam, radius=inst.radius, prob=prob, bound=bound)
 
 
-def half_unit_reports(constants, seed: int, probs=None) -> list[BoundReport]:
-    """Window probability of each half-unit instance vs its C_equal bound;
-    probs, when given, are the family's window probabilities in order."""
-    insts = fam.half_unit_family(seed)
-    if probs is None:
-        probs = [smallball_exact(exact_sum_distribution(inst.chain, inst.signs,
-                                                        inst.weights),
-                                 inst.x0, inst.radius) for inst in insts]
-    return [_instance_report(inst, prob, theorem_bound(
-                "scalar-half-unit", {"n": inst.signs.n_steps, "lam": inst.lam}, constants))
-            for inst, prob in zip(insts, probs)]
+def half_unit_reports(constants, seed: int) -> list[BoundReport]:
+    """Window probability of each half-unit instance vs its C_equal bound."""
+    return [_instance_report(
+                inst,
+                smallball_exact(exact_sum_distribution(inst.chain, inst.signs, inst.weights),
+                                inst.x0, inst.radius),
+                theorem_bound("scalar-half-unit",
+                              {"n": inst.signs.n_steps, "lam": inst.lam}, constants))
+            for inst in fam.half_unit_family(seed)]
 
 
-def fit_c_equal(seed: int = fam.DEFAULT_SEED, probs=None) -> FittedConstant:
-    """probs, when given, are the family's window probabilities in order."""
-    pairs = [(r.prob, r.bound) for r in half_unit_reports(UNIT_CONSTANTS, seed, probs)]
+def fit_c_equal(seed: int = fam.DEFAULT_SEED, reports=None) -> FittedConstant:
+    """reports, when given, are half_unit_reports at this seed and any constants;
+    the refit reads only their probabilities, n and lambda."""
+    if reports is None:
+        reports = half_unit_reports(UNIT_CONSTANTS, seed)
+    pairs = [(r.prob, theorem_bound("scalar-half-unit", {"n": r.n, "lam": r.lam},
+                                    UNIT_CONSTANTS))
+             for r in reports]
     return fit_constant(pairs, "C_equal", fam.HALF_UNIT_FAMILY_DESC,
                         grid={"seed": seed, "buckets": list(fam.HALF_UNIT_BUCKETS),
                               "n": [fam.HALF_UNIT_N_RANGE[0], fam.HALF_UNIT_N_RANGE[-1]]})
@@ -225,6 +227,8 @@ def fit_c_cos() -> FittedConstant:
 
 def coordinate_median(d: int) -> float:
     """Median of |v_1| for a uniform unit vector in R^d."""
+    from scipy.optimize import brentq
+
     total = coord_tail_total(d)
     return brentq(lambda t: first_coord_tail(d, t, total=total) - 0.5, 0.0, 1.0,
                   xtol=1e-13, rtol=8.9e-16)

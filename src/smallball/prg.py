@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .chains import MarkovChain, check_window, read_json_file, validate_chain
 from .errors import (
@@ -92,11 +90,11 @@ def validate_expander(graph: ExpanderGraph) -> None:
         )
     if graph.neighbors.min() < 0 or graph.neighbors.max() >= nv:
         raise ConfigError("neighbor table references a vertex out of range")
-    counts = scipy.sparse.coo_matrix(
-        (np.ones(nv * graph.degree),
-         (np.repeat(np.arange(nv), graph.degree), graph.neighbors.ravel())),
-        shape=(nv, nv)).tocsr()
-    if (counts != counts.T).nnz:
+    # symmetric iff the multiset of u * nv + v slot keys equals that of
+    # v * nv + u; keys stay below nv^2, far inside int64 for any table in memory
+    src = np.repeat(np.arange(nv, dtype=np.int64), graph.degree)
+    dst = graph.neighbors.ravel().astype(np.int64)
+    if not np.array_equal(np.sort(src * nv + dst), np.sort(dst * nv + src)):
         raise NotReversible("edge multiset is not symmetric; multigraph is directed")
 
 
@@ -139,6 +137,9 @@ def certify_lambda(graph: ExpanderGraph, budget: int = CERTIFY_BUDGET) -> float:
         m = graph.normalized_adjacency()
         lam = float(np.max(np.abs(np.linalg.eigvalsh(m - 1.0 / nv))))
     else:
+        import scipy.sparse
+        import scipy.sparse.linalg
+
         counts = scipy.sparse.coo_matrix(
             (np.full(nv * graph.degree, 1.0 / graph.degree),
              (np.repeat(np.arange(nv), graph.degree), graph.neighbors.ravel())),

@@ -1,17 +1,23 @@
-"""No library module or script imports a name it never uses, and the oracles
-stay independent of the transfer engine they check.
+"""No library module imports a name it never uses, the oracles stay
+independent of the transfer engine they check, and importing the library or
+its CLI loads numpy but no scipy module.
 
-The package's __init__.py is skipped: its imports are the public re-exports.
+The package's __init__.py is skipped by the unused-import check: its imports
+are the public re-exports.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "smallball").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "smallball").glob("*.py"))
+SOURCES = [p for p in LIBRARY if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +81,63 @@ def test_transfer_detector_flags_every_route():
               "from smallball.transfer import sign_contributions\n")
     assert transfer_imports(source) == {"CharFnValue", "char_fn_values", "transfer",
                                         "sign_contributions"}
+
+
+def top_level_scipy_imports(source: str) -> list[str]:
+    """Module-level statements that import scipy; function bodies may."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert top_level_scipy_imports(path.read_text()) == []
+
+
+def test_scipy_detector_flags_only_module_level_imports():
+    source = ("import scipy.sparse\nfrom scipy.stats import beta\nimport numpy\n"
+              "def f():\n    from scipy.optimize import brentq\n    import scipy.linalg\n")
+    assert top_level_scipy_imports(source) == ["line 1: scipy.sparse",
+                                               "line 2: scipy.stats"]
+
+
+# each step runs in one fresh interpreter and reports the scipy modules
+# loaded after it; spectral-gap needs no scipy
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+import smallball
+loaded["import smallball"] = scipy_modules()
+import smallball.cli
+loaded["import smallball.cli"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = smallball.cli.main(["spectral-gap", "--chain", sys.argv[1]])
+loaded[f"spectral-gap exit {code}"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
+                     '"stationary": [0.5, 0.5]}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(chain)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == {"import smallball": [],
+                                      "import smallball.cli": [],
+                                      "spectral-gap exit 0": []}

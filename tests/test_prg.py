@@ -30,6 +30,7 @@ from smallball.prg import (
     prg_smallball,
     save_graph,
     size_bound_exponent,
+    validate_expander,
 )
 from smallball.rngstreams import uniforms
 from smallball.sampling import CHUNK
@@ -72,6 +73,51 @@ class TestBuild:
                               g.neighbors.ravel()))
             bwd = Counter((b, a) for (a, b), c in fwd.items() for _ in range(c))
             assert fwd == bwd
+
+
+def dense_symmetric(nbrs):
+    nv, degree = nbrs.shape
+    counts = np.zeros((nv, nv), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(nv), degree), nbrs.ravel()), 1)
+    return bool((counts == counts.T).all())
+
+
+def random_regular_table(rng, k, degree, directed):
+    """A degree-regular neighbour table on 2^k vertices: degree / 2 random
+    permutations and their inverses (undirected), or, when directed, that
+    table with the targets of two slots swapped (every in- and out-degree
+    kept), redrawn until the count matrix is not symmetric."""
+    nv = 1 << k
+    perms = [rng.permutation(nv) for _ in range(degree // 2)]
+    table = np.stack([q for p in perms for q in (p, np.argsort(p))], axis=1)
+    nbrs = table
+    while directed and dense_symmetric(nbrs):
+        nbrs = table.copy()
+        flat = nbrs.reshape(-1)
+        a, b = rng.choice(nv * degree, size=2, replace=False)
+        flat[a], flat[b] = flat[b], flat[a]
+    return nbrs
+
+
+class TestValidate:
+    def test_agrees_with_dense_count_matrix(self):
+        rng = np.random.default_rng(7)
+        for trial in range(400):
+            # at 2 vertices every regular count matrix is symmetric
+            k, degree = int(rng.integers(2, 6)), 2 * int(rng.integers(1, 5))
+            directed = trial % 2 == 1
+            nbrs = random_regular_table(rng, k, degree, directed)
+            assert dense_symmetric(nbrs) != directed
+            g = ExpanderGraph(k=k, degree=degree, neighbors=nbrs)
+            if directed:
+                with pytest.raises(NotReversible):
+                    validate_expander(g)
+            else:
+                validate_expander(g)
+
+    @pytest.mark.parametrize("k", range(2, 15, 2))
+    def test_accepts_every_mgg_graph(self, k):
+        validate_expander(build_mgg_expander(k))
 
 
 class TestCertify:

@@ -6,6 +6,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import beta, betainc
 
 from conftest import balanced_signs, ones_weights
@@ -324,6 +325,33 @@ class TestSmallballMc:
         est2 = smallball_mc(uniform_independent, signs, w, [0.0, 0.0], 1.0,
                             4000, seed=8)
         assert est2.estimate == 0.0
+
+
+def stats_interval(hits, total, level=sampling.CI_LEVEL):
+    """Clopper-Pearson bounds from scipy.stats.beta.ppf, the oracle for the
+    betaincinv calls the sampler makes."""
+    alpha = 1.0 - level
+    lo = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2.0, hits, total - hits + 1))
+    hi = 1.0 if hits == total else float(stats.beta.ppf(1.0 - alpha / 2.0, hits + 1,
+                                                        total - hits))
+    return lo, hi
+
+
+# totals up to 1e6, each with the edge counts 0, 1, total - 1 and total
+CP_TOTALS = (1, 2, 3, 7, 100, 999, 4096, PINNED_COUNT, 123_457, 10**6)
+CP_GRID = sorted({(h, t) for t in CP_TOTALS
+                  for h in (0, 1, 2, t // 7, t // 2, t - 2, t - 1, t) if 0 <= h <= t})
+
+
+def test_clopper_pearson_matches_beta_ppf_bit_for_bit():
+    rng = np.random.default_rng(20240513)
+    random_pairs = [(int(rng.integers(0, t + 1)), t)
+                    for t in rng.integers(1, 2 * 10**6, size=200).tolist()]
+    assert len(CP_GRID) == 64
+    for hits, total in CP_GRID + random_pairs:
+        got = sampling._clopper_pearson(hits, total)
+        want = stats_interval(hits, total)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (hits, total)
 
 
 class TestFirstCoordTail:
