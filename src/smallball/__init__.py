@@ -33,8 +33,6 @@ from .chains import (
 )
 from .oracles import (
     HolderInstance,
-    brute_force_char_fn,
-    brute_force_distribution,
     check_averaging_identities,
     enumerate_paths,
     holder_lhs_rhs,

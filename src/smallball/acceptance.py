@@ -39,6 +39,7 @@ from .fitting import (
     walk_reports,
 )
 from .oracles import (
+    IDENTITY_TOL,
     SWITCHING_N_BUDGET,
     check_averaging_identities,
     enumerate_paths,
@@ -51,14 +52,16 @@ from .transfer import (
     char_fn,
     exact_sum_distribution,
     fold_mod,
+    find_prime,
     mod_p_point_probability,
-    next_prime_above,
 )
 
 MGG_SPECTRAL_CEILING = 0.884
 SPLITTING_TOL = 1e-9
-IDENTITY_TOL = 1e-10
 MAX_BATTERY_SECONDS = 600.0
+# Holder instances and identity input sets of criterion 7 and verify-claims
+HOLDER_COUNT = 500
+IDENTITY_COUNT = 1000
 
 
 @dataclass
@@ -117,17 +120,17 @@ def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
     return out
 
 
-def splitting_worst(seed: int, count: int = 500) -> float:
+def splitting_worst(seed: int) -> float:
     """Largest lhs - rhs of the splitting inequality over the Holder family."""
     return max(lhs - rhs for lhs, rhs in map(holder_lhs_rhs,
-                                              fam.holder_family(seed, count)))
+                                              fam.holder_family(seed, HOLDER_COUNT)))
 
 
-def identity_worsts(seed: int, count: int = 1000) -> dict[str, float]:
+def identity_worsts(seed: int) -> dict[str, float]:
     """Largest violation of each averaging-operator identity over the inputs."""
     worst = {"averaging_sandwich": 0.0, "l1_product": 0.0,
              "diagonal_contraction": 0.0}
-    for inputs in fam.identity_inputs(seed, count):
+    for inputs in fam.identity_inputs(seed, IDENTITY_COUNT):
         rep = check_averaging_identities(inputs["mu"], inputs["us"],
                                          inputs["r_mats"], inputs["t_mats"])
         for name in worst:
@@ -235,8 +238,8 @@ def criterion_7(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
         worst = identity_worsts(seed + 1)
         ok = worst_split <= SPLITTING_TOL and max(worst.values()) <= IDENTITY_TOL
         return ok, {
-            "holder_instances": 500, "worst_lhs_minus_rhs": worst_split,
-            "identity_instances": 1000, "worst_violations": worst}, []
+            "holder_instances": HOLDER_COUNT, "worst_lhs_minus_rhs": worst_split,
+            "identity_instances": IDENTITY_COUNT, "worst_violations": worst}, []
 
     return _timed(7, "alternating-product splitting and averaging identities hold", run)
 
@@ -312,7 +315,7 @@ def criterion_12(constants) -> CriterionResult:
             # one law per instance, for its Esseen report and its mod-p check
             dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
             reports.append(esseen_report(inst, dist, c_esseen))
-            p = next_prime_above(2 * int(np.abs(inst.weights.scalars).max()))
+            p = find_prime(inst.weights)
             x0 = int(inst.x0)
             point = dist.probability_at(x0)
             residue = float(fold_mod(dist, p)[x0 % p])

@@ -128,7 +128,7 @@ def _cos_product(vs):
     return f
 
 
-def cosine_product_integral(vs, tol: float = QUAD_TOL) -> float:
+def cosine_product_integral(vs) -> float:
     """Integral over [-1,1] of prod_j |cos(2 pi xi v_j)| for |v_j| >= 1.
 
     The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j).  One run
@@ -146,7 +146,7 @@ def cosine_product_integral(vs, tol: float = QUAD_TOL) -> float:
     for v in np.unique(np.abs(vs)).tolist():
         m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
         zeros.append((2 * m + 1) / (4.0 * v))
-    return adaptive_simpson(_cos_product(vs), -1.0, 1.0, tol=tol, min_depth=2,
+    return adaptive_simpson(_cos_product(vs), -1.0, 1.0, tol=QUAD_TOL, min_depth=2,
                             cuts=np.concatenate(zeros))
 
 

@@ -52,10 +52,6 @@ class SignSystem:
     balances: np.ndarray  # stationary mean of each f_j
     balanced: bool = False
 
-    @property
-    def max_imbalance(self) -> float:
-        return float(np.max(np.abs(self.balances))) if self.n_steps else 0.0
-
 
 @dataclass(frozen=True)
 class WeightSystem:
@@ -76,9 +72,6 @@ class WeightSystem:
                 f"scalar weights requested but dimension is {self.dimension}"
             )
         return self.weights[:, 0]
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.weights, axis=1)
 
 
 WEIGHT_VARIANTS = (
@@ -375,13 +368,13 @@ def load_chain_file(path) -> tuple[MarkovChain, SignSystem | None]:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_weights_file(path, variant: str = "general") -> WeightSystem:
+def load_weights_file(path) -> WeightSystem:
     """Weights file: JSON array of numbers (d=1) or of equal-length arrays."""
     raw = read_json_file(path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a nonempty JSON array of weights")
     if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-        return make_weight_system(np.asarray(raw, dtype=float), variant)
+        return make_weight_system(np.asarray(raw, dtype=float))
     d = None
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not all(
@@ -392,7 +385,7 @@ def load_weights_file(path, variant: str = "general") -> WeightSystem:
             d = len(row)
         elif len(row) != d:
             raise ConfigError(f"{path}: weights[{i}] has length {len(row)}, expected {d}")
-    return make_weight_system(np.asarray(raw, dtype=float), variant)
+    return make_weight_system(np.asarray(raw, dtype=float))
 
 
 def _shape_of(x):

@@ -59,8 +59,8 @@ from .prg import (
 from .sampling import McEstimate, smallball_mc
 from .transfer import (
     exact_sum_distribution,
+    find_prime,
     mod_p_point_probability,
-    next_prime_above,
     smallball_exact,
     zp_fourier_average,
 )
@@ -266,9 +266,7 @@ def _esseen(config: ExperimentConfig) -> int:
 
 def _zp_average(config: ExperimentConfig) -> int:
     chain, signs, weights = _load_instance(config)
-    # find_prime's rule, which also serves weights that are not distinct integers
-    p = config.prime if config.prime is not None else next_prime_above(
-        2 * int(np.abs(weights.scalars).max()))
+    p = config.prime if config.prime is not None else find_prime(weights)
     avg = zp_fourier_average(chain, signs, weights, p)
     point = mod_p_point_probability(chain, signs, weights, p, config.x0)
     print(f"p {p}  average {avg!r}  P[sum = {int(config.x0)} mod p] <= {point!r}")
@@ -357,10 +355,10 @@ def _claim(instances: int, violation: float, passed: bool) -> dict:
 def _verify_claims(config: ExperimentConfig) -> int:
     seed = config.seed
     worst = acceptance.splitting_worst(seed)
-    report = {"splitting-inequality": _claim(500, worst,
+    report = {"splitting-inequality": _claim(acceptance.HOLDER_COUNT, worst,
                                              worst <= acceptance.SPLITTING_TOL)}
     for name, value in acceptance.identity_worsts(seed + 1).items():
-        report[name.replace("_", "-")] = _claim(1000, value,
+        report[name.replace("_", "-")] = _claim(acceptance.IDENTITY_COUNT, value,
                                                 value <= acceptance.IDENTITY_TOL)
 
     switching_cap = min(SWITCHING_N_BUDGET,

@@ -137,8 +137,11 @@ HALF_UNIT_FAMILY_DESC = (
 )
 
 
-def diff_instances(lams=DIFF_LAMBDAS, ns=DIFF_N_GRID) -> list[dict]:
-    """Distinct-integer instances v = (1..n) on two-state chains; deterministic."""
+def diff_instances(lams=DIFF_LAMBDAS, ns=DIFF_N_GRID) -> list[BoundInstance]:
+    """Distinct-integer instances v = (1..n) on two-state chains; deterministic.
+
+    lam is the chain's nominal lambda, which the reports write.  The bounded
+    quantity is the largest point mass, so the window is the point x0 = 0."""
     out = []
     for lam in map(float, lams):
         chain = make_two_state_chain(lam)
@@ -147,8 +150,9 @@ def diff_instances(lams=DIFF_LAMBDAS, ns=DIFF_N_GRID) -> list[dict]:
                                    balanced=True)
             weights = make_weight_system(np.arange(1, n + 1),
                                          "distinct-positive-integers")
-            out.append({"instance_id": f"diff-l{lam}-n{n}", "chain": chain,
-                        "signs": signs, "weights": weights, "lam": lam, "n": n})
+            out.append(BoundInstance(
+                instance_id=f"diff-l{lam}-n{n}", chain=chain, signs=signs,
+                weights=weights, lam=lam, x0=0.0, radius=0.0))
     return out
 
 

@@ -142,15 +142,13 @@ def fit_c_equal(seed: int = fam.DEFAULT_SEED, reports=None) -> FittedConstant:
 def point_mass_reports(constants, lams=fam.DIFF_LAMBDAS,
                        ns=fam.DIFF_N_GRID) -> list[BoundReport]:
     """Max point mass of each distinct-integer instance vs its C_diff bound."""
-    reports = []
-    for inst in fam.diff_instances(lams, ns):
-        dist = exact_sum_distribution(inst["chain"], inst["signs"], inst["weights"])
-        _, prob = dist.max_point_mass()
-        bound = theorem_bound("distinct-int", {"n": inst["n"], "lam": inst["lam"]},
-                              constants)
-        reports.append(BoundReport(instance_id=inst["instance_id"], n=inst["n"], d=1,
-                                   lam=inst["lam"], radius=0.0, prob=prob, bound=bound))
-    return reports
+    return [_instance_report(
+                inst,
+                exact_sum_distribution(inst.chain, inst.signs,
+                                       inst.weights).max_point_mass()[1],
+                theorem_bound("distinct-int", {"n": inst.signs.n_steps, "lam": inst.lam},
+                              constants))
+            for inst in fam.diff_instances(lams, ns)]
 
 
 def fit_c_diff() -> FittedConstant:
@@ -166,10 +164,10 @@ def fit_c_zp() -> FittedConstant:
     provably under-covers the average (n=9 already exceeds it)."""
     pairs = []
     for inst in fam.diff_instances():
-        p = find_prime(inst["weights"])
-        avg = zp_fourier_average(inst["chain"], inst["signs"], inst["weights"], p)
+        avg = zp_fourier_average(inst.chain, inst.signs, inst.weights,
+                                 find_prime(inst.weights))
         pairs.append((avg, theorem_bound("distinct-int",
-                                         {"n": inst["n"], "lam": inst["lam"]},
+                                         {"n": inst.signs.n_steps, "lam": inst.lam},
                                          UNIT_CONSTANTS)))
     return fit_constant(pairs, "C_zp", fam.ZP_FAMILY_DESC,
                         grid={"n": list(fam.DIFF_N_GRID),

@@ -25,6 +25,7 @@ from .transfer import CharFnValue, sign_contributions
 PATH_BUDGET = 10**7
 HOLDER_K_BUDGET = 16
 SWITCHING_N_BUDGET = 13
+IDENTITY_TOL = 1e-10  # largest violation an averaging-operator identity may show
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +123,6 @@ def _fsums(x, groups, n_groups, only=None) -> list[float]:
     return [math.fsum(x[groups == g].tolist()) for g in picks]
 
 
-def exact_sum(x) -> float:
-    """math.fsum(x) for a float array: the exactly rounded sum."""
-    return exact_sums(x)[0]
-
-
 # ---------------------------------------------------------------------------
 # exhaustive path enumeration
 # ---------------------------------------------------------------------------
@@ -158,8 +154,8 @@ class PathEnumeration:
         return dict(zip(values.tolist(), exact_sums(self.measure, groups, values.size)))
 
 
-def enumerate_paths(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
-                    budget: int = PATH_BUDGET) -> PathEnumeration:
+def enumerate_paths(chain: MarkovChain, signs: SignSystem,
+                    weights: WeightSystem) -> PathEnumeration:
     """All n_states^n paths, each weighted and summed step by step on its own.
 
     Step j extends every path of length j by every state, multiplying its
@@ -172,8 +168,8 @@ def enumerate_paths(chain: MarkovChain, signs: SignSystem, weights: WeightSystem
         raise DimensionMismatch(
             f"sign functions cover {n_states} states, chain has {chain.n_states}")
     count = n_states**n
-    if count > budget:
-        raise BudgetExceeded(f"{count} paths exceed the budget of {budget}")
+    if count > PATH_BUDGET:
+        raise BudgetExceeded(f"{count} paths exceed the budget of {PATH_BUDGET}")
     if n == 0:
         return PathEnumeration(measure=np.ones(1), sums=np.zeros(1),
                                int_sums=np.zeros(1, dtype=np.int64))
@@ -187,20 +183,6 @@ def enumerate_paths(chain: MarkovChain, signs: SignSystem, weights: WeightSystem
         sums = (sums[:, None] + contribs[j]).ravel()
         int_sums = (int_sums[:, None] + ints[j]).ravel()
     return PathEnumeration(measure=measure, sums=sums, int_sums=int_sums)
-
-
-def brute_force_char_fn(chain: MarkovChain, signs: SignSystem,
-                        weights: WeightSystem, xi: float,
-                        budget: int = PATH_BUDGET) -> CharFnValue:
-    """Characteristic function summed over every state path individually."""
-    return enumerate_paths(chain, signs, weights, budget).char_fn(xi)
-
-
-def brute_force_distribution(chain: MarkovChain, signs: SignSystem,
-                             weights: WeightSystem,
-                             budget: int = PATH_BUDGET) -> dict[int, float]:
-    """Lattice law by path enumeration: {sum value: probability}."""
-    return enumerate_paths(chain, signs, weights, budget).law()
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +287,11 @@ class IdentityReport:
     averaging_sandwich: float   # E_mu diag(u) E_mu = <u, mu> E_mu, entrywise
     l1_product: float           # ||R_1 E_mu ... R_k 1||_1 <= prod ||R_i 1||_1
     diagonal_contraction: float  # ||(prod U_j T_j) U_{k+1} 1||_1 <= prod ||T_j||_2
-    tol: float = 1e-10
 
     @property
     def passed(self) -> bool:
         return max(self.averaging_sandwich, self.l1_product,
-                   self.diagonal_contraction) <= self.tol
+                   self.diagonal_contraction) <= IDENTITY_TOL
 
 
 def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, check_window, read_json_file, validate_chain
+from .chains import MarkovChain, _shape_of, check_window, read_json_file, validate_chain
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -107,7 +107,7 @@ def build_mgg_expander(k: int) -> ExpanderGraph:
     if k < 2 or k % 2 != 0:
         raise OddK(f"k must be an even integer >= 2, got {k}")
     if 2**k > MAX_VERTICES:
-        raise TooLarge(f"2^{k} vertices exceed the limit of 2^20")
+        raise TooLarge(f"2^{k} vertices exceed the limit of {MAX_VERTICES}")
     m = 1 << (k // 2)
     x, y = np.divmod(np.arange(m * m), m)
     maps = [
@@ -122,7 +122,7 @@ def build_mgg_expander(k: int) -> ExpanderGraph:
     return graph
 
 
-def certify_lambda(graph: ExpanderGraph, budget: int = CERTIFY_BUDGET) -> float:
+def certify_lambda(graph: ExpanderGraph) -> float:
     """Second-largest absolute eigenvalue of the normalized adjacency matrix.
 
     Dense eigendecomposition for small graphs, deflated Lanczos above; stores
@@ -130,8 +130,8 @@ def certify_lambda(graph: ExpanderGraph, budget: int = CERTIFY_BUDGET) -> float:
     bound flagged uncertified.
     """
     nv = graph.n_vertices
-    if nv > budget:
-        raise TooLarge(f"{nv} vertices exceed the certification budget {budget}")
+    if nv > CERTIFY_BUDGET:
+        raise TooLarge(f"{nv} vertices exceed the certification budget {CERTIFY_BUDGET}")
     validate_expander(graph)
     if nv <= DENSE_CERTIFY:
         m = graph.normalized_adjacency()
@@ -181,15 +181,11 @@ class PrgSpec:
         """|D| counted with walk multiplicity."""
         return self.graph.n_vertices * self.graph.degree ** (self.blocks - 1)
 
-    @property
-    def log2_size(self) -> float:
-        return self.graph.k + (self.blocks - 1) * math.log2(self.graph.degree)
 
-
-def enumerate_walks(spec: PrgSpec, budget: int = ENUM_BUDGET):
+def enumerate_walks(spec: PrgSpec):
     """Yield (sign vector in {-1,1}^n, weight) for every walk; weights sum to 1."""
-    if spec.size > budget:
-        raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {budget}")
+    if spec.size > ENUM_BUDGET:
+        raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {ENUM_BUDGET}")
     labels = spec.graph.labels()
     weight = 1.0 / spec.size
     for start in range(spec.graph.n_vertices):
@@ -270,7 +266,7 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
 
 def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
                   mode: str = "exact", samples: int = 100_000, seed: int = 0,
-                  budget: int = ENUM_BUDGET, allow_zero_padding: bool = False):
+                  allow_zero_padding: bool = False):
     """P[|sum - x0| <= radius] under the uniform walk measure on D.
 
     Exact mode counts the walks of D (with multiplicity) in the window by a
@@ -283,8 +279,8 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     w = _check_unit_weights(scalars, spec.n, allow_zero_padding)
     check_window(x0, radius)
     if mode == "exact":
-        if spec.size > budget:
-            raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {budget}")
+        if spec.size > ENUM_BUDGET:
+            raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {ENUM_BUDGET}")
         return _window_hits(spec, w, x0, radius) / spec.size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -348,15 +344,36 @@ def save_graph(graph: ExpanderGraph, path) -> None:
         fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_graph(path) -> ExpanderGraph:
+    """A graph file, checked field by field: a ConfigError names the bad field."""
     doc = read_json_file(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object at the top level")
     for fld in ("k", "degree", "neighbors"):
         if fld not in doc:
             raise ConfigError(f"{path}: missing field '{fld}'")
-    graph = ExpanderGraph(
-        k=int(doc["k"]), degree=int(doc["degree"]),
-        neighbors=np.asarray(doc["neighbors"], dtype=np.int64),
-        certified_lambda=doc.get("certified_lambda"),
-    )
+    k, degree, rows = doc["k"], doc["degree"], doc["neighbors"]
+    max_k = MAX_VERTICES.bit_length() - 1  # the largest k with 2^k <= MAX_VERTICES
+    if not (_is_int(k) and 1 <= k <= max_k):
+        raise ConfigError(f"{path}: 'k': expected an integer in 1..{max_k}, got {k!r}")
+    if not (_is_int(degree) and degree >= 1):
+        raise ConfigError(f"{path}: 'degree': expected a positive integer, got {degree!r}")
+    nv = 1 << k
+    if not isinstance(rows, list) or len(rows) != nv:
+        raise ConfigError(f"{path}: 'neighbors': expected {nv} rows, got {_shape_of(rows)}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != degree:
+            raise ConfigError(
+                f"{path}: 'neighbors[{i}]': expected {degree} vertices, got {_shape_of(row)}")
+    # one pass over the entries' types, then C-speed extremes: k = 20 files hold 8M
+    if ({type(v) for row in rows for v in row} != {int}
+            or not 0 <= min(map(min, rows)) <= max(map(max, rows)) < nv):
+        raise ConfigError(f"{path}: 'neighbors': expected integer vertices in 0..{nv - 1}")
+    graph = ExpanderGraph(k=k, degree=degree, neighbors=np.asarray(rows, dtype=np.int64),
+                          certified_lambda=doc.get("certified_lambda"))
     validate_expander(graph)
     return graph

@@ -65,7 +65,6 @@ PANEL_DEPTH_OFFSET = int(math.log2(2.0 / np.diff(KRONROD_NODES).max()))
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                     max_intervals: int = MAX_INTERVALS,
                      min_depth: int = DEFAULT_MIN_DEPTH, cuts=()) -> float:
     """Integrate f over [a, b] to absolute tolerance tol with G7–K15 panels.
 
@@ -74,7 +73,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
     ndarray of values.  cuts are points where f has kinks; those inside (a, b)
     split [a, b] into starting pieces, each bisected into 2^(min_depth -
     PANEL_DEPTH_OFFSET) panels (at least one).  Every starting panel gets an
-    equal share of tol, halved with each bisection.  max_intervals bounds the
+    equal share of tol, halved with each bisection.  MAX_INTERVALS bounds the
     panels of the whole run.
     """
     if b <= a:
@@ -84,9 +83,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
     lo = edges[:-1]
     hi = edges[1:]
     n_panels = lo.size << max(min_depth - PANEL_DEPTH_OFFSET, 0)
-    if n_panels > max_intervals:
+    if n_panels > MAX_INTERVALS:
         raise QuadratureNonConvergence(
-            f"{n_panels} starting panels exceed the budget of {max_intervals}")
+            f"{n_panels} starting panels exceed the budget of {MAX_INTERVALS}")
     while lo.size < n_panels:
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
@@ -112,9 +111,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
             accepted.extend(kronrod[done].tolist())
         keep = ~done
         n_panels += 2 * int(np.count_nonzero(keep))
-        if n_panels > max_intervals:
+        if n_panels > MAX_INTERVALS:
             raise QuadratureNonConvergence(
-                f"subdivision budget of {max_intervals} panels exhausted"
+                f"subdivision budget of {MAX_INTERVALS} panels exhausted"
             )
         lo, hi, centre = lo[keep], hi[keep], centre[keep]
         lo, hi = np.concatenate([lo, centre]), np.concatenate([centre, hi])

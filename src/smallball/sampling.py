@@ -55,12 +55,12 @@ class McEstimate:
         }, sort_keys=True)
 
 
-def _clopper_pearson(hits: int, total: int, level: float = CI_LEVEL):
+def _clopper_pearson(hits: int, total: int):
     # betaincinv(a, b, q) is the Boost routine behind scipy.stats.beta.ppf(q, a, b),
     # bit for bit, without the 0.5 s import of scipy.stats
     from scipy.special import betaincinv
 
-    alpha = 1.0 - level
+    alpha = 1.0 - CI_LEVEL
     lo = 0.0 if hits == 0 else float(betaincinv(hits, total - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == total else float(betaincinv(hits + 1, total - hits, 1.0 - alpha / 2.0))
     return lo, hi

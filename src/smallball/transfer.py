@@ -189,7 +189,6 @@ def _integer_table(contribs: np.ndarray) -> np.ndarray:
 
 
 def distribution_from_contributions(chain: MarkovChain, contribs,
-                                    budget: int = DP_BUDGET,
                                     exact: bool = False) -> SumDistribution:
     """Forward DP over (step, state, partial sum) for integer contributions.
 
@@ -216,8 +215,8 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
     ghi = int(max(pmax.max(), 0))
     lo, hi = int(pmin[-1]), int(pmax[-1])
     cells = n_states * n * (ghi - glo + 1)
-    if cells > budget:
-        raise BudgetExceeded(f"DP needs {cells} cells, budget is {budget}")
+    if cells > DP_BUDGET:
+        raise BudgetExceeded(f"DP needs {cells} cells, budget is {DP_BUDGET}")
     if exact and cells * n_states * n > RATIONAL_BUDGET:
         raise BudgetExceeded(
             f"rational DP needs {cells} cells x {n_states} states x {n} steps "
@@ -301,11 +300,10 @@ def _rational_dp(chain, table, pmin, pmax, g):
 
 
 def exact_sum_distribution(chain: MarkovChain, signs: SignSystem,
-                           weights: WeightSystem, budget: int = DP_BUDGET,
-                           exact: bool = False) -> SumDistribution:
+                           weights: WeightSystem, exact: bool = False) -> SumDistribution:
     """Exact lattice law of f_1(Y_1)v_1 + ... + f_n(Y_n)v_n, integer scalar v."""
-    contribs = sign_contributions(signs, weights)
-    return distribution_from_contributions(chain, contribs, budget=budget, exact=exact)
+    return distribution_from_contributions(chain, sign_contributions(signs, weights),
+                                           exact=exact)
 
 
 def smallball_exact(dist: SumDistribution, x0: float, radius: float) -> float:
@@ -335,24 +333,16 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def next_prime_above(bound: int) -> int:
-    candidate = max(2, int(bound) + 1)
-    while not _is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
 def find_prime(weights: WeightSystem) -> int:
-    """Smallest prime strictly greater than twice the largest weight.
+    """Smallest prime strictly greater than 2 int(max |v|), for any scalar weights.
 
     Fixing this choice makes the Z_p averages reproducible and keeps any
     single weight from wrapping around the modulus.
     """
-    if weights.variant != "distinct-positive-integers":
-        raise PreconditionViolated(
-            f"find_prime needs distinct positive integers, got variant {weights.variant!r}"
-        )
-    return next_prime_above(2 * int(weights.scalars.max()))
+    candidate = max(2, 2 * int(np.abs(weights.scalars).max()) + 1)
+    while not _is_prime(candidate):
+        candidate += 1
+    return candidate
 
 
 def zp_fourier_average(chain: MarkovChain, signs: SignSystem,

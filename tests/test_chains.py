@@ -159,7 +159,6 @@ class TestSignSystem:
     def test_balances_computed(self):
         signs = make_sign_system([[1, -1], [1, 1]], [0.3, 0.7])
         np.testing.assert_allclose(signs.balances, [-0.4, 1.0])
-        assert signs.max_imbalance == 1.0
 
     def test_balanced_flag_enforced(self):
         with pytest.raises(HypothesisViolated):

@@ -175,6 +175,11 @@ class TestConfigs:
         ["prg-build", "--k", "40", "--out", "{out}"],
         # P(sum = 0) is 0 at odd n, which has no logarithm
         ["tightness", "--n-list", "3,5", "--lambdas", "0"],
+        *(["prg-test", "--k", "2", "--graph", f"{{{name}}}", "--n", "4"]
+          for name in ("graph_degree_zero", "graph_k_string", "graph_k_negative",
+                       "graph_k_bool", "graph_k_too_large", "graph_ragged",
+                       "graph_float_vertex", "graph_vertex_out_of_range",
+                       "graph_not_object")),
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -206,7 +211,19 @@ class TestConfigs:
                 ("radius_string", {"kind": "smallball-exact", "chain": chain_file,
                                    "weights": weights_file, "radius": "1"}),
                 ("constants_int", {"kind": "fit-constants", "constants": 5}),
-                ("seed_negative", {"kind": "verify-claims", "seed": -1})):
+                ("seed_negative", {"kind": "verify-claims", "seed": -1}),
+                *((f"graph_{name}", {"k": 2, "degree": 1,
+                                     "neighbors": [[1], [0], [3], [2]], **fix})
+                  for name, fix in (
+                      ("degree_zero", {"degree": 0, "neighbors": [[], [], [], []]}),
+                      ("k_string", {"k": "a"}),
+                      ("k_negative", {"k": -1}),
+                      ("k_bool", {"k": True}),
+                      ("k_too_large", {"k": 21}),
+                      ("ragged", {"neighbors": [[1], [0, 2], [3], [2]]}),
+                      ("float_vertex", {"neighbors": [[1.5], [0], [3], [2]]}),
+                      ("vertex_out_of_range", {"neighbors": [[1], [0], [3], [4]]}))),
+                ("graph_not_object", [[1], [0], [3], [2]])):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
         for name, text in (("nan_weights", "[1, NaN, 1, 1]"),

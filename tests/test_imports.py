@@ -1,14 +1,17 @@
 """No library module imports a name it never uses, the oracles stay
-independent of the transfer engine they check, and importing the library or
-its CLI loads numpy but no scipy module.
+independent of the transfer engine they check, importing the library or its
+CLI loads numpy but no scipy module, and every `module.name` the README cites
+exists.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
 """
 
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,3 +144,34 @@ def test_import_loads_no_scipy(tmp_path):
     assert json.loads(run.stdout) == {"import smallball": [],
                                       "import smallball.cli": [],
                                       "spectral-gap exit 0": []}
+
+
+MODULES = {p.stem for p in SOURCES}
+
+
+def readme_references(text: str) -> list[tuple[str, str]]:
+    """Backticked `module.name` spans outside code fences whose module is one
+    of the package's, in order; `name.py` file names are skipped."""
+    found, fenced = [], False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            found += [(module, name) for module, name
+                      in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", line)
+                      if module in MODULES and name != "py"]
+    return found
+
+
+def test_readme_references_name_real_attributes():
+    refs = readme_references((ROOT / "README.md").read_text())
+    assert len(refs) >= 15
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"smallball.{module}"), name)]
+    assert missing == []
+
+
+def test_readme_reference_detector():
+    text = ("`prg.ENUM_BUDGET` and `math.fsum`, `test_prg.py`, `oracles.gone` (x)\n"
+            "```\n`transfer.inside_a_fence`\n```\n`smallball.prg`\n")
+    assert readme_references(text) == [("prg", "ENUM_BUDGET"), ("oracles", "gone")]

@@ -26,10 +26,8 @@ from smallball.families import (
 from smallball.oracles import (
     HolderInstance,
     averaging_operator,
-    brute_force_char_fn,
     check_averaging_identities,
     enumerate_paths,
-    exact_sum,
     exact_sums,
     extraction_indices,
     holder_lhs_rhs,
@@ -97,8 +95,8 @@ class TestNorms:
 
 class TestBruteForce:
     def test_origin_is_one(self, two_state_03):
-        val = brute_force_char_fn(two_state_03, balanced_signs(two_state_03, 3),
-                                  ones_weights(3), 0.0)
+        val = enumerate_paths(two_state_03, balanced_signs(two_state_03, 3),
+                              ones_weights(3)).char_fn(0.0)
         assert val.re == pytest.approx(1.0, abs=1e-12)
 
     def test_single_state_chain_has_unit_modulus(self):
@@ -106,14 +104,17 @@ class TestBruteForce:
 
         chain = validate_chain([[1.0]])
         signs = make_sign_system([[1], [-1], [1]], [1.0])
-        val = brute_force_char_fn(chain, signs, make_weight_system([1.0, 2.0, 3.0]),
-                                  0.37)
+        val = enumerate_paths(chain, signs,
+                              make_weight_system([1.0, 2.0, 3.0])).char_fn(0.37)
         assert val.modulus == pytest.approx(1.0, abs=1e-12)
 
-    def test_budget(self, two_state_03):
-        with pytest.raises(BudgetExceeded):
-            brute_force_char_fn(two_state_03, balanced_signs(two_state_03, 8),
-                                ones_weights(8), 0.1, budget=10)
+    def test_budget(self, two_state_03, monkeypatch):
+        # read at call time: 2^8 = 256 paths
+        monkeypatch.setattr(oracles, "PATH_BUDGET", 255)
+        with pytest.raises(BudgetExceeded, match="256 paths"):
+            enumerate_paths(two_state_03, balanced_signs(two_state_03, 8), ones_weights(8))
+        monkeypatch.setattr(oracles, "PATH_BUDGET", 256)
+        enumerate_paths(two_state_03, balanced_signs(two_state_03, 8), ones_weights(8))
 
     def test_one_enumeration_matches_per_xi_paths_bit_for_bit(self):
         # the reference materialises every path and sums it with math.fsum,
@@ -152,8 +153,6 @@ class TestBruteForce:
         paths = enumerate_paths(two_state_03, balanced_signs(two_state_03, 0),
                                 ones_weights(0))
         assert paths.law() == {0: 1.0}
-        assert paths.char_fn(0.3) == brute_force_char_fn(
-            two_state_03, balanced_signs(two_state_03, 0), ones_weights(0), 0.3)
         assert (paths.char_fn(0.3).re, paths.char_fn(0.3).im) == (1.0, 0.0)
 
 
@@ -248,13 +247,13 @@ class TestExactSum:
             _assert_fsum(x)
 
     def test_empty_and_fallbacks(self):
-        assert exact_sum(np.array([])).hex() == (0.0).hex()
+        assert exact_sums(np.array([]))[0].hex() == (0.0).hex()
         for big in (np.full(2000, 1.5e308), np.array([1e308, 1e308, -1e308] + [0.0] * 1200)):
             with pytest.raises(OverflowError):
-                exact_sum(big)  # fsum's intermediate overflow, even for a finite sum
-        assert math.isinf(exact_sum(np.array([1.0, np.inf] * 600)))
+                exact_sums(big)  # fsum's intermediate overflow, even for a finite sum
+        assert math.isinf(exact_sums(np.array([1.0, np.inf] * 600))[0])
         with pytest.raises(ValueError):
-            exact_sum(np.array([np.inf, -np.inf] * 600))  # as fsum raises
+            exact_sums(np.array([np.inf, -np.inf] * 600))  # as fsum raises
 
 
 class TestIndexConventions:
@@ -344,6 +343,13 @@ class TestAveragingIdentities:
         r = np.array([[1.0, 2.0], [0.5, -1.0]])
         rep = check_averaging_identities(mu, [np.ones(2), np.ones(2)], [r], [r])
         assert rep.l1_product <= 1e-14
+
+    def test_passed_reads_the_tolerance_at_call_time(self, monkeypatch):
+        rep = oracles.IdentityReport(averaging_sandwich=0.0, l1_product=5e-11,
+                                     diagonal_contraction=0.0)
+        assert rep.passed
+        monkeypatch.setattr(oracles, "IDENTITY_TOL", 1e-11)
+        assert not rep.passed
 
     def test_random_inputs_hold(self):
         for inputs in identity_inputs(31337, 150):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from smallball import prg
 from smallball.chains import spectral_lambda
 from smallball.errors import (
     BudgetExceeded,
@@ -144,10 +145,14 @@ class TestCertify:
         assert certify_lambda(build_mgg_expander(2)) == pytest.approx(0.5,
                                                                       abs=1e-12)
 
-    def test_certification_budget(self):
+    def test_certification_budget(self, monkeypatch):
+        # read at call time: 2^4 = 16 vertices
         g = build_mgg_expander(4)
+        monkeypatch.setattr(prg, "CERTIFY_BUDGET", 15)
         with pytest.raises(TooLarge):
-            certify_lambda(g, budget=8)
+            certify_lambda(g)
+        monkeypatch.setattr(prg, "CERTIFY_BUDGET", 16)
+        assert certify_lambda(g) < 0.884
 
     def test_directed_multigraph_rejected(self):
         nbrs = np.array([[1, 1], [0, 2], [3, 3], [2, 0]])
@@ -177,10 +182,17 @@ class TestWalks:
         seen = Counter(tuple(s.tolist()) for s, _ in walks)
         assert len(seen) == 4 and set(seen.values()) == {1}
 
-    def test_enumeration_budget(self):
+    def test_enumeration_budget(self, monkeypatch):
+        # read at call time, by the walk list and by exact windows: |D| = 4 * 8^3
         spec = PrgSpec(graph=build_mgg_expander(2), n=8)
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_walks(spec, budget=10))
+        monkeypatch.setattr(prg, "ENUM_BUDGET", 2047)
+        with pytest.raises(BudgetExceeded, match="2048"):
+            list(enumerate_walks(spec))
+        with pytest.raises(BudgetExceeded, match="2048"):
+            prg_smallball(spec, np.ones(8), 0.0, 1.0)
+        monkeypatch.setattr(prg, "ENUM_BUDGET", 2048)
+        assert len(list(enumerate_walks(spec))) == 2048
+        assert prg_smallball(spec, np.ones(8), 0.0, 1.0) > 0.0
 
 
 class TestPrgSmallball:
@@ -358,8 +370,8 @@ class TestSizeBound:
 
     def test_log_size_formula(self):
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)
-        assert spec.log2_size == pytest.approx(2 + 3 * (2 - 1), abs=1e-12)
         assert spec.size == 2**2 * 8 ** (2 - 1)
+        assert math.log2(spec.size) == size_bound_exponent(4)
 
     def test_committed_constant_covers_grid(self, constants):
         c = constants["C_size"].value

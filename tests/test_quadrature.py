@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from smallball import families as fam
+from smallball import quadrature
 from smallball.errors import QuadratureNonConvergence
 from smallball.fitting import esseen_formula
 from smallball.quadrature import (
@@ -57,13 +58,13 @@ def test_empty_interval():
     assert adaptive_simpson(lambda x: np.ones_like(x), 1.0, 1.0) == 0.0
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 32)  # read at call time
+    with pytest.raises(QuadratureNonConvergence):
+        adaptive_simpson(lambda x: np.abs(x) ** 0.1, -1.0, 1.0, tol=1e-14)
     with pytest.raises(QuadratureNonConvergence):
         adaptive_simpson(lambda x: np.abs(x) ** 0.1, -1.0, 1.0, tol=1e-14,
-                         max_intervals=32)
-    with pytest.raises(QuadratureNonConvergence):
-        adaptive_simpson(lambda x: np.abs(x) ** 0.1, -1.0, 1.0, tol=1e-14,
-                         max_intervals=32, cuts=[-0.5, 0.5])
+                         cuts=[-0.5, 0.5])
 
 
 def test_piecewise_matches_plain():
@@ -75,21 +76,25 @@ def test_piecewise_matches_plain():
     assert adaptive_simpson(f, -2.0, 2.0, cuts=[-2.0, 2.0, 7.0]) == plain
 
 
-def test_budget_counts_per_starting_piece():
+def test_budget_counts_per_starting_piece(monkeypatch):
     # one budget for the whole run: three starting pieces are three panels,
     # and the middle one, which holds the kink, bisects into two more
     cuts = [-0.5, 0.5]
-    val = adaptive_simpson(np.abs, -1.0, 1.0, max_intervals=5, cuts=cuts)
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 5)
+    val = adaptive_simpson(np.abs, -1.0, 1.0, cuts=cuts)
     assert val == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 4)
     with pytest.raises(QuadratureNonConvergence):
-        adaptive_simpson(np.abs, -1.0, 1.0, max_intervals=4, cuts=cuts)
+        adaptive_simpson(np.abs, -1.0, 1.0, cuts=cuts)
     # min_depth = PANEL_DEPTH_OFFSET + 1 starts each piece from two panels
     f = lambda x: 2.0 * x + 1.0
     depth = PANEL_DEPTH_OFFSET + 1
-    val = adaptive_simpson(f, -1.0, 1.0, max_intervals=6, min_depth=depth, cuts=cuts)
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 6)
+    val = adaptive_simpson(f, -1.0, 1.0, min_depth=depth, cuts=cuts)
     assert val == pytest.approx(2.0, abs=1e-12)
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 5)
     with pytest.raises(QuadratureNonConvergence):
-        adaptive_simpson(f, -1.0, 1.0, max_intervals=5, min_depth=depth, cuts=cuts)
+        adaptive_simpson(f, -1.0, 1.0, min_depth=depth, cuts=cuts)
 
 
 def _rule_errors(degree):

@@ -21,7 +21,6 @@ from smallball.errors import (
     NonIntegerWeights,
     NotPrime,
     OutOfRange,
-    PreconditionViolated,
 )
 from smallball.families import (
     DEFAULT_SEED,
@@ -30,7 +29,7 @@ from smallball.families import (
     oracle_family,
     random_reversible_chain,
 )
-from smallball.oracles import brute_force_char_fn, brute_force_distribution
+from smallball.oracles import enumerate_paths
 from smallball.transfer import (
     PHASE_TABLE_BUDGET,
     char_fn,
@@ -72,7 +71,7 @@ class TestCharFn:
         signs = balanced_signs(two_state_03, 2)
         w = ones_weights(2)
         fast = char_fn(two_state_03, signs, w, 0.1)
-        slow = brute_force_char_fn(two_state_03, signs, w, 0.1)
+        slow = enumerate_paths(two_state_03, signs, w).char_fn(0.1)
         assert abs(complex(fast.re, fast.im) - complex(slow.re, slow.im)) <= 1e-12
 
     def test_independent_chain_factorizes_into_cosines(self, uniform_independent):
@@ -109,7 +108,7 @@ class TestCharFn:
     def test_matches_brute_force(self, seed, xi):
         chain, signs, weights = random_instance(seed, n_states_max=3, n_max=6)
         fast = char_fn(chain, signs, weights, xi)
-        slow = brute_force_char_fn(chain, signs, weights, xi)
+        slow = enumerate_paths(chain, signs, weights).char_fn(xi)
         assert abs(complex(fast.re, fast.im) - complex(slow.re, slow.im)) <= 1e-10
 
 
@@ -130,8 +129,8 @@ class TestExactDistribution:
     def test_two_state_three_point_law(self, two_state_03):
         dist = exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 2),
                                       ones_weights(2))
-        law = brute_force_distribution(two_state_03, balanced_signs(two_state_03, 2),
-                                       ones_weights(2))
+        law = enumerate_paths(two_state_03, balanced_signs(two_state_03, 2),
+                              ones_weights(2)).law()
         assert dist.probability_at(0) == pytest.approx(0.65, abs=1e-12)
         assert dist.probability_at(2) == pytest.approx(0.175, abs=1e-12)
         assert dist.probability_at(-2) == pytest.approx(0.175, abs=1e-12)
@@ -143,10 +142,15 @@ class TestExactDistribution:
             exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 2),
                                    make_weight_system([1.0, 1.5]))
 
-    def test_budget_guard(self, two_state_03):
-        with pytest.raises(BudgetExceeded):
+    def test_budget_guard(self, two_state_03, monkeypatch):
+        # read at call time: 2 states x 8 steps x 17 sums = 272 cells
+        monkeypatch.setattr(transfer, "DP_BUDGET", 271)
+        with pytest.raises(BudgetExceeded, match="272 cells"):
             exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 8),
-                                   ones_weights(8), budget=10)
+                                   ones_weights(8))
+        monkeypatch.setattr(transfer, "DP_BUDGET", 272)
+        exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 8),
+                               ones_weights(8))
 
     def test_parity_class_is_empty(self, uniform_independent):
         # integer weights force sum = v_1 + ... + v_n mod 2
@@ -182,7 +186,7 @@ class TestExactDistribution:
     def test_empty_sum_is_the_point_mass_at_zero(self, two_state_03):
         signs, weights = balanced_signs(two_state_03, 0), ones_weights(0)
         assert sign_contributions(signs, weights).shape == (0, 2)
-        law = brute_force_distribution(two_state_03, signs, weights)
+        law = enumerate_paths(two_state_03, signs, weights).law()
         for exact in (False, True):
             dist = exact_sum_distribution(two_state_03, signs, weights, exact=exact)
             assert (dist.offset, dist.masses.tolist(), dist.span) == (0, [1.0], (0, 0))
@@ -195,7 +199,7 @@ class TestExactDistribution:
     def test_matches_path_enumeration(self, seed):
         chain, signs, weights = random_instance(seed, n_states_max=3, n_max=6)
         dist = exact_sum_distribution(chain, signs, weights)
-        law = brute_force_distribution(chain, signs, weights)
+        law = enumerate_paths(chain, signs, weights).law()
         for s in set(law) | set(dist.support().tolist()):
             assert dist.probability_at(s) == pytest.approx(
                 law.get(s, 0.0), abs=1e-10)
@@ -328,9 +332,10 @@ class TestPrimesAndZp:
         assert find_prime(mk([1.0])) == 3
         assert find_prime(mk(np.arange(1.0, 11.0))) == 23
 
-    def test_find_prime_needs_variant(self):
-        with pytest.raises(PreconditionViolated):
-            find_prime(make_weight_system([1.0, 2.0]))
+    def test_find_prime_takes_any_weights(self):
+        # the rule reads max |v|, so repeated and negative weights have a prime too
+        assert find_prime(make_weight_system([-5.0, 1.0])) == 11
+        assert find_prime(make_weight_system([2.0, -2.0, 2.0])) == 5
 
     def test_three_term_average(self, uniform_independent):
         signs = balanced_signs(uniform_independent, 1)
@@ -530,7 +535,7 @@ def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
         got = exact_sum_distribution(chain, signs, weights).char_fn_modulus(xis)
         sweep = np.abs(char_fn_values(chain, sign_contributions(signs, weights), xis))
         paths = [abs(complex(v.re, v.im))
-                 for v in (brute_force_char_fn(chain, signs, weights, x) for x in xis)]
+                 for v in map(enumerate_paths(chain, signs, weights).char_fn, xis)]
         worst_sweep = max(worst_sweep, float(np.max(np.abs(got - sweep))))
         worst_paths = max(worst_paths, float(np.max(np.abs(got - paths))))
     assert worst_sweep <= 1e-12
