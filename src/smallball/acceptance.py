@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam
+from . import oracles
 from .bounds import FittedConstant, binomial_negative_moment, load_constants
 from .chains import (
     make_two_state_chain,
@@ -37,14 +38,6 @@ from .fitting import (
     point_mass_reports,
     size_pairs,
     walk_reports,
-)
-from .oracles import (
-    IDENTITY_TOL,
-    SWITCHING_N_BUDGET,
-    check_averaging_identities,
-    enumerate_paths,
-    holder_lhs_rhs,
-    switching_stats,
 )
 from .prg import build_mgg_expander, certify_lambda
 from .sampling import first_coord_tail
@@ -122,7 +115,7 @@ def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
 
 def splitting_worst(seed: int) -> float:
     """Largest lhs - rhs of the splitting inequality over the Holder family."""
-    return max(lhs - rhs for lhs, rhs in map(holder_lhs_rhs,
+    return max(lhs - rhs for lhs, rhs in map(oracles.holder_lhs_rhs,
                                               fam.holder_family(seed, HOLDER_COUNT)))
 
 
@@ -131,8 +124,8 @@ def identity_worsts(seed: int) -> dict[str, float]:
     worst = {"averaging_sandwich": 0.0, "l1_product": 0.0,
              "diagonal_contraction": 0.0}
     for inputs in fam.identity_inputs(seed, IDENTITY_COUNT):
-        rep = check_averaging_identities(inputs["mu"], inputs["us"],
-                                         inputs["r_mats"], inputs["t_mats"])
+        rep = oracles.check_averaging_identities(inputs["mu"], inputs["us"],
+                                                 inputs["r_mats"], inputs["t_mats"])
         for name in worst:
             worst[name] = max(worst[name], getattr(rep, name))
     return worst
@@ -140,7 +133,7 @@ def identity_worsts(seed: int) -> dict[str, float]:
 
 def switching_grid(n_max: int) -> list:
     """switching_stats for n in 2..n_max and lambda in 0, 0.1, ..., 1."""
-    return [switching_stats(n, lam10 / 10.0)
+    return [oracles.switching_stats(n, lam10 / 10.0)
             for n in range(2, n_max + 1) for lam10 in range(0, 11)]
 
 
@@ -150,7 +143,7 @@ def criterion_1(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
         worst_char = 0.0
         worst_mass = 0.0
         for inst in instances:
-            paths = enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
+            paths = oracles.enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
             for xi in inst["xis"]:
                 fast = char_fn(inst["chain"], inst["signs"], inst["weights"], xi)
                 slow = paths.char_fn(xi)
@@ -236,7 +229,7 @@ def criterion_7(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
     def run():
         worst_split = splitting_worst(seed)
         worst = identity_worsts(seed + 1)
-        ok = worst_split <= SPLITTING_TOL and max(worst.values()) <= IDENTITY_TOL
+        ok = worst_split <= SPLITTING_TOL and max(worst.values()) <= oracles.IDENTITY_TOL
         return ok, {
             "holder_instances": HOLDER_COUNT, "worst_lhs_minus_rhs": worst_split,
             "identity_instances": IDENTITY_COUNT, "worst_violations": worst}, []
@@ -246,7 +239,7 @@ def criterion_7(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     def run():
-        reps = switching_grid(SWITCHING_N_BUDGET)
+        reps = switching_grid(oracles.SWITCHING_N_BUDGET)
         for rep in reps:
             if not (rep.dominates and rep.moment_chain_holds):
                 return False, {"n": rep.n, "lam": rep.lam,

@@ -16,8 +16,9 @@ from importlib import resources
 
 import numpy as np
 
-from .chains import read_json_file
+from .chains import below_unit, read_field, read_json_file
 from .errors import (
+    ConfigError,
     DegenerateGap,
     EmptyFamily,
     HypothesisViolated,
@@ -52,8 +53,12 @@ class FittedConstant:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FittedConstant":
-        return cls(name=doc["name"], value=float(doc["value"]),
-                   family=doc["family"], grid=doc.get("grid", {}))
+        """A file entry: a str name, a finite value, a str family and an object grid."""
+        value = float(read_field(doc, "value", (), float))
+        for key, typ in (("name", str), ("family", str), ("grid", dict)):
+            if not isinstance(doc.get(key), typ):
+                raise ConfigError(f"'{key}': expected a {typ.__name__}, got {doc.get(key)!r}")
+        return cls(name=doc["name"], value=value, family=doc["family"], grid=doc["grid"])
 
 
 def fit_constant(instances, name: str, family: str, grid: dict | None = None) -> FittedConstant:
@@ -81,13 +86,23 @@ def save_constants(constants: dict[str, FittedConstant], path) -> None:
 
 
 def load_constants(path=None) -> dict[str, FittedConstant]:
-    """Load fitted constants from a JSON file (default: the committed copy)."""
-    if path is None:
-        doc = json.loads(resources.files("smallball.data").joinpath(
-            "fitted_constants.json").read_text())
-    else:
-        doc = read_json_file(path)
-    return {name: FittedConstant.from_doc(sub) for name, sub in doc.items()}
+    """Load fitted constants from a JSON file (default: the committed copy),
+    an object that names each constant the committed copy names."""
+    committed = json.loads(resources.files("smallball.data").joinpath(
+        "fitted_constants.json").read_text())
+
+    def parse(doc):
+        if not (isinstance(doc, dict) and set(committed) <= set(doc)):
+            raise ConfigError(f"expected an object naming each of {sorted(committed)}")
+        out = {}
+        for name, sub in doc.items():
+            try:
+                out[name] = FittedConstant.from_doc(sub)
+            except ConfigError as exc:
+                raise ConfigError(f"'{name}': {exc}") from None
+        return out
+
+    return parse(committed) if path is None else read_json_file(path, parse)
 
 
 def _constant_value(c) -> float:
@@ -109,8 +124,8 @@ def esseen_bound(charfn_modulus, d: int, radius: float, eps: float,
     """
     if d != 1:
         raise UnsupportedDimension(f"esseen_bound integrates d = 1 only, got d = {d}")
-    if eps <= 0 or radius < 0:
-        raise OutOfRange(f"need eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
+    if not (0.0 < eps < math.inf and 0.0 <= radius < math.inf):
+        raise OutOfRange(f"need finite eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
     integral = adaptive_simpson(charfn_modulus, -eps, eps, tol=QUAD_TOL, min_depth=min_depth)
     return _constant_value(prefactor) * (radius / math.sqrt(d) + math.sqrt(d) / eps) ** d * integral
 
@@ -136,7 +151,7 @@ def cosine_product_integral(vs) -> float:
     and a shallow forced depth suffices.
     """
     vs = np.asarray(vs, dtype=float)
-    if vs.size and np.min(np.abs(vs)) < 1.0 - 1e-12:
+    if vs.size and below_unit(np.min(np.abs(vs))):
         raise PreconditionViolated(
             f"|v_{int(np.argmin(np.abs(vs)))}| = {np.min(np.abs(vs))!r} < 1"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class MarkovChain:
     n_states: int
     transition: np.ndarray
     stationary: np.ndarray
+
+    def check_states(self, n_states: int) -> None:
+        """Sign functions (or contributions made of them) must cover the chain's states."""
+        if n_states != self.n_states:
+            raise DimensionMismatch(
+                f"sign functions cover {n_states} states, chain has {self.n_states}")
 
 
 @dataclass(frozen=True)
@@ -126,28 +133,28 @@ def validate_chain(transition, stationary=None) -> MarkovChain:
     n = a.shape[0]
     if n == 0:
         raise NotStochastic("transition matrix is empty")
-    if a.min() < 0:
-        i, j = divmod(int(np.argmin(a)), n)
-        raise NotStochastic(f"negative entry A[{i},{j}] = {a[i, j]!r}")
-    rowsum = a.sum(axis=1)
-    worst = int(np.argmax(np.abs(rowsum - 1.0)))
-    if abs(rowsum[worst] - 1.0) > STRUCTURAL_TOL:
-        raise NotStochastic(f"row {worst} sums to {rowsum[worst]!r}, expected 1")
-
-    if stationary is None:
-        mu = _solve_stationary(a)
-    else:
+    if stationary is not None:
         mu = np.asarray(stationary, dtype=float)
         if mu.shape != (n,):
             raise InvalidDistribution(
                 f"stationary vector has shape {mu.shape}, expected ({n},)"
             )
-        if mu.min() < 0:
+        if not mu.min() >= 0:  # NaN fails here, +inf the sum
             raise InvalidDistribution(
-                f"negative stationary mass mu[{int(np.argmin(mu))}] = {mu.min()!r}"
-            )
+                f"stationary mass mu[{int(np.argmin(mu))}] = {mu.min()!r} is not a "
+                "probability")
         if abs(mu.sum() - 1.0) > DERIVED_TOL:
             raise InvalidDistribution(f"stationary masses sum to {mu.sum()!r}, expected 1")
+    # min is NaN when any entry is, so NaN fails here; +inf fails the row sum
+    if not a.min() >= 0:
+        i, j = divmod(int(np.argmin(a)), n)
+        raise NotStochastic(f"entry A[{i},{j}] = {a[i, j]!r} is not a probability")
+    rowsum = a.sum(axis=1)
+    worst = int(np.argmax(np.abs(rowsum - 1.0)))
+    if abs(rowsum[worst] - 1.0) > STRUCTURAL_TOL:
+        raise NotStochastic(f"row {worst} sums to {rowsum[worst]!r}, expected 1")
+    if stationary is None:
+        mu = _solve_stationary(a)
 
     balance = mu[:, None] * a
     gap = balance - balance.T  # mu_i A_ij - mu_j A_ji
@@ -204,11 +211,7 @@ def make_independent_chain(mu) -> MarkovChain:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise InvalidDistribution(f"mu must be a nonempty vector, got shape {mu.shape}")
-    if mu.min() < 0:
-        raise InvalidDistribution(f"negative mass mu[{int(np.argmin(mu))}] = {mu.min()!r}")
-    if abs(mu.sum() - 1.0) > DERIVED_TOL:
-        raise InvalidDistribution(f"masses sum to {mu.sum()!r}, expected 1")
-    return validate_chain(np.tile(mu, (mu.size, 1)), mu)
+    return validate_chain(np.tile(mu, (mu.size, 1)), mu)  # mu is checked first
 
 
 def make_sign_system(functions, mu, balanced: bool = False) -> SignSystem:
@@ -270,16 +273,14 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
     n, d = w.shape
     norms = np.linalg.norm(w, axis=1)
     if variant == "at-least-unit":
-        if n and norms.min() < 1.0 - DERIVED_TOL:
+        if n and below_unit(norms.min()):
             raise PreconditionViolated(
                 f"|v_{int(np.argmin(norms))}| = {norms.min()!r} < 1"
             )
     elif variant == "half-at-least-unit":
-        if np.count_nonzero(norms >= 1.0 - DERIVED_TOL) < n / 2:
-            raise PreconditionViolated(
-                f"only {np.count_nonzero(norms >= 1.0 - DERIVED_TOL)} of {n} weights "
-                "have length >= 1"
-            )
+        long = n - np.count_nonzero(below_unit(norms))
+        if long < n / 2:
+            raise PreconditionViolated(f"only {long} of {n} weights have length >= 1")
     elif variant == "distinct-positive-integers":
         if d != 1:
             raise PreconditionViolated("distinct-positive-integers requires dimension 1")
@@ -293,6 +294,12 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
     return WeightSystem(dimension=d, weights=_freeze(w), variant=variant)
 
 
+def below_unit(x):
+    """x < 1 up to DERIVED_TOL: the one test of the hypotheses |v_i| >= 1 (x a
+    length) and v_i >= 1 (x a value)."""
+    return np.asarray(x) < 1.0 - DERIVED_TOL
+
+
 def check_window(x0, radius) -> None:
     """A window |s - x0| <= radius needs a finite center and a finite radius >= 0."""
     if not (math.isfinite(radius) and radius >= 0 and np.isfinite(x0).all()):
@@ -302,93 +309,105 @@ def check_window(x0, radius) -> None:
 
 
 # ---------------------------------------------------------------------------
-# chain input file: {"n_states": N, "transition": [[..]..], "stationary": [..]?,
-#                     "signs": [[+-1,..] x n]?}
+# JSON input files
 # ---------------------------------------------------------------------------
 
 
-def parse_chain_document(doc) -> tuple[MarkovChain, SignSystem | None]:
-    if not isinstance(doc, dict):
-        raise ConfigError("chain document: expected a JSON object at the top level")
-    if "n_states" not in doc:
-        raise ConfigError("chain document: missing field 'n_states'")
-    n = doc["n_states"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"'n_states': expected a positive integer, got {n!r}")
-    if "transition" not in doc:
-        raise ConfigError("chain document: missing field 'transition'")
-    rows = doc["transition"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ConfigError(f"'transition': expected {n} rows, got {_shape_of(rows)}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"'transition[{i}]': expected {n} numbers, got {_shape_of(row)}")
-        for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ConfigError(f"'transition[{i}][{j}]': expected a number, got {x!r}")
-    mu = doc.get("stationary")
-    if mu is not None:
-        if not isinstance(mu, list) or len(mu) != n:
-            raise ConfigError(f"'stationary': expected {n} numbers, got {_shape_of(mu)}")
-    chain = validate_chain(np.asarray(rows, dtype=float),
-                           None if mu is None else np.asarray(mu, dtype=float))
-    signs = None
-    if doc.get("signs") is not None:
-        raw = doc["signs"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"'signs': expected a list of rows, got {_shape_of(raw)}")
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != n:
-                raise ConfigError(f"'signs[{i}]': expected {n} entries, got {_shape_of(row)}")
-            for j, x in enumerate(row):
-                if x not in (-1, 1):
-                    raise ConfigError(f"'signs[{i}][{j}]': expected -1 or 1, got {x!r}")
-        signs = make_sign_system(np.asarray(raw), chain.stationary)
-    return chain, signs
+def is_number(x, kind) -> bool:
+    """The entry rule of every input file and setting, never true/false: for
+    kind float an int or a finite float, for int an int that fits int64, for
+    a tuple of ints one of them."""
+    if kind is float:
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    return type(x) is int and (x in kind if type(kind) is tuple else -2**63 <= x < 2**63)
 
 
-def read_json_file(path):
-    """Parsed JSON of an input file; an unreadable or malformed file is a ConfigError."""
+def read_field(doc: dict, key: str, shape: tuple, kind) -> np.ndarray:
+    """doc[key], a nested JSON list of the given shape, as an array.
+
+    shape gives each level's list length (None: any, set by the level's first
+    list) and kind the entry rule of is_number.  Lengths are checked level by
+    level, then one pass over the entry types and one conversion take the
+    entries in; only when those fail is the bad entry searched for, so the
+    ConfigError names it, e.g. 'transition[1][1]'.
+    """
+    def entry(index):  # the path of entry `index` of the levels read so far
+        return key + "".join(f"[{i}]" for i in np.unravel_index(index, dims)) if dims else key
+
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"expected a JSON object with the field '{key}'")
+    level, dims = [doc[key]], []
+    for want in shape:
+        if want is None and level and type(level[0]) is list:
+            want = len(level[0])
+        bad = next((i for i, x in enumerate(level)
+                    if type(x) is not list or len(x) != want), None)
+        if bad is not None:
+            need = "a list" if want is None else f"a list of {want} entries"
+            got = level[bad]
+            got = f"a list of length {len(got)}" if type(got) is list else repr(got)
+            raise ConfigError(f"'{entry(bad)}': expected {need}, got {got}")
+        dims.append(want or 0)
+        level = [x for row in level for x in row]
+    if {type(x) for x in level} <= ({int, float} if kind is float else {int}):
+        try:
+            arr = np.array(level, dtype=float if kind is float else np.int64)
+        except OverflowError:  # an int beyond the dtype's range
+            arr = None
+        if arr is not None and (np.isfinite(arr).all() if kind is float else
+                                kind is int or np.isin(arr, kind).all()):
+            return arr.reshape(dims)
+    bad = next(i for i, x in enumerate(level) if not is_number(x, kind))
+    need = ("a number" if kind is float else "an integer" if kind is int
+            else " or ".join(map(str, kind)))
+    raise ConfigError(f"'{entry(bad)}': expected {need}, got {level[bad]!r}")
+
+
+def read_json_file(path, parse):
+    """parse(the JSON document in the file at path).  An unreadable or
+    malformed file is a ConfigError, and so is a ConfigError of parse; each
+    cites the path."""
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read ({exc})") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def load_chain_file(path) -> tuple[MarkovChain, SignSystem | None]:
-    doc = read_json_file(path)
     try:
-        return parse_chain_document(doc)
+        return parse(doc)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# chain file: {"n_states": N, "transition": [[..]..], "stationary": [..]?,
+#              "signs": [[+-1,..] x n]?}
+def parse_chain_document(doc) -> tuple[MarkovChain, SignSystem | None]:
+    n = int(read_field(doc, "n_states", (), int))
+    if n < 1:
+        raise ConfigError(f"'n_states': expected a positive integer, got {n}")
+    a = read_field(doc, "transition", (n, n), float)
+    mu = None if doc.get("stationary") is None else read_field(doc, "stationary", (n,), float)
+    chain = validate_chain(a, mu)
+    if doc.get("signs") is None:
+        return chain, None
+    return chain, make_sign_system(read_field(doc, "signs", (None, n), (-1, 1)),
+                                   chain.stationary)
+
+
+def load_chain_file(path) -> tuple[MarkovChain, SignSystem | None]:
+    return read_json_file(path, parse_chain_document)
+
+
+def _parse_weights(doc) -> WeightSystem:
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError("expected a nonempty JSON array of weights")
+    shape = (None, None) if isinstance(doc[0], list) else (None,)
+    return make_weight_system(read_field({"weights": doc}, "weights", shape, float))
+
+
 def load_weights_file(path) -> WeightSystem:
     """Weights file: JSON array of numbers (d=1) or of equal-length arrays."""
-    raw = read_json_file(path)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a nonempty JSON array of weights")
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-        return make_weight_system(np.asarray(raw, dtype=float))
-    d = None
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-        ):
-            raise ConfigError(f"{path}: weights[{i}] is neither a number nor a number array")
-        if d is None:
-            d = len(row)
-        elif len(row) != d:
-            raise ConfigError(f"{path}: weights[{i}] has length {len(row)}, expected {d}")
-    return make_weight_system(np.asarray(raw, dtype=float))
-
-
-def _shape_of(x):
-    if isinstance(x, list):
-        return f"a list of length {len(x)}"
-    return repr(x)
+    return read_json_file(path, _parse_weights)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, oracles, prg
 from . import families as fam
 from .bounds import (
     REPORT_FIELDS,
@@ -36,6 +36,8 @@ from .bounds import (
     write_csv,
 )
 from .chains import (
+    below_unit,
+    is_number,
     load_chain_file,
     load_weights_file,
     make_weight_system,
@@ -46,16 +48,6 @@ from .chains import (
 )
 from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
-from .oracles import SWITCHING_N_BUDGET, lp_norm
-from .prg import (
-    CERTIFY_BUDGET,
-    PrgSpec,
-    build_mgg_expander,
-    certify_lambda,
-    load_graph,
-    prg_smallball,
-    save_graph,
-)
 from .sampling import McEstimate, smallball_mc
 from .transfer import (
     exact_sum_distribution,
@@ -144,8 +136,7 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "tru
 def _fits(typ, value, low) -> bool:
     if isinstance(typ, tuple):
         return value in typ
-    return (isinstance(value, (int, float) if typ is float else typ)
-            and (typ is bool or not isinstance(value, bool))
+    return ((is_number(value, typ) if typ in (int, float) else isinstance(value, typ))
             and (low is None or value >= low))
 
 
@@ -166,19 +157,19 @@ def _check(name: str, value) -> None:
         raise ConfigError(f"'{name}' must be {need}{bound}, got {value!r}")
 
 
-def load_config(path) -> ExperimentConfig:
-    doc = read_json_file(path)
+def _parse_config(doc) -> ExperimentConfig:
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    if "kind" not in doc:
-        raise ConfigError(f"{path}: missing field 'kind'")
-    if doc["kind"] not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"{path}: 'kind' must be one of {EXPERIMENT_KINDS}, got {doc['kind']!r}")
+        raise ConfigError("expected a JSON object")
+    if doc.get("kind") not in EXPERIMENT_KINDS:
+        raise ConfigError(f"'kind' must be one of {EXPERIMENT_KINDS}, got {doc.get('kind')!r}")
     unknown = set(doc) - set(CONFIG_FIELDS)
     if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+        raise ConfigError(f"unknown fields {sorted(unknown)}")
     return ExperimentConfig(**doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return read_json_file(path, _parse_config)
 
 
 def _load_weights(config: ExperimentConfig):
@@ -274,10 +265,10 @@ def _zp_average(config: ExperimentConfig) -> int:
 
 
 def _prg_build(config: ExperimentConfig) -> int:
-    graph = build_mgg_expander(config.k)
-    if graph.n_vertices <= CERTIFY_BUDGET:
-        certify_lambda(graph)
-    save_graph(graph, config.out)
+    graph = prg.build_mgg_expander(config.k)
+    if graph.n_vertices <= prg.CERTIFY_BUDGET:
+        prg.certify_lambda(graph)
+    prg.save_graph(graph, config.out)
     lam = graph.certified_lambda
     print(f"graph with {graph.n_vertices} vertices written to {config.out}; "
           f"lambda {'uncertified' if lam is None else repr(lam)}")
@@ -285,20 +276,20 @@ def _prg_build(config: ExperimentConfig) -> int:
 
 
 def _prg_test(config: ExperimentConfig) -> int:
-    graph = load_graph(config.graph) if config.graph else build_mgg_expander(config.k)
+    graph = prg.load_graph(config.graph) if config.graph else prg.build_mgg_expander(config.k)
     if graph.k != config.k:
         raise ConfigError(f"--k {config.k} differs from k = {graph.k} in {config.graph}")
     w = _load_weights(config).scalars
     if config.pad_to_multiple and len(w) % graph.k:
-        if w.min() < 1.0 - 1e-12:
+        if below_unit(w.min()):
             raise ConfigError("--pad-to-multiple: original weights must be >= 1")
         pad = graph.k - len(w) % graph.k
         w = np.concatenate([w, np.zeros(pad)])
         print(f"padded with {pad} zero weights to n = {len(w)}")
-    spec = PrgSpec(graph=graph, n=len(w))
-    result = prg_smallball(spec, w, config.x0, config.radius, mode=config.mode,
-                           samples=config.samples, seed=config.seed,
-                           allow_zero_padding=config.pad_to_multiple)
+    spec = prg.PrgSpec(graph=graph, n=len(w))
+    result = prg.prg_smallball(spec, w, config.x0, config.radius, mode=config.mode,
+                               samples=config.samples, seed=config.seed,
+                               allow_zero_padding=config.pad_to_multiple)
     if isinstance(result, McEstimate):
         print(f"estimate {result.estimate!r}  99% CI "
               f"[{result.ci_low!r}, {result.ci_high!r}]")
@@ -326,8 +317,8 @@ def _diff_scaling(config: ExperimentConfig) -> int:
 
 def _prg(config: ExperimentConfig) -> int:
     constants = load_constants(config.constants)
-    graph = build_mgg_expander(config.k)
-    certify_lambda(graph)
+    graph = prg.build_mgg_expander(config.k)
+    prg.certify_lambda(graph)
     rows = walk_reports(constants, graph, config.n_list or fam.PRG_N_GRID,
                         config.x0, config.radius)
     out = config.out or "prg_bounds.csv"
@@ -359,14 +350,14 @@ def _verify_claims(config: ExperimentConfig) -> int:
                                              worst <= acceptance.SPLITTING_TOL)}
     for name, value in acceptance.identity_worsts(seed + 1).items():
         report[name.replace("_", "-")] = _claim(acceptance.IDENTITY_COUNT, value,
-                                                value <= acceptance.IDENTITY_TOL)
+                                                value <= oracles.IDENTITY_TOL)
 
-    switching_cap = min(SWITCHING_N_BUDGET,
+    switching_cap = min(oracles.SWITCHING_N_BUDGET,
                         max(4, int(math.log2(max(config.budget, 16))) + 1))
     reps = acceptance.switching_grid(switching_cap)
     margin = min(rep.worst_margin for rep in reps)
     report["switching-domination"] = _claim(len(reps), max(0.0, -margin),
-                                            margin >= -1e-12)
+                                            all(rep.dominates for rep in reps))
 
     rng = np.random.default_rng(seed + 2)
     worst_chain = 0.0
@@ -374,8 +365,8 @@ def _verify_claims(config: ExperimentConfig) -> int:
         n_states = int(rng.integers(2, 9))
         mu = rng.dirichlet(np.ones(n_states))
         v = rng.normal(size=n_states)
-        l1, l2, linf = (lp_norm(v, mu, 1), lp_norm(v, mu, 2),
-                        lp_norm(v, mu, np.inf))
+        l1, l2, linf = (oracles.lp_norm(v, mu, 1), oracles.lp_norm(v, mu, 2),
+                        oracles.lp_norm(v, mu, np.inf))
         worst_chain = max(worst_chain, l1 - l2, l2 - linf)
     report["norm-chain"] = _claim(1000, worst_chain, worst_chain <= 1e-10)
 

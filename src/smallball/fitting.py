@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
+from . import bounds
 from . import families as fam
 from .bounds import (
-    QUAD_TOL,
     BoundReport,
     FittedConstant,
     cosine_product_integral,
@@ -97,11 +97,11 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
     if mantissa == 0.5 and eps >= 0.5:
         # 4 eps = 2^(exponent + 1) half-periods
         integral = 4.0 * eps * adaptive_simpson(
-            modulus, 0.0, 0.5, tol=QUAD_TOL / (4.0 * eps),
+            modulus, 0.0, 0.5, tol=bounds.QUAD_TOL / (4.0 * eps),
             min_depth=depth - exponent - 1)
     else:
         integral = 2.0 * adaptive_simpson(modulus, 0.0, eps,
-                                          tol=QUAD_TOL / 2.0, min_depth=depth - 1)
+                                          tol=bounds.QUAD_TOL / 2.0, min_depth=depth - 1)
     return (radius + 1.0 / eps) * integral
 
 

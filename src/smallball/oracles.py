@@ -16,7 +16,6 @@ import numpy as np
 from .chains import MarkovChain, SignSystem, WeightSystem
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     HypothesisViolated,
     PreconditionViolated,
 )
@@ -164,9 +163,7 @@ def enumerate_paths(chain: MarkovChain, signs: SignSystem,
     """
     contribs = sign_contributions(signs, weights)
     n, n_states = contribs.shape
-    if n_states != chain.n_states:
-        raise DimensionMismatch(
-            f"sign functions cover {n_states} states, chain has {chain.n_states}")
+    chain.check_states(n_states)
     count = n_states**n
     if count > PATH_BUDGET:
         raise BudgetExceeded(f"{count} paths exceed the budget of {PATH_BUDGET}")
@@ -204,14 +201,20 @@ class HolderInstance:
             raise PreconditionViolated(
                 f"need k+1 diagonal vectors for k = {len(self.ts)} matrices"
             )
-        for i, u in enumerate(self.us):
-            norm = lp_norm(u, self.mu, np.inf)
-            if norm > 1.0 + 1e-12:
-                raise PreconditionViolated(f"||u_{i}||_inf(mu) = {norm!r} > 1")
+        _check_sup_norms(self.us, self.mu)
 
     @property
     def k(self) -> int:
         return len(self.ts)
+
+
+def _check_sup_norms(us, mu) -> None:
+    """The hypothesis ||u_i||_inf(mu) <= 1 (to 1e-12) of every diagonal vector u_i."""
+    norms = np.abs(np.asarray(us))[:, np.asarray(mu) > 0].max(axis=1, initial=0.0)
+    over = norms > 1.0 + 1e-12
+    if over.any():
+        i = int(np.argmax(over))
+        raise PreconditionViolated(f"||u_{i}||_inf(mu) = {float(norms[i])!r} > 1")
 
 
 def t_indices(s) -> list[int]:
@@ -302,6 +305,7 @@ def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:
     for the diagonal contraction.
     """
     mu = np.asarray(mu, dtype=float)
+    _check_sup_norms(us, mu)
     e_mu = averaging_operator(mu)
 
     u0 = np.asarray(us[0], dtype=complex)
@@ -317,9 +321,6 @@ def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:
         bound *= lp_norm(r @ np.ones(mu.size), mu, 1)
     l1_product = max(0.0, lp_norm(w, mu, 1) - bound)
 
-    for i, u in enumerate(us):
-        if lp_norm(u, mu, np.inf) > 1.0 + 1e-12:
-            raise PreconditionViolated(f"||u_{i}||_inf(mu) > 1")
     ts = np.asarray(t_mats, dtype=complex).reshape(len(t_mats), mu.size, mu.size)
     t_norms = operator_norm_l2mu(ts, mu).tolist()
     w = np.asarray(us[len(t_mats)], dtype=complex).copy()

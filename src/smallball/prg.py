@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, _shape_of, check_window, read_json_file, validate_chain
+from .chains import (
+    MarkovChain,
+    below_unit,
+    check_window,
+    read_field,
+    read_json_file,
+    validate_chain,
+)
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -257,7 +264,7 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
     if not np.isfinite(w).all():
         raise PreconditionViolated("weights must be finite numbers")
     checked = w[w != 0.0] if allow_zero_padding else w
-    if checked.size and checked.min() < 1.0 - 1e-12:
+    if checked.size and below_unit(checked.min()):
         raise HypothesisViolated(
             f"weight {checked.min()!r} violates the hypothesis v_i >= 1"
         )
@@ -344,36 +351,21 @@ def save_graph(graph: ExpanderGraph, path) -> None:
         fh.write("\n")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _parse_graph(doc) -> ExpanderGraph:
+    k = int(read_field(doc, "k", (), int))
+    max_k = MAX_VERTICES.bit_length() - 1  # the largest k with 2^k <= MAX_VERTICES
+    if not 1 <= k <= max_k:
+        raise ConfigError(f"'k': expected an integer in 1..{max_k}, got {k}")
+    degree = int(read_field(doc, "degree", (), int))
+    if degree < 1:
+        raise ConfigError(f"'degree': expected a positive integer, got {degree}")
+    graph = ExpanderGraph(k=k, degree=degree,
+                          neighbors=read_field(doc, "neighbors", (1 << k, degree), int),
+                          certified_lambda=doc.get("certified_lambda"))
+    validate_expander(graph)
+    return graph
 
 
 def load_graph(path) -> ExpanderGraph:
     """A graph file, checked field by field: a ConfigError names the bad field."""
-    doc = read_json_file(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object at the top level")
-    for fld in ("k", "degree", "neighbors"):
-        if fld not in doc:
-            raise ConfigError(f"{path}: missing field '{fld}'")
-    k, degree, rows = doc["k"], doc["degree"], doc["neighbors"]
-    max_k = MAX_VERTICES.bit_length() - 1  # the largest k with 2^k <= MAX_VERTICES
-    if not (_is_int(k) and 1 <= k <= max_k):
-        raise ConfigError(f"{path}: 'k': expected an integer in 1..{max_k}, got {k!r}")
-    if not (_is_int(degree) and degree >= 1):
-        raise ConfigError(f"{path}: 'degree': expected a positive integer, got {degree!r}")
-    nv = 1 << k
-    if not isinstance(rows, list) or len(rows) != nv:
-        raise ConfigError(f"{path}: 'neighbors': expected {nv} rows, got {_shape_of(rows)}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != degree:
-            raise ConfigError(
-                f"{path}: 'neighbors[{i}]': expected {degree} vertices, got {_shape_of(row)}")
-    # one pass over the entries' types, then C-speed extremes: k = 20 files hold 8M
-    if ({type(v) for row in rows for v in row} != {int}
-            or not 0 <= min(map(min, rows)) <= max(map(max, rows)) < nv):
-        raise ConfigError(f"{path}: 'neighbors': expected integer vertices in 0..{nv - 1}")
-    graph = ExpanderGraph(k=k, degree=degree, neighbors=np.asarray(rows, dtype=np.int64),
-                          certified_lambda=doc.get("certified_lambda"))
-    validate_expander(graph)
-    return graph
+    return read_json_file(path, _parse_graph)

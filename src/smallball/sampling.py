@@ -150,17 +150,10 @@ class _InverseCdf:
         return out
 
 
-def _check_states(chain: MarkovChain, signs: SignSystem) -> None:
-    if signs.functions.shape[1] != chain.n_states:
-        raise DimensionMismatch(
-            f"sign functions cover {signs.functions.shape[1]} states, "
-            f"chain has {chain.n_states}")
-
-
 def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
                  seed: int) -> np.ndarray:
     """(count, n) matrix of +-1 samples; row i is sample i's sign sequence."""
-    _check_states(chain, signs)
+    chain.check_states(signs.functions.shape[1])
     sampler = _InverseCdf(chain)
     functions = signs.functions.astype(np.int8)
     out = np.empty((count, signs.n_steps), dtype=np.int8)
@@ -177,7 +170,7 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     if signs.n_steps != weights.n_weights:
         raise DimensionMismatch(
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights")
-    _check_states(chain, signs)
+    chain.check_states(signs.functions.shape[1])
     center = np.atleast_1d(np.asarray(x0, dtype=float))
     if center.size not in (1, weights.dimension):
         raise DimensionMismatch(

@@ -121,10 +121,7 @@ def char_fn_values(chain: MarkovChain, contribs: np.ndarray, xis) -> np.ndarray:
     n = contribs.shape[0]
     if n == 0:
         return np.ones(xis.size, dtype=complex)
-    if contribs.shape[1] != chain.n_states:
-        raise DimensionMismatch(
-            f"contribution table covers {contribs.shape[1]} states, chain has {chain.n_states}"
-        )
+    chain.check_states(contribs.shape[1])
     # one step's (xi, state) phases at a time: O(m N) memory for m points,
     # gathered from a table of exp(angular c) over the distinct values c when
     # that is worth it.  phase stays a named array: numpy then reuses a large
@@ -198,10 +195,7 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
     """
     table = _integer_table(contribs)
     n, n_states = table.shape
-    if n_states != chain.n_states:
-        raise DimensionMismatch(
-            f"contribution table covers {n_states} states, chain has {chain.n_states}"
-        )
+    chain.check_states(n_states)
     if n == 0:
         # the empty sum is 0 on every path
         point = np.ones(1)

@@ -5,12 +5,23 @@ same checks into report files.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
-from smallball import acceptance
+from smallball import acceptance, bounds, oracles, prg
 from smallball.bounds import load_constants, write_bound_reports
+from smallball.chains import (
+    make_two_state_chain,
+    make_weight_system,
+    parity_labels,
+    repeated_signs,
+)
+from smallball.cli import main
 from smallball.families import DEFAULT_SEED
+from smallball.fitting import esseen_formula
+from smallball.transfer import exact_sum_distribution
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +136,30 @@ def test_criterion_13_determinism_and_runtime(committed, tmp_path):
             write_bound_reports(path, r.bound_reports)
             digests[r.cid] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == BOUND_REPORT_DIGESTS
+
+
+def test_constants_are_read_through_their_home_module(monkeypatch, tmp_path, capsys):
+    """Assigning a constant's home attribute moves every reader in another module."""
+    monkeypatch.setattr(acceptance, "HOLDER_COUNT", 2)
+    monkeypatch.setattr(acceptance, "IDENTITY_COUNT", 2)
+    monkeypatch.setattr(oracles, "IDENTITY_TOL", -1.0)  # no identity can pass
+    monkeypatch.setattr(oracles, "SWITCHING_N_BUDGET", 4)  # n = 2..4, 11 lambdas each
+    assert not acceptance.criterion_7(DEFAULT_SEED).passed
+    assert acceptance.criterion_8().details["grid_points"] == 33
+    out = tmp_path / "claims.json"
+    assert main(["verify-claims", "--seed", "3", "--out", str(out)]) == 1
+    claims = json.loads(out.read_text())
+    assert not claims["averaging-sandwich"]["pass"]
+    assert claims["switching-domination"]["instances"] == 33
+
+    monkeypatch.setattr(prg, "CERTIFY_BUDGET", 15)  # below the 16 vertices of k = 4
+    assert main(["prg-build", "--k", "4", "--out", str(tmp_path / "g.json")]) == 0
+    assert "lambda uncertified" in capsys.readouterr().out
+
+    chain = make_two_state_chain(0.3)
+    signs = repeated_signs(parity_labels(2), 6, chain.stationary)
+    weights = make_weight_system(np.arange(1.0, 7.0))
+    dist = exact_sum_distribution(chain, signs, weights)
+    tight = esseen_formula(chain, signs, weights, dist, 1.0, 1.0)
+    monkeypatch.setattr(bounds, "QUAD_TOL", 1.0)
+    assert esseen_formula(chain, signs, weights, dist, 1.0, 1.0) != tight

@@ -66,9 +66,11 @@ class TestEsseenBound:
                          constants["C_esseen"])
 
     def test_rejects_bad_window(self, constants):
-        with pytest.raises(OutOfRange):
-            esseen_bound(lambda x: np.ones_like(x), 1, -1.0, 1.0,
-                         constants["C_esseen"])
+        for radius, eps in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
+                            (1.0, 0.0)):
+            with pytest.raises(OutOfRange):
+                esseen_bound(lambda x: np.ones_like(x), 1, radius, eps,
+                             constants["C_esseen"])
 
 
 class TestCosineProductIntegral:

@@ -57,6 +57,13 @@ class TestValidateChain:
         with pytest.raises(InvalidDistribution):
             validate_chain([[0.5, 0.5], [0.5, 0.5]], [0.7, 0.7])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(NotStochastic):
+            validate_chain([[0.5, 0.5], [0.5, bad]])
+        with pytest.raises(InvalidDistribution):
+            validate_chain([[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
+
     def test_transition_matrix_is_immutable(self):
         chain = validate_chain([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
@@ -236,6 +243,15 @@ class TestChainFile:
          '"signs": [[1, 2]]}', r"signs\[0\]\[1\]"),
         ('{"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], '
          '"stationary": [1.0]}', "stationary"),
+        ('{"n_states": true, "transition": [[1.0]]}', "n_states"),
+        ('{"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], '
+         '"stationary": [NaN, 0.5]}', r"stationary\[0\]"),
+        ('{"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], '
+         '"signs": [[true, 1]]}', r"signs\[0\]\[0\]"),
+        ('{"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], '
+         '"stationary": ["a", "b"]}', r"stationary\[0\]"),
+        ('{"n_states": 2, "transition": [[0.5, 0.5], [0.5, NaN]]}',
+         r"transition\[1\]\[1\]"),
     ])
     def test_parse_errors_cite_path(self, tmp_path, doc, needle):
         path = tmp_path / "chain.json"

@@ -180,11 +180,21 @@ class TestConfigs:
                        "graph_k_bool", "graph_k_too_large", "graph_ragged",
                        "graph_float_vertex", "graph_vertex_out_of_range",
                        "graph_not_object")),
+        *(["spectral-gap", "--chain", f"{{{name}}}"]
+          for name in ("chain_n_states_bool", "chain_stationary_nan", "chain_signs_bool",
+                       "chain_stationary_strings", "chain_transition_nan")),
+        ["smallball", "--chain", "{chain}", "--weights", "{huge_weights}"],
+        *(["esseen", "--chain", "{chain}", "--weights", "{weights}", "--constants",
+           f"{{{name}}}"]
+          for name in ("constants_empty_entry", "constants_int_entry", "constants_list",
+                       "constants_string_value", "constants_missing",
+                       "constants_full_empty_entry", "constants_full_int_entry")),
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
         paths = {"missing": str(tmp_path / "nope.json"), "chain": chain_file,
                  "weights": weights_file, "out": str(tmp_path / "out.csv")}
+        committed = {name: c.to_doc() for name, c in load_constants().items()}
         for name, doc in (
                 ("one_n", {"kind": "diff-scaling", "n_list": [16], "lambda_list": [0.0],
                            "out": paths["out"]}),
@@ -223,11 +233,30 @@ class TestConfigs:
                       ("ragged", {"neighbors": [[1], [0, 2], [3], [2]]}),
                       ("float_vertex", {"neighbors": [[1.5], [0], [3], [2]]}),
                       ("vertex_out_of_range", {"neighbors": [[1], [0], [3], [4]]}))),
-                ("graph_not_object", [[1], [0], [3], [2]])):
+                ("graph_not_object", [[1], [0], [3], [2]]),
+                *((f"chain_{name}", {"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
+                                     **fix})
+                  for name, fix in (
+                      ("n_states_bool", {"n_states": True, "transition": [[1.0]]}),
+                      ("stationary_nan", {"stationary": [float("nan"), 0.5]}),
+                      ("signs_bool", {"signs": [[True, 1]]}),
+                      ("stationary_strings", {"stationary": ["a", "b"]}),
+                      ("transition_nan", {"transition": [[0.5, 0.5], [0.5, float("nan")]]}))),
+                *((f"constants_{name}", doc) for name, doc in (
+                    ("empty_entry", {"C_equal": {}}),
+                    ("int_entry", {"C_equal": 5}),
+                    ("list", [1]),
+                    ("string_value", {**committed,
+                                      "C_equal": {**committed["C_equal"], "value": "x"}}),
+                    ("missing", {name: doc for name, doc in committed.items()
+                                 if name not in ("C_esseen", "C_diff")}),
+                    ("full_empty_entry", {**committed, "C_equal": {}}),
+                    ("full_int_entry", {**committed, "C_equal": 5})))):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc))
         for name, text in (("nan_weights", "[1, NaN, 1, 1]"),
-                           ("inf_weights", "[1, 1, Infinity, 1]")):
+                           ("inf_weights", "[1, 1, Infinity, 1]"),
+                           ("huge_weights", f"[1{'0' * 400}, 1, 1, 1]")):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(text)
         assert main([a.format(**paths) for a in argv]) == 2

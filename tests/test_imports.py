@@ -1,7 +1,7 @@
 """No library module imports a name it never uses, the oracles stay
 independent of the transfer engine they check, importing the library or its
-CLI loads numpy but no scipy module, and every `module.name` the README cites
-exists.
+CLI loads numpy but no scipy module, no module copies a budget or fixed
+tolerance at import, and every `module.name` the README cites exists.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -111,6 +111,46 @@ def test_scipy_detector_flags_only_module_level_imports():
               "def f():\n    from scipy.optimize import brentq\n    import scipy.linalg\n")
     assert top_level_scipy_imports(source) == ["line 1: scipy.sparse",
                                                "line 2: scipy.stats"]
+
+
+def readme_constants(text: str) -> set[tuple[str, str]]:
+    """(module, NAME) of each `module.NAME` in README's "Budgets and fixed
+    tolerances" section."""
+    section = text.split("### Budgets and fixed tolerances", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"`([a-z_]\w*)\.([A-Z][A-Z0-9_]*)`", section))
+
+
+def constant_copies(source: str, constants) -> list[str]:
+    """`from <module> import NAME` of a listed constant: a copy made at import,
+    which assigning the home module's attribute no longer moves."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            found += [f"line {node.lineno}: {module}.{alias.name}" for alias in node.names
+                      if (module, alias.name) in constants]
+    return found
+
+
+def test_readme_lists_the_budgets():
+    constants = readme_constants((ROOT / "README.md").read_text())
+    assert {("oracles", "IDENTITY_TOL"), ("oracles", "SWITCHING_N_BUDGET"),
+            ("prg", "CERTIFY_BUDGET"), ("bounds", "QUAD_TOL")} <= constants
+    assert len(constants) >= 15
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_budget_copied_at_import(path):
+    constants = readme_constants((ROOT / "README.md").read_text())
+    assert constant_copies(path.read_text(), constants) == []
+
+
+def test_constant_copy_detector():
+    source = ("from .oracles import IDENTITY_TOL, lp_norm\nfrom . import prg\n"
+              "from smallball.bounds import QUAD_TOL\nfrom .prg import MGG_DEGREE\n")
+    constants = {("oracles", "IDENTITY_TOL"), ("bounds", "QUAD_TOL")}
+    assert constant_copies(source, constants) == ["line 1: oracles.IDENTITY_TOL",
+                                                  "line 3: bounds.QUAD_TOL"]
 
 
 # each step runs in one fresh interpreter and reports the scipy modules
