@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chains import below_unit, read_field, read_json_file
+from .chains import below_unit, check_lambda, read_field, read_json_file
 from .errors import (
     ConfigError,
     DegenerateGap,
@@ -202,8 +202,7 @@ def theorem_bound(kind: str, params: dict, constants: dict) -> float:
         raise OutOfRange(f"need n >= 1, got {n}")
     lam = params.get("lam", 0.0)
     if kind != "prg":
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfRange(f"lambda must lie in [0,1], got {lam!r}")
+        check_lambda(lam)
         if lam == 1.0:
             raise DegenerateGap("bound formulas degenerate at lambda = 1")
 

@@ -198,8 +198,7 @@ def spectral_lambda(chain: MarkovChain) -> float:
 
 def make_two_state_chain(lam: float) -> MarkovChain:
     """The two-state chain with off-diagonal (1+lam)/2; its spectral parameter is lam."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"lambda must lie in [0,1], got {lam!r}")
+    check_lambda(lam)
     stay = (1.0 - lam) / 2.0
     switch = (1.0 + lam) / 2.0
     a = np.array([[stay, switch], [switch, stay]])
@@ -298,6 +297,12 @@ def below_unit(x):
     """x < 1 up to DERIVED_TOL: the one test of the hypotheses |v_i| >= 1 (x a
     length) and v_i >= 1 (x a value)."""
     return np.asarray(x) < 1.0 - DERIVED_TOL
+
+
+def check_lambda(lam) -> None:
+    """A spectral parameter lambda lies in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise OutOfRange(f"lambda must lie in [0,1], got {lam!r}")
 
 
 def check_window(x0, radius) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, SignSystem, WeightSystem
+from .chains import MarkovChain, SignSystem, WeightSystem, check_lambda
 from .errors import (
     BudgetExceeded,
     HypothesisViolated,
@@ -376,8 +376,7 @@ def switching_stats(n: int, lam: float, unit_mask=None) -> SwitchingReport:
         raise PreconditionViolated(f"need n >= 2 switching positions, got n = {n}")
     if n > SWITCHING_N_BUDGET:
         raise BudgetExceeded(f"n = {n} exceeds the exhaustive budget {SWITCHING_N_BUDGET}")
-    if not 0.0 <= lam <= 1.0:
-        raise PreconditionViolated(f"lambda must lie in [0,1], got {lam!r}")
+    check_lambda(lam)
     if unit_mask is None:
         mask = np.ones(n, dtype=bool)
     else:

@@ -25,6 +25,7 @@ import numpy as np
 from .chains import (
     MarkovChain,
     below_unit,
+    check_lambda,
     check_window,
     read_field,
     read_json_file,
@@ -48,9 +49,7 @@ MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
 MAX_VERTICES = 2**20  # build_mgg_expander's cap: k = 20 peaks at ~475 MiB, 4x per k + 2
 DENSE_CERTIFY = 2**10
-# |D| bound of exact mode and of enumerate_walks.  It also keeps every walk
-# count of the exact sweep below 2^53, so hits and |D| are exact doubles and
-# hits / |D| rounds once
+# |D| bound of exact mode and of enumerate_walks
 ENUM_BUDGET = 10**8
 
 
@@ -288,6 +287,10 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     if mode == "exact":
         if spec.size > ENUM_BUDGET:
             raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {ENUM_BUDGET}")
+        if spec.size.bit_length() > 63:
+            # int64 walk counts wrap at 2^63, whatever ENUM_BUDGET is
+            raise BudgetExceeded(
+                f"|D| = {spec.size} reaches 2^63, where int64 walk counts wrap")
         return _window_hits(spec, w, x0, radius) / spec.size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -359,9 +362,16 @@ def _parse_graph(doc) -> ExpanderGraph:
     degree = int(read_field(doc, "degree", (), int))
     if degree < 1:
         raise ConfigError(f"'degree': expected a positive integer, got {degree}")
+    lam = doc.get("certified_lambda")
+    if lam is not None:
+        lam = float(read_field(doc, "certified_lambda", (), float))
+        try:
+            check_lambda(lam)
+        except OutOfRange as exc:
+            raise ConfigError(f"'certified_lambda': {exc}") from None
     graph = ExpanderGraph(k=k, degree=degree,
                           neighbors=read_field(doc, "neighbors", (1 << k, degree), int),
-                          certified_lambda=doc.get("certified_lambda"))
+                          certified_lambda=lam)
     validate_expander(graph)
     return graph
 

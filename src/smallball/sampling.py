@@ -22,8 +22,6 @@ from .rngstreams import standard_normals, step_words, to_unit, uniform_block
 CHUNK = 1 << 14
 # bytes of one chain's inverse-CDF cell table
 CELL_TABLE_BUDGET = 1 << 18
-# steps whose signs are gathered step-major before moving into sample rows
-SIGN_BLOCK = 32
 CI_LEVEL = 0.99
 
 
@@ -116,25 +114,25 @@ class _InverseCdf:
         # exact lanes counted at once, so their gathered rows fit the budget too
         self.exact_batch = max(CELL_TABLE_BUDGET // (self.cum.itemsize * max(n - 1, 1)), 1)
 
-    def fill_signs(self, functions: np.ndarray, streams: np.ndarray, seed: int,
-                   out: np.ndarray) -> np.ndarray:
-        """out[s, j] = f_j(state j of sample streams[s]), one step at a time."""
-        m, n_steps = streams.size, functions.shape[0]
+    def states(self, streams: np.ndarray, seed: int, n_steps: int):
+        """Yield, for j = 0..n_steps-1, the state at step j of every sample in streams.
+
+        One buffer is reused, so each yielded array is valid until the next
+        step and must not be written to.
+        """
+        m = streams.size
         state = np.full(m, self.start, dtype=np.intp)
         idx = np.empty(m, dtype=np.intp)
         cell = np.empty(m, dtype=np.uint64)
         exact = np.empty(m, dtype=bool)
-        # signs gather step-major, then move into out's rows a block at a time
-        block = np.empty((min(SIGN_BLOCK, n_steps), m), dtype=out.dtype)
-        for j, words in enumerate(step_words(seed, streams, n_steps)):
+        for words in step_words(seed, streams, n_steps):
             if self.bits:
                 np.left_shift(state, self.bits, out=idx)
                 np.right_shift(words, self.shift, out=cell)
                 np.bitwise_or(idx, cell.view(np.intp), out=idx)
             else:
                 np.copyto(idx, state)
-            # every index is in range (no -1 reaches the sign gather), so
-            # "clip" only skips the bounds check
+            # every index is in range, so "clip" only skips the bounds check
             np.take(self.table, idx, out=state, mode="clip")
             np.less(state, 0, out=exact)
             lanes = np.flatnonzero(exact)
@@ -143,11 +141,7 @@ class _InverseCdf:
                 u = to_unit(words[part])
                 prev = idx[part] >> self.bits
                 state[part] = np.count_nonzero(self.cum[prev] <= u[:, None], axis=1)
-            row = j % block.shape[0]
-            np.take(functions[j], state, out=block[row], mode="clip")
-            if row == block.shape[0] - 1 or j == n_steps - 1:
-                np.copyto(out[:, j - row:j + 1], block[:row + 1].T)
-        return out
+            yield state
 
 
 def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
@@ -156,16 +150,25 @@ def sample_signs(chain: MarkovChain, signs: SignSystem, count: int,
     chain.check_states(signs.functions.shape[1])
     sampler = _InverseCdf(chain)
     functions = signs.functions.astype(np.int8)
-    out = np.empty((count, signs.n_steps), dtype=np.int8)
+    n = signs.n_steps
+    out = np.empty((count, n), dtype=np.int8)
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        sampler.fill_signs(functions, streams, seed, out[start:start + streams.size])
+        # signs gather step-major, then move into the sample rows at once
+        steps = np.empty((n, streams.size), dtype=np.int8)
+        for j, state in enumerate(sampler.states(streams, seed, n)):
+            np.take(functions[j], state, out=steps[j], mode="clip")
+        out[start:start + streams.size] = steps.T
     return out
 
 
 def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
                  x0, radius: float, count: int, seed: int) -> McEstimate:
-    """Fraction of sampled sums inside the closed ball of the given radius."""
+    """Fraction of sampled sums inside the closed ball of the given radius.
+
+    Each sample's sum is taken in step order, f_1 v_1 + f_2 v_2 + ..., from a
+    (step, state) table of the products f_j(y) v_j, as the walk is sampled.
+    """
     check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
         raise DimensionMismatch(
@@ -177,16 +180,17 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
             f"center has {center.size} coordinates, weights have dimension "
             f"{weights.dimension}")
     center = np.broadcast_to(center, (weights.dimension,))
-    w = weights.weights
     sampler = _InverseCdf(chain)
-    functions = signs.functions.astype(float)
-    # one C-ordered (samples, n) matrix, reused: BLAS sums each row in the
-    # order it always has
-    eps = np.empty((min(max(count, 0), CHUNK), signs.n_steps))
+    # contrib[j, y] = f_j(y) v_j, a (steps, states, dimension) table
+    contrib = signs.functions.astype(float)[:, :, None] * weights.weights[:, None, :]
     hits = 0
     for start in range(0, count, CHUNK):
         streams = np.arange(start, min(start + CHUNK, count))
-        sums = sampler.fill_signs(functions, streams, seed, eps[:streams.size]) @ w
+        sums = np.zeros((streams.size, weights.dimension))
+        step = np.empty_like(sums)
+        for j, state in enumerate(sampler.states(streams, seed, signs.n_steps)):
+            np.take(contrib[j], state, axis=0, out=step, mode="clip")
+            sums += step
         dist = np.linalg.norm(sums - center[None, :], axis=1)
         hits += int(np.count_nonzero(dist <= radius))
     return from_hits(hits, count, seed)

@@ -34,6 +34,12 @@ DP_BUDGET = 10**9  # cells = n_states * n_steps * lattice size
 # on a 2-core Xeon: random chains with 4 states at n = 430 (2.5e9) take 3-4.5 s,
 # with 16 states at n = 180 (3.0e9) 6.3 s and at n = 216 (5.2e9) 6-9 s
 RATIONAL_BUDGET = 3 * 10**9
+# the float DP zeroes every (step, state) mass below FLOOR, the least normal
+# double, once every FLUSH_EVERY steps and after the last: at most
+# cells swept * FLOOR <= DP_BUDGET * FLOOR ~ 2.2e-299 of mass goes, and the
+# sweep does no subnormal arithmetic beyond FLUSH_EVERY steps
+FLOOR = np.finfo(float).tiny
+FLUSH_EVERY = 16
 PHASE_TABLE_BUDGET = 4 * 2**20  # bytes of the (xi, distinct value) phase table
 PHASE_TABLE_MIN = 512  # (xi, step, state) phases of a sweep worth a table
 MODULUS_SLACK = 1e-12
@@ -189,9 +195,11 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
                                     exact: bool = False) -> SumDistribution:
     """Forward DP over (step, state, partial sum) for integer contributions.
 
-    Float masses by default; exact=True runs the DP in integers over the
-    dyadic values of the inputs instead (exact in their binary values) and
-    attaches the rational law, whose rounding gives the float masses.
+    Float masses by default, each 0 or at least FLOOR: the float DP drops
+    masses below FLOOR as it goes, at most cells swept * FLOOR in all.
+    exact=True runs the DP in integers over the dyadic values of the inputs
+    instead (exact in their binary values), with no floor, and attaches the
+    rational law, whose rounding gives the float masses.
     """
     table = _integer_table(contribs)
     n, n_states = table.shape
@@ -243,7 +251,9 @@ def _banded_dp(a_t, mu, table, pmin, pmax, g):
     """Masses after the last step on pmin[-1] + g k, k = 0..(pmax[-1] - pmin[-1])/g.
 
     Sweeps only the strided band of each step.  The dtype of mu sets the
-    arithmetic: float64, or object arrays of Python ints for the exact DP.
+    arithmetic: object arrays of Python ints for the exact DP, or float64,
+    which every FLUSH_EVERY steps and after the last zeroes each
+    (state, partial sum) mass below FLOOR.
     """
     n, n_states = table.shape
     shifts = (table - np.diff(pmin, prepend=0)[:, None]) // g
@@ -258,15 +268,20 @@ def _banded_dp(a_t, mu, table, pmin, pmax, g):
     nxt, products = np.zeros_like(cur), np.zeros_like(cur)
     # numpy's object matmul overwrites out= without releasing what it held,
     # so only the float sweep keeps one buffer for the products
-    reuse = mu.dtype != object
+    floats = mu.dtype != object
     for y, s in enumerate(shifts[0]):
         cur[y, pad + s] = mu[y]
     for j in range(1, n):
         w = widths[j - 1]
-        mixed = np.matmul(a_t, cur[:, :w], out=products[:, :w] if reuse else None)
+        mixed = np.matmul(a_t, cur[:, :w], out=products[:, :w] if floats else None)
         for y, s in enumerate(shifts[j]):
             nxt[y, s:s + w] = mixed[y]
         cur, nxt = nxt, cur
+        if floats and j % FLUSH_EVERY == 0:
+            band = cur[:, :widths[j]]
+            np.multiply(band, band >= FLOOR, out=band)
+    if floats:
+        np.multiply(cur, cur >= FLOOR, out=cur)
     return cur[:, pad:widths[-1] - pad].sum(axis=0)
 
 

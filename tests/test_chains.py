@@ -258,3 +258,15 @@ class TestChainFile:
         path.write_text(doc)
         with pytest.raises(ConfigError, match=needle):
             load_chain_file(path)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+def test_one_lambda_range_rule(lam, constants):
+    from smallball.bounds import theorem_bound
+    from smallball.oracles import switching_stats
+
+    for call in (make_two_state_chain,
+                 lambda x: theorem_bound("scalar-half-unit", {"n": 4, "lam": x}, constants),
+                 lambda x: switching_stats(8, x)):
+        with pytest.raises(OutOfRange, match=r"lambda must lie in \[0,1\]"):
+            call(lam)

@@ -189,6 +189,8 @@ class TestConfigs:
           for name in ("constants_empty_entry", "constants_int_entry", "constants_list",
                        "constants_string_value", "constants_missing",
                        "constants_full_empty_entry", "constants_full_int_entry")),
+        ["prg-test", "--k", "2", "--graph", "{graph_lambda_string}", "--n", "4"],
+        ["prg-test", "--k", "2", "--graph", "{graph_lambda_above_one}", "--n", "4"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -232,7 +234,9 @@ class TestConfigs:
                       ("k_too_large", {"k": 21}),
                       ("ragged", {"neighbors": [[1], [0, 2], [3], [2]]}),
                       ("float_vertex", {"neighbors": [[1.5], [0], [3], [2]]}),
-                      ("vertex_out_of_range", {"neighbors": [[1], [0], [3], [4]]}))),
+                      ("vertex_out_of_range", {"neighbors": [[1], [0], [3], [4]]}),
+                      ("lambda_string", {"certified_lambda": "abc"}),
+                      ("lambda_above_one", {"certified_lambda": 7.5}))),
                 ("graph_not_object", [[1], [0], [3], [2]]),
                 *((f"chain_{name}", {"n_states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]],
                                      **fix})

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from smallball import prg
 from smallball.chains import spectral_lambda
 from smallball.errors import (
     BudgetExceeded,
+    ConfigError,
     DimensionMismatch,
     HypothesisViolated,
     NotReversible,
@@ -243,6 +245,24 @@ class TestPrgSmallball:
             assert prg_smallball(spec, w, x0, radius,
                                  allow_zero_padding=kind == "zero-padded") == hits / spec.size
 
+    def test_walk_counts_stop_short_of_int64_overflow(self, monkeypatch):
+        # |D| = 4 * 8^(n/2 - 1) at k = 2; whatever the budget, exact mode
+        # refuses |D| >= 2^63, where its int64 walk counts wrap (n = 48 gave
+        # 0.0036 and n = 64 a negative probability)
+        monkeypatch.setattr(prg, "ENUM_BUDGET", 10**30)
+        g = build_mgg_expander(2)
+        for n in (44, 48, 64):  # |D| = 2^65, 2^71, 2^95
+            with pytest.raises(BudgetExceeded, match=r"2\^63"):
+                prg_smallball(PrgSpec(graph=g, n=n), np.ones(n), 0.0, 1.0)
+        # the largest |D| accepted, 2^62: hits / |D| is the rational law of
+        # the induced chain, whose dyadic entries make it exact
+        spec = PrgSpec(graph=g, n=42)
+        assert spec.size == 2**62
+        law = distribution_from_contributions(
+            induced_chain(spec), block_contributions(spec, np.ones(42)), exact=True)
+        want = sum(f for s, f in law.rational.items() if abs(s) <= 1)
+        assert prg_smallball(spec, np.ones(42), 0.0, 1.0) == float(want)
+
     def test_exact_memory_does_not_grow_with_walk_count(self):
         # 8,388,608 walks; one float per walk alone would be 64 MiB
         spec = PrgSpec(graph=build_mgg_expander(2), n=16)
@@ -388,3 +408,22 @@ def test_graph_json_round_trip(tmp_path):
     assert back.k == 4 and back.degree == 8
     np.testing.assert_array_equal(back.neighbors, g.neighbors)
     assert back.certified_lambda == g.certified_lambda
+
+
+def test_graph_file_certified_lambda_must_be_a_number(tmp_path):
+    path = tmp_path / "graph.json"
+    save_graph(build_mgg_expander(2), path)
+    doc = json.loads(path.read_text())
+    for bad in ("abc", [0.5], True, None, 7.5, -1):
+        doc["certified_lambda"] = bad
+        path.write_text(json.dumps(doc))
+        if bad is None:  # null stands for uncertified, as an absent field does
+            assert load_graph(path).certified_lambda is None
+            continue
+        want = r"lambda must lie in \[0,1\]" if bad in (7.5, -1) else "expected a number"
+        with pytest.raises(ConfigError, match="'certified_lambda': " + want):
+            load_graph(path)
+    for good in (0, 0.25, 1.0):
+        doc["certified_lambda"] = good
+        path.write_text(json.dumps(doc))
+        assert load_graph(path).certified_lambda == good

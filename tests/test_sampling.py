@@ -62,6 +62,20 @@ EDGE_CHAINS = [
 ]
 
 
+def python_path(chain, seed, stream, n):
+    """The states of one sample, walked in pure Python: bisect on cumulative rows."""
+    last = chain.n_states - 1
+    cum_mu = list(accumulate(chain.stationary.tolist()))
+    cum_rows = [list(accumulate(row)) for row in chain.transition.tolist()]
+    u = uniforms(seed, stream, 0, n).tolist()
+    y = min(bisect_right(cum_mu, u[0]), last)
+    path = [y]
+    for x in u[1:]:
+        y = min(bisect_right(cum_rows[y], x), last)
+        path.append(y)
+    return path
+
+
 def _words_at(grid: list) -> np.ndarray:
     """Stream words whose uniforms are t * 2^-53, with junk in the 11 low bits."""
     return (np.array(grid, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
@@ -110,21 +124,13 @@ class TestSampleSigns:
         random_reversible_chain(np.random.default_rng(600), 600),
     ])
     def test_rows_follow_a_pure_python_walk(self, chain):
-        # n crosses a sign-block edge
-        n, seed, last = sampling.SIGN_BLOCK + 5, 3, chain.n_states - 1
+        n, seed = 37, 3
         signs = make_sign_system(
             np.random.default_rng(6).choice([-1, 1], size=(n, chain.n_states)),
             chain.stationary)
         eps = sample_signs(chain, signs, PINNED_COUNT, seed=seed)
-        cum_mu = list(accumulate(chain.stationary.tolist()))
-        cum_rows = [list(accumulate(row)) for row in chain.transition.tolist()]
         for stream in (0, 1, 7, CHUNK - 1, CHUNK, CHUNK + 2):
-            u = uniforms(seed, stream, 0, n).tolist()
-            y = min(bisect_right(cum_mu, u[0]), last)
-            path = [y]
-            for x in u[1:]:
-                y = min(bisect_right(cum_rows[y], x), last)
-                path.append(y)
+            path = python_path(chain, seed, stream, n)
             expect = [int(signs.functions[j, y]) for j, y in enumerate(path)]
             assert eps[stream].tolist() == expect
 
@@ -174,10 +180,8 @@ class TestSampleSigns:
                            for a, b in zip(first, second)])
         words = [_words_at(first), _words_at(second)]
         monkeypatch.setattr(sampling, "step_words", lambda *args: iter(words))
-        # "sign functions" that read back the state
-        states = np.tile(np.arange(chain.n_states), (2, 1))
-        out = np.empty((len(first), 2), dtype=np.intp)
-        table.fill_signs(states, np.arange(len(first)), 0, out)
+        out = np.stack([state.copy() for state in
+                        table.states(np.arange(len(first)), 0, 2)], axis=1)
         assert np.array_equal(out, expect)
 
     def test_deterministic_in_seed(self, two_state_03):
@@ -288,16 +292,40 @@ class TestSmallballMc:
         assert sha256(est.serialize().encode()) == digest
 
     def test_memory_stays_within_one_sign_matrix(self):
-        # the C-ordered float signs of one chunk are 8 n CHUNK bytes; the
-        # sampler reuses that matrix and adds only step-sized buffers
-        chain, signs, weights = pinned_instance(4, "unit", n=256)
-        tracemalloc.start()
-        try:
-            smallball_mc(chain, signs, weights, 0.0, 2.0, PINNED_COUNT, seed=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * 256 * CHUNK
+        # one chunk's float signs would be 8 n CHUNK bytes; the sums are taken
+        # step by step, so the peak is a few step-sized buffers (measured
+        # 10.5 and 11.9 x 8 CHUNK bytes) at every n
+        for n in (256, 4096):
+            chain, signs, weights = pinned_instance(4, "unit", n=n)
+            tracemalloc.start()
+            try:
+                smallball_mc(chain, signs, weights, 0.0, 2.0, PINNED_COUNT, seed=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 8 * CHUNK, n
+
+    @pytest.mark.parametrize("n_states", [2, 4, 16])
+    @pytest.mark.parametrize("kind", ["real", "d2"])
+    def test_sums_follow_a_pure_python_walk_in_step_order(self, n_states, kind,
+                                                          monkeypatch):
+        # chunks of 8, 8 and 5 samples; a zero-radius window centred on one
+        # sample's step-order sum f_1 v_1 + f_2 v_2 + ... holds exactly the
+        # samples whose sums equal it bit for bit
+        monkeypatch.setattr(sampling, "CHUNK", 8)
+        count, seed = 21, 5
+        chain, signs, weights = pinned_instance(n_states, kind)
+        sums = []
+        for stream in range(count):
+            path = python_path(chain, seed, stream, signs.n_steps)
+            total = [0.0] * weights.dimension
+            for j, y in enumerate(path):
+                f = float(signs.functions[j, y])
+                total = [t + f * v for t, v in zip(total, weights.weights[j].tolist())]
+            sums.append(total)
+        for total in sums:
+            est = smallball_mc(chain, signs, weights, total, 0.0, count, seed)
+            assert est.estimate == sums.count(total) / count
 
     @pytest.mark.parametrize("lam,n,x0,radius", [
         (0.0, 6, 0.0, 1.0), (0.3, 5, 1.0, 1.0), (0.6, 4, 0.0, 0.0),

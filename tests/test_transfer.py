@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import balanced_signs, ones_weights
 from smallball import transfer
 from smallball.chains import (
+    make_independent_chain,
     make_sign_system,
     make_two_state_chain,
     make_weight_system,
@@ -237,6 +238,28 @@ class TestExactDistribution:
         assert worst_abs <= 1e-16
         assert worst_rel <= 6e-15
 
+    @pytest.mark.parametrize("n", [200, 257])
+    def test_float_dp_floor_against_rational_oracle(self, n):
+        # P(+1) = 0.01 per step: the masses C(n, k) 0.01^k 0.99^(n-k) of the
+        # upper tail fall below FLOOR (29 of them at n = 200, 72 at n = 257).
+        # The float DP zeroes them, returns no mass below FLOOR, and stays
+        # within its declared bound, cells swept * FLOOR, of the exact law,
+        # beyond the rounding that test_float_dp_against_rational_oracle_at_n400
+        # measures
+        chain = make_independent_chain([0.01, 0.99])
+        contribs = np.tile([1.0, -1.0], (n, 1))
+        plain = distribution_from_contributions(chain, contribs)
+        exact = distribution_from_contributions(chain, contribs, exact=True)
+        assert plain.masses[plain.masses > 0].min() >= transfer.FLOOR
+        cells = 2 * n * (2 * n + 1)  # states x steps x lattice: at least those swept
+        removed = [frac for s, frac in exact.rational.items()
+                   if plain.probability_at(s) == 0]
+        assert len(removed) >= 29
+        assert sum(removed) <= cells * Fraction(transfer.FLOOR)
+        for s, frac in exact.rational.items():
+            want = float(frac)
+            assert abs(plain.probability_at(s) - want) <= 6e-15 * want + cells * transfer.FLOOR
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_float_dp_matches_exact_dp(self, seed):
@@ -433,10 +456,11 @@ def tensor_char_fn_values(chain, contribs, xis):
     return w @ chain.stationary
 
 
-def full_lattice_law(chain, contribs):
+def full_lattice_law(chain, contribs, floor=0.0):
     """Reference DP over the whole lattice of partial sums at every step.
 
-    Returns (offset, masses) trimmed to the first and last nonzero mass.
+    Every FLUSH_EVERY steps and after the last it zeroes each mass below
+    floor.  Returns (offset, masses) trimmed to the first and last nonzero mass.
     """
     table = np.asarray(contribs).astype(np.int64)
     n, n_states = table.shape
@@ -457,6 +481,9 @@ def full_lattice_law(chain, contribs):
                 dp[y, c:] = mixed[y, :size - c]
             else:
                 dp[y, :size + c] = mixed[y, -c:]
+        if j % transfer.FLUSH_EVERY == 0:
+            dp[dp < floor] = 0.0
+    dp[dp < floor] = 0.0
     masses = dp.sum(axis=0)
     nonzero = np.flatnonzero(masses)
     return glo + int(nonzero[0]), masses[nonzero[0]:nonzero[-1] + 1]
@@ -490,6 +517,23 @@ def _dp_cases():
 def test_banded_dp_bit_identical_to_full_lattice():
     for chain, contribs in _dp_cases():
         offset, masses = full_lattice_law(chain, contribs)
+        dist = distribution_from_contributions(chain, contribs)
+        assert dist.offset == offset
+        assert np.array_equal(dist.masses, masses)
+
+
+def test_floored_band_bit_identical_to_floored_full_lattice():
+    # long chains whose tails fall below FLOOR, so flushes zero masses on
+    # both sides; the floored full-lattice sweep is the oracle
+    rng = np.random.default_rng(1600)
+    cases = [(make_two_state_chain(0.6), np.tile([1.0, -1.0], (2000, 1))),
+             (make_independent_chain([0.01, 0.99]), np.tile([1.0, -1.0], (257, 1))),
+             (random_reversible_chain(rng, 4), rng.integers(-3, 4, size=(700, 4)).astype(float)),
+             (random_reversible_chain(rng, 3), 2.0 * rng.choice([-1.0, 1.0], size=(2500, 3)))]
+    for chain, contribs in cases:
+        offset, masses = full_lattice_law(chain, contribs, floor=transfer.FLOOR)
+        # the floored law is narrower than the lattice
+        assert masses.size - 1 < np.sum(contribs.max(axis=1) - contribs.min(axis=1))
         dist = distribution_from_contributions(chain, contribs)
         assert dist.offset == offset
         assert np.array_equal(dist.masses, masses)
