@@ -153,7 +153,7 @@ def cosine_product_integral(vs) -> float:
     vs = np.asarray(vs, dtype=float)
     if vs.size and below_unit(np.min(np.abs(vs))):
         raise PreconditionViolated(
-            f"|v_{int(np.argmin(np.abs(vs)))}| = {np.min(np.abs(vs))!r} < 1"
+            f"|v_{int(np.argmin(np.abs(vs)))}| = {np.min(np.abs(vs)).item()!r} < 1"
         )
     if vs.size == 0:
         return 2.0

@@ -45,28 +45,30 @@ class MarkovChain:
 
     def check_states(self, n_states: int) -> None:
         """Sign functions (or contributions made of them) must cover the chain's states."""
-        if n_states != self.n_states:
-            raise DimensionMismatch(
-                f"sign functions cover {n_states} states, chain has {self.n_states}")
+        _check_state_count(n_states, self.n_states)
+
+
+def _check_state_count(n_states: int, chain_states: int) -> None:
+    """Sign functions on n_states states need a chain on as many."""
+    if n_states != chain_states:
+        raise DimensionMismatch(
+            f"sign functions cover {n_states} states, chain has {chain_states}")
 
 
 @dataclass(frozen=True)
 class SignSystem:
-    """Per-step sign functions f_j: states -> {-1,+1} with stationary means."""
+    """Per-step sign functions f_j: states -> {-1,+1}."""
 
     n_steps: int
     functions: np.ndarray  # (n_steps, n_states), entries exactly +-1
-    balances: np.ndarray  # stationary mean of each f_j
-    balanced: bool = False
 
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """The fixed vectors v_1..v_n, tagged with the variant they satisfy."""
+    """The fixed vectors v_1..v_n."""
 
     dimension: int
     weights: np.ndarray  # (n, dimension)
-    variant: str = "general"
 
     @property
     def n_weights(self) -> int:
@@ -79,14 +81,6 @@ class WeightSystem:
                 f"scalar weights requested but dimension is {self.dimension}"
             )
         return self.weights[:, 0]
-
-
-WEIGHT_VARIANTS = (
-    "general",
-    "at-least-unit",
-    "half-at-least-unit",
-    "distinct-positive-integers",
-)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -141,18 +135,19 @@ def validate_chain(transition, stationary=None) -> MarkovChain:
             )
         if not mu.min() >= 0:  # NaN fails here, +inf the sum
             raise InvalidDistribution(
-                f"stationary mass mu[{int(np.argmin(mu))}] = {mu.min()!r} is not a "
+                f"stationary mass mu[{int(np.argmin(mu))}] = {mu.min().item()!r} is not a "
                 "probability")
         if abs(mu.sum() - 1.0) > DERIVED_TOL:
-            raise InvalidDistribution(f"stationary masses sum to {mu.sum()!r}, expected 1")
+            raise InvalidDistribution(
+                f"stationary masses sum to {mu.sum().item()!r}, expected 1")
     # min is NaN when any entry is, so NaN fails here; +inf fails the row sum
     if not a.min() >= 0:
         i, j = divmod(int(np.argmin(a)), n)
-        raise NotStochastic(f"entry A[{i},{j}] = {a[i, j]!r} is not a probability")
+        raise NotStochastic(f"entry A[{i},{j}] = {a[i, j].item()!r} is not a probability")
     rowsum = a.sum(axis=1)
     worst = int(np.argmax(np.abs(rowsum - 1.0)))
     if abs(rowsum[worst] - 1.0) > STRUCTURAL_TOL:
-        raise NotStochastic(f"row {worst} sums to {rowsum[worst]!r}, expected 1")
+        raise NotStochastic(f"row {worst} sums to {rowsum[worst].item()!r}, expected 1")
     if stationary is None:
         mu = _solve_stationary(a)
 
@@ -162,7 +157,7 @@ def validate_chain(transition, stationary=None) -> MarkovChain:
     if abs(gap[i, j]) > STRUCTURAL_TOL:
         raise NotReversible(
             f"detailed balance fails at ({i},{j}): "
-            f"mu_i A_ij = {balance[i, j]!r} vs mu_j A_ji = {balance[j, i]!r}"
+            f"mu_i A_ij = {balance[i, j].item()!r} vs mu_j A_ji = {balance[j, i].item()!r}"
         )
     if stationary is not None:
         # detailed balance plus stochasticity already imply stationarity up to
@@ -214,10 +209,10 @@ def make_independent_chain(mu) -> MarkovChain:
 
 
 def make_sign_system(functions, mu, balanced: bool = False) -> SignSystem:
-    """Build a SignSystem, computing per-step balances against mu.
+    """Build a SignSystem for a chain with stationary law mu.
 
-    With balanced=True every balance must vanish to 1e-12 (the hypothesis the
-    theorem bounds need); otherwise imbalance is recorded but not rejected,
+    With balanced=True every stationary mean E_mu[f_j] must vanish to 1e-12
+    (the hypothesis the theorem bounds need); otherwise imbalance is allowed,
     since exact probability computations are well defined either way.
     """
     f = np.asarray(functions)
@@ -226,25 +221,18 @@ def make_sign_system(functions, mu, balanced: bool = False) -> SignSystem:
     if f.size and not np.all(np.abs(f) == 1):
         bad = np.argwhere(np.abs(f) != 1)[0]
         raise PreconditionViolated(
-            f"sign function entry f[{bad[0]},{bad[1]}] = {f[tuple(bad)]!r} is not +-1"
+            f"sign function entry f[{bad[0]},{bad[1]}] = {f[tuple(bad)].item()!r} is not +-1"
         )
     mu = np.asarray(mu, dtype=float)
-    if f.size and f.shape[1] != mu.size:
-        raise DimensionMismatch(
-            f"sign functions defined on {f.shape[1]} states but chain has {mu.size}"
-        )
-    balances = f.astype(float) @ mu if f.size else np.zeros(f.shape[0])
-    if balanced and balances.size and np.max(np.abs(balances)) > DERIVED_TOL:
-        j = int(np.argmax(np.abs(balances)))
-        raise HypothesisViolated(
-            f"sign system flagged balanced but E_mu[f_{j}] = {balances[j]:.3e}"
-        )
-    return SignSystem(
-        n_steps=f.shape[0],
-        functions=_freeze(f.astype(np.int8)),
-        balances=_freeze(balances),
-        balanced=balanced,
-    )
+    if f.size:
+        _check_state_count(f.shape[1], mu.size)
+        balances = f.astype(float) @ mu
+        if balanced and np.max(np.abs(balances)) > DERIVED_TOL:
+            j = int(np.argmax(np.abs(balances)))
+            raise HypothesisViolated(
+                f"sign system flagged balanced but E_mu[f_{j}] = {balances[j]:.3e}"
+            )
+    return SignSystem(n_steps=f.shape[0], functions=_freeze(f.astype(np.int8)))
 
 
 def parity_labels(n_states: int) -> np.ndarray:
@@ -259,14 +247,13 @@ def repeated_signs(label_row, n_steps: int, mu, balanced: bool = False) -> SignS
 
 
 def make_weight_system(weights, variant: str = "general") -> WeightSystem:
-    """Validate weights against the declared variant and package them."""
+    """Validate weights against the hypothesis `variant` names ("general": none,
+    "at-least-unit", "half-at-least-unit", "distinct-positive-integers")."""
     w = np.asarray(weights, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
     if w.ndim != 2:
         raise PreconditionViolated(f"weights must be 1-d or 2-d, got shape {w.shape}")
-    if variant not in WEIGHT_VARIANTS:
-        raise PreconditionViolated(f"unknown weight variant {variant!r}")
     if not np.isfinite(w).all():
         raise PreconditionViolated("weights must be finite numbers")
     n, d = w.shape
@@ -274,7 +261,7 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
     if variant == "at-least-unit":
         if n and below_unit(norms.min()):
             raise PreconditionViolated(
-                f"|v_{int(np.argmin(norms))}| = {norms.min()!r} < 1"
+                f"|v_{int(np.argmin(norms))}| = {norms.min().item()!r} < 1"
             )
     elif variant == "half-at-least-unit":
         long = n - np.count_nonzero(below_unit(norms))
@@ -287,10 +274,13 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
         if not np.all(vals == np.round(vals)):
             raise PreconditionViolated("weights are not exactly integers")
         if n and vals.min() < 1:
-            raise PreconditionViolated(f"weight {vals.min()!r} is not a positive integer")
+            raise PreconditionViolated(
+                f"weight {vals.min().item()!r} is not a positive integer")
         if len(set(vals.tolist())) != n:
             raise PreconditionViolated("weights are not distinct")
-    return WeightSystem(dimension=d, weights=_freeze(w), variant=variant)
+    elif variant != "general":
+        raise PreconditionViolated(f"unknown weight variant {variant!r}")
+    return WeightSystem(dimension=d, weights=_freeze(w))
 
 
 def below_unit(x):

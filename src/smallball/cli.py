@@ -201,9 +201,11 @@ def _load_instance(config: ExperimentConfig):
     return chain, signs, weights
 
 
-def _write_distribution_csv(path, dist):
-    write_csv(path, ["sum", "probability"],
-              ([s, repr(p)] for s, p in zip(dist.support().tolist(), dist.masses.tolist())))
+def _write_distribution_csv(path, dist) -> int:
+    """Write a row for each point of positive mass; returns how many."""
+    rows = [[s, repr(p)] for s, p in zip(dist.support().tolist(), dist.masses.tolist()) if p]
+    write_csv(path, ["sum", "probability"], rows)
+    return len(rows)
 
 
 def _spectral_gap(config: ExperimentConfig) -> int:
@@ -216,8 +218,8 @@ def _exact_dist(config: ExperimentConfig) -> int:
     chain, signs, weights = _load_instance(config)
     dist = exact_sum_distribution(chain, signs, weights)
     out = config.out or "distribution.csv"
-    _write_distribution_csv(out, dist)
-    print(f"{dist.masses.size} lattice points written to {out}")
+    points = _write_distribution_csv(out, dist)
+    print(f"{points} support points written to {out}")
     return 0
 
 

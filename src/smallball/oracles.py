@@ -17,6 +17,7 @@ from .chains import MarkovChain, SignSystem, WeightSystem, check_lambda
 from .errors import (
     BudgetExceeded,
     HypothesisViolated,
+    NonIntegerWeights,
     PreconditionViolated,
 )
 from .transfer import CharFnValue, sign_contributions
@@ -36,7 +37,7 @@ def lp_norm(v, mu, p) -> float:
     """||v||_{L_p(mu)}; p = inf is the essential sup over the support of mu."""
     v = np.asarray(v)
     mu = np.asarray(mu, dtype=float)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         support = mu > 0
         return float(np.max(np.abs(v[support]))) if support.any() else 0.0
     return float(np.sum(np.abs(v) ** p * mu) ** (1.0 / p))
@@ -137,9 +138,8 @@ class PathEnumeration:
     measure and its own sum; nothing is aggregated across paths until a
     characteristic function or the law sums them."""
 
-    measure: np.ndarray   # mu(y_1) A(y_1, y_2) ... A(y_{n-1}, y_n)
-    sums: np.ndarray      # c_1(y_1) + ... + c_n(y_n) in floats
-    int_sums: np.ndarray  # the same with every contribution rounded to an int
+    measure: np.ndarray  # mu(y_1) A(y_1, y_2) ... A(y_{n-1}, y_n)
+    sums: np.ndarray     # c_1(y_1) + ... + c_n(y_n) in floats
 
     def char_fn(self, xi: float) -> CharFnValue:
         """phi(xi) = sum over paths of measure * exp(2 pi i xi sum)."""
@@ -148,9 +148,14 @@ class PathEnumeration:
         return CharFnValue(re=re, im=im)
 
     def law(self) -> dict[int, float]:
-        """Lattice law {sum value: probability}, each mass one exact sum."""
-        values, groups = np.unique(self.int_sums, return_inverse=True)
-        return dict(zip(values.tolist(), exact_sums(self.measure, groups, values.size)))
+        """Lattice law {sum value: probability}, each mass one exact sum;
+        every path sum must be an integer, as in the transfer DP."""
+        values, groups = np.unique(self.sums, return_inverse=True)
+        off = values[~(np.isfinite(values) & (np.rint(values) == values))]
+        if off.size:
+            raise NonIntegerWeights(f"a path sums to {off[0].item()!r}, not an integer")
+        return dict(zip(map(int, values.tolist()),
+                        exact_sums(self.measure, groups, values.size)))
 
 
 def enumerate_paths(chain: MarkovChain, signs: SignSystem,
@@ -168,18 +173,14 @@ def enumerate_paths(chain: MarkovChain, signs: SignSystem,
     if count > PATH_BUDGET:
         raise BudgetExceeded(f"{count} paths exceed the budget of {PATH_BUDGET}")
     if n == 0:
-        return PathEnumeration(measure=np.ones(1), sums=np.zeros(1),
-                               int_sums=np.zeros(1, dtype=np.int64))
-    ints = np.rint(contribs).astype(np.int64)
+        return PathEnumeration(measure=np.ones(1), sums=np.zeros(1))
     measure = chain.stationary.copy()
     sums = np.zeros(n_states) + contribs[0]
-    int_sums = ints[0].copy()
     for j in range(1, n):
         # the last axis of each path-prefix block is its current state
         measure = (measure.reshape(-1, n_states, 1) * chain.transition).ravel()
         sums = (sums[:, None] + contribs[j]).ravel()
-        int_sums = (int_sums[:, None] + ints[j]).ravel()
-    return PathEnumeration(measure=measure, sums=sums, int_sums=int_sums)
+    return PathEnumeration(measure=measure, sums=sums)
 
 
 # ---------------------------------------------------------------------------

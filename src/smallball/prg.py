@@ -265,7 +265,7 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
     checked = w[w != 0.0] if allow_zero_padding else w
     if checked.size and below_unit(checked.min()):
         raise HypothesisViolated(
-            f"weight {checked.min()!r} violates the hypothesis v_i >= 1"
+            f"weight {checked.min().item()!r} violates the hypothesis v_i >= 1"
         )
     return w
 

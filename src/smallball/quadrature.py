@@ -105,7 +105,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
         stuck = (centre <= lo) | (centre >= hi)
         if np.any(stuck & ~done):
             raise QuadratureNonConvergence(
-                f"panel at {lo[np.argmax(stuck & ~done)]!r} cannot be refined further"
+                f"panel at {lo[np.argmax(stuck & ~done)].item()!r} cannot be refined further"
             )
         if np.any(done):
             accepted.extend(kronrod[done].tolist())

@@ -70,26 +70,7 @@ def step_words(seed: int, streams: np.ndarray, n_steps: int):
         yield _finalize(words, tmp)
 
 
-def to_unit(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def to_unit(words: np.ndarray) -> np.ndarray:
     """The doubles in [0,1) that step_words' words stand for; consumes words."""
     np.right_shift(words, _SHIFT_53, out=words)
-    return np.multiply(words, _INV_2_53, out=out)
-
-
-def uniform_block(seed: int, streams: np.ndarray, n_per_stream: int) -> np.ndarray:
-    """(n_per_stream, len(streams)) doubles, step-major: row i holds draw i of
-    every stream, so column s is the head of stream streams[s].
-
-    Filled one row at a time, so each row's temporaries stay in cache; every
-    draw equals uniforms(seed, stream, i, 1).
-    """
-    out = np.empty((n_per_stream, np.size(streams)))
-    for row, words in zip(out, step_words(seed, streams, n_per_stream)):
-        to_unit(words, row)
-    return out
-
-
-def standard_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Box-Muller transform of paired uniforms; 1-u1 keeps the log argument in (0,1]."""
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.cos(2.0 * np.pi * u2)
+    return words * _INV_2_53

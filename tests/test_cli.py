@@ -57,6 +57,21 @@ class TestSubcommands:
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert law[4] == pytest.approx(law[-4], abs=1e-15)
 
+    def test_distribution_csvs_hold_only_positive_masses(self, chain_file, tmp_path,
+                                                         capsys):
+        # a +-1 sum lives on every other integer; the empty classes are not rows
+        for argv in (["exact-dist"], ["smallball", "--radius", "1"]):
+            out = str(tmp_path / "dist.csv")
+            assert main(argv + ["--chain", chain_file, "--generator", "all-ones",
+                                "--n", "6", "--out", out]) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["sum"]) for r in rows] == list(range(-6, 7, 2))
+            masses = [float(r["probability"]) for r in rows]
+            assert min(masses) > 0
+            assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+        assert "7 support points" in capsys.readouterr().out
+
     def test_smallball_exact_and_mc_agree(self, chain_file, weights_file, capsys):
         assert main(["smallball", "--chain", chain_file, "--weights",
                      weights_file, "--x0", "0", "--radius", "1"]) == 0
@@ -191,6 +206,14 @@ class TestConfigs:
                        "constants_full_empty_entry", "constants_full_int_entry")),
         ["prg-test", "--k", "2", "--graph", "{graph_lambda_string}", "--n", "4"],
         ["prg-test", "--k", "2", "--graph", "{graph_lambda_above_one}", "--n", "4"],
+        # each of these four once printed a value as np.float64(...)
+        ["spectral-gap", "--chain", "{chain_negative_entry}"],
+        ["spectral-gap", "--chain", "{chain_row_sum}"],
+        ["exact-dist", "--chain", "{chain}", "--weights", "{half_weights}"],
+        ["prg-test", "--k", "2", "--weights", "{short_weights}"],
+        # S mod p is not defined for a sum that is not an integer
+        ["zp-average", "--chain", "{chain}", "--weights", "{half_weights}", "--x0", "0"],
+        ["zp-average", "--chain", "{chain}", "--weights", "{mixed_weights}", "--x0", "0"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -245,7 +268,9 @@ class TestConfigs:
                       ("stationary_nan", {"stationary": [float("nan"), 0.5]}),
                       ("signs_bool", {"signs": [[True, 1]]}),
                       ("stationary_strings", {"stationary": ["a", "b"]}),
-                      ("transition_nan", {"transition": [[0.5, 0.5], [0.5, float("nan")]]}))),
+                      ("transition_nan", {"transition": [[0.5, 0.5], [0.5, float("nan")]]}),
+                      ("negative_entry", {"transition": [[1.2, -0.2], [0.5, 0.5]]}),
+                      ("row_sum", {"transition": [[0.5, 0.6], [0.5, 0.5]]}))),
                 *((f"constants_{name}", doc) for name, doc in (
                     ("empty_entry", {"C_equal": {}}),
                     ("int_entry", {"C_equal": 5}),
@@ -260,13 +285,16 @@ class TestConfigs:
             Path(paths[name]).write_text(json.dumps(doc))
         for name, text in (("nan_weights", "[1, NaN, 1, 1]"),
                            ("inf_weights", "[1, 1, Infinity, 1]"),
-                           ("huge_weights", f"[1{'0' * 400}, 1, 1, 1]")):
+                           ("huge_weights", f"[1{'0' * 400}, 1, 1, 1]"),
+                           ("half_weights", "[1.5]"),
+                           ("short_weights", "[0.5, 1, 1, 1]"),
+                           ("mixed_weights", "[1.5, 2.5, 1.25, 3.75]")):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(text)
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "error: "))
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "np." not in err
 
     def test_prg_test_k_must_match_graph_file(self, tmp_path, capsys):
         graph = str(tmp_path / "g4.json")

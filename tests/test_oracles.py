@@ -15,6 +15,7 @@ from smallball.errors import (
     BudgetExceeded,
     DimensionMismatch,
     HypothesisViolated,
+    NonIntegerWeights,
     PreconditionViolated,
 )
 from smallball.families import (
@@ -148,6 +149,13 @@ class TestBruteForce:
         signs = make_sign_system([[1, -1], [-1, 1]], [0.5, 0.5])
         with pytest.raises(DimensionMismatch):
             enumerate_paths(chain, signs, make_weight_system([1.0, 2.0]))
+
+    def test_law_needs_integer_path_sums(self, two_state_03):
+        # rounding each contribution to 1 would give the law on {-3, -1, 1, 3}
+        paths = enumerate_paths(two_state_03, balanced_signs(two_state_03, 3),
+                                make_weight_system([1.4, 1.4, 1.4]))
+        with pytest.raises(NonIntegerWeights, match="not an integer"):
+            paths.law()
 
     def test_empty_sum_is_one_path(self, two_state_03):
         paths = enumerate_paths(two_state_03, balanced_signs(two_state_03, 0),
