@@ -5,7 +5,7 @@ verify-all renders them to report files, and criterion 13 reruns the whole
 battery to certify byte-identical output.  Each family sweep is defined once:
 criteria 3, 4, 6, 9 and 12 run the sweeps of smallball.fitting
 (half_unit_reports, point_mass_reports, cosine_pairs, walk_reports and
-size_pairs, esseen_report) at the committed constants, where the fitters run
+size_pairs, esseen_reports) at the committed constants, where the fitters run
 them at 1.0; criterion 10 and the CLI's tightness run tightness_sweep; criteria
 7 and 8 and the CLI's verify-claims run splitting_worst, identity_worsts and
 switching_grid.
@@ -32,7 +32,7 @@ from .chains import (
 from .errors import OutOfRange
 from .fitting import (
     cosine_pairs,
-    esseen_report,
+    esseen_reports,
     fit_c_equal,
     half_unit_reports,
     point_mass_reports,
@@ -301,13 +301,14 @@ def criterion_11(constants) -> CriterionResult:
 def criterion_12(constants) -> CriterionResult:
     def run():
         c_esseen = constants["C_esseen"].value
-        reports = []
+        instances = fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT)
+        # one law per instance, for its Esseen report and its mod-p check
+        dists = [exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+                 for inst in instances]
+        reports = esseen_reports(instances, dists, c_esseen)
         mod_ok = True
         fourier_worst = 0.0
-        for inst in fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT):
-            # one law per instance, for its Esseen report and its mod-p check
-            dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-            reports.append(esseen_report(inst, dist, c_esseen))
+        for inst, dist in zip(instances, dists):
             p = find_prime(inst.weights)
             x0 = int(inst.x0)
             point = dist.probability_at(x0)

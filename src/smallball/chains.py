@@ -256,8 +256,12 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
         raise PreconditionViolated(f"weights must be 1-d or 2-d, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise PreconditionViolated("weights must be finite numbers")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(w).sum()):
+            raise PreconditionViolated("the weights' absolute values sum past the largest float")
     n, d = w.shape
-    norms = np.linalg.norm(w, axis=1)
+    if variant in ("at-least-unit", "half-at-least-unit"):
+        norms = np.linalg.norm(w, axis=1)
     if variant == "at-least-unit":
         if n and below_unit(norms.min()):
             raise PreconditionViolated(

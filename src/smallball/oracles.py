@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -141,16 +142,23 @@ class PathEnumeration:
     measure: np.ndarray  # mu(y_1) A(y_1, y_2) ... A(y_{n-1}, y_n)
     sums: np.ndarray     # c_1(y_1) + ... + c_n(y_n) in floats
 
+    @cached_property
+    def _distinct_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, inverse) with sums == values[inverse]."""
+        return np.unique(self.sums, return_inverse=True)
+
     def char_fn(self, xi: float) -> CharFnValue:
-        """phi(xi) = sum over paths of measure * exp(2 pi i xi sum)."""
-        vals = self.measure * np.exp(2j * np.pi * xi * self.sums)
+        """phi(xi) = sum over paths of measure * exp(2 pi i xi sum); exp is
+        taken once per distinct sum, which equal sums share bit for bit."""
+        values, inverse = self._distinct_sums
+        vals = self.measure * np.exp(2j * np.pi * xi * values)[inverse]
         re, im = exact_sums(vals.view(float).reshape(-1, 2), RE_IM, 2)
         return CharFnValue(re=re, im=im)
 
     def law(self) -> dict[int, float]:
         """Lattice law {sum value: probability}, each mass one exact sum;
         every path sum must be an integer, as in the transfer DP."""
-        values, groups = np.unique(self.sums, return_inverse=True)
+        values, groups = self._distinct_sums
         off = values[~(np.isfinite(values) & (np.rint(values) == values))]
         if off.size:
             raise NonIntegerWeights(f"a path sums to {off[0].item()!r}, not an integer")
@@ -272,16 +280,24 @@ def holder_lhs_rhs(inst: HolderInstance) -> tuple[float, float]:
     n = inst.mu.size
     t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)), inst.mu).tolist()
     u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
-    terms = []
-    for code in range(2**inst.k):
-        s = [(code >> j) & 1 for j in range(inst.k)]
-        factor = 1.0
-        for j, bit in enumerate(s):
-            factor *= t_norms[j] if bit else (1.0 - inst.lam)
-        for i in extraction_indices(s):
-            factor *= u_dots[i - 1]
-        terms.append(factor)
-    return lhs, math.fsum(terms)
+    picks = np.where(_switching_picks(inst.k), [1.0 - inst.lam] * inst.k + u_dots[1:],
+                     t_norms + [1.0] * inst.k)
+    return lhs, math.fsum(np.multiply.reduce(picks, axis=1).tolist())
+
+
+@cache
+def _switching_picks(k: int) -> np.ndarray:
+    """Row s (bit j of s is s_j, j = 0..k-1) names the factors of the
+    switching term of s, in the order they multiply: column j picks 1 - lam
+    where s_j = 0 (t_norms[j] where not), and column k + i - 2 picks
+    u_dots[i - 1] for each i in extraction_indices(s), that is i in 2..k+1
+    with s_{i-2} = 0 and, for i <= k, s_{i-1} = 0 (1.0 where not: a factor
+    1.0 moves no bit)."""
+    # bit k of every row number is 0
+    zero = (np.arange(2**k)[:, None] >> np.arange(k + 1)) & 1 == 0
+    picks = np.concatenate([zero[:, :-1], zero[:, :-1] & zero[:, 1:]], axis=1)
+    picks.setflags(write=False)  # every caller shares the cached table
+    return picks
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ Kronrod nodes of every live panel in a single vectorized call, accepts the
 panels whose |K15 - G7| is within their share of the tolerance budget, and
 bisects the rest.  Accepted K15 values are summed with math.fsum.  min_depth
 forces a fine starting grid so that periodic integrands whose peaks align with
-the probe grid cannot alias into a spuriously converged estimate.
+the probe grid cannot alias into a spuriously converged estimate.  One wave
+loop (integrate_family) carries the panels of many integrals at once, each
+panel tagged with its owner, so many small integrals share each vectorized
+call; adaptive_simpson is its one-integral case.
 
 Panel edges are dyadic fractions of the starting pieces and the nodes are
 symmetric within each panel, so a reflection that maps the panels of one run
@@ -70,56 +73,118 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL,
 
     The name predates the Gauss–Kronrod rule; it stays because the benchmark's
     tracer finds the engine by it.  f must map an ndarray of points to an
-    ndarray of values.  cuts are points where f has kinks; those inside (a, b)
-    split [a, b] into starting pieces, each bisected into 2^(min_depth -
-    PANEL_DEPTH_OFFSET) panels (at least one).  Every starting panel gets an
-    equal share of tol, halved with each bisection.  MAX_INTERVALS bounds the
-    panels of the whole run.
+    ndarray of values.  This is the one-integral case of integrate_family,
+    whose docstring gives the rule.
     """
-    if b <= a:
-        return 0.0
+    value, = integrate_family(lambda x, owner: f(x), [(a, b, tol, min_depth, cuts)])
+    if isinstance(value, QuadratureNonConvergence):
+        raise value
+    return value
+
+
+def integrate_family(f, runs) -> list:
+    """Integrate one integral per run (a, b, tol, min_depth, cuts), all in one
+    breadth-first wave loop.
+
+    f(x, owner) must map an ndarray of points to an ndarray of values, where
+    the points x[15 p: 15 p + 15] belong to the run numbered owner[p].  A
+    run's cuts are points where its integrand has kinks; those inside (a, b)
+    split [a, b] into starting pieces, each bisected into
+    2^(min_depth - PANEL_DEPTH_OFFSET) panels (at least one).  Every starting
+    panel of a run gets an equal share of its tol, halved with each
+    bisection, and MAX_INTERVALS bounds the panels of each run.  A run's
+    panels, budgets and accepted K15 values are its own, so its value is bit
+    for bit that of the run alone.  Returns each run's value, or the
+    QuadratureNonConvergence that stopped it; the other runs go on.
+    """
+    n_runs = len(runs)
+    values: list = [0.0] * n_runs
+    budgets = np.zeros(n_runs)
+    starting = np.zeros(n_runs, dtype=np.int64)
+    pieces = []
+    for i, (a, b, tol, min_depth, cuts) in enumerate(runs):
+        if b <= a:
+            continue
+        start = _starting_panels(a, b, min_depth, cuts)
+        if isinstance(start, QuadratureNonConvergence):
+            values[i] = start
+            continue
+        pieces.append((i, start))
+        starting[i] = start[0].size
+        # every live panel of a run splits once per wave, so all share one budget
+        budgets[i] = tol / start[0].size
+    if not pieces:
+        return values
+    lo = np.concatenate([start[0] for _, start in pieces])
+    hi = np.concatenate([start[1] for _, start in pieces])
+    owner = np.repeat([i for i, _ in pieces], [start[0].size for _, start in pieces])
+    # every panel made is accepted, bisected or live, so a run's count is
+    # twice its accepted and live panels less its starting ones; the total
+    # bounds each run's
+    total = lo.size
+    accepted, accepted_by = [], []
+
+    while lo.size:
+        centre = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = f((centre[:, None] + half[:, None] * KRONROD_NODES).ravel(), owner)
+        fx = fx.reshape(lo.size, KRONROD_NODES.size)
+        kronrod = half * (fx * KRONROD_WEIGHTS).sum(axis=1)
+        gauss = half * (fx[:, 1::2] * GAUSS_WEIGHTS).sum(axis=1)
+        done = np.abs(kronrod - gauss) <= budgets[owner]
+        keep = ~done
+        accepted.append(kronrod[done])
+        accepted_by.append(owner[done])
+        # a panel too narrow to bisect has converged as far as floats allow
+        stuck = keep & ((centre <= lo) | (centre >= hi))
+        if stuck.any():
+            for i in np.unique(owner[stuck]).tolist():
+                first = lo[stuck & (owner == i)][0]
+                values[i] = QuadratureNonConvergence(
+                    f"panel at {first.item()!r} cannot be refined further")
+            keep &= _live(values)[owner]
+        lo, hi, centre, owner = lo[keep], hi[keep], centre[keep], owner[keep]
+        total += 2 * lo.size
+        if total > MAX_INTERVALS:
+            made = (2 * np.bincount(np.concatenate(accepted_by), minlength=n_runs)
+                    + 4 * np.bincount(owner, minlength=n_runs) - starting)
+            for i in np.flatnonzero((made > MAX_INTERVALS) & _live(values)).tolist():
+                values[i] = QuadratureNonConvergence(
+                    f"subdivision budget of {MAX_INTERVALS} panels exhausted")
+            keep = _live(values)[owner]
+            lo, hi, centre, owner = lo[keep], hi[keep], centre[keep], owner[keep]
+            total = int(made[_live(values)].sum())
+        lo, hi = np.concatenate([lo, centre]), np.concatenate([centre, hi])
+        owner = np.concatenate([owner, owner])
+        budgets /= 2.0
+
+    accepted_by = np.concatenate(accepted_by)
+    accepted = np.concatenate(accepted)[np.argsort(accepted_by, kind="stable")].tolist()
+    ends = np.bincount(accepted_by, minlength=n_runs).cumsum().tolist()
+    for i, _ in pieces:
+        if not isinstance(values[i], QuadratureNonConvergence):
+            values[i] = math.fsum(accepted[(ends[i - 1] if i else 0):ends[i]])
+    return values
+
+
+def _live(values) -> np.ndarray:
+    return np.array([not isinstance(v, QuadratureNonConvergence) for v in values])
+
+
+def _starting_panels(a, b, min_depth, cuts):
+    """(lo, hi) of the starting panels over [a, b], or the error that refuses them."""
     cuts = np.asarray(cuts, dtype=float)
     edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
     lo = edges[:-1]
     hi = edges[1:]
     n_panels = lo.size << max(min_depth - PANEL_DEPTH_OFFSET, 0)
     if n_panels > MAX_INTERVALS:
-        raise QuadratureNonConvergence(
+        return QuadratureNonConvergence(
             f"{n_panels} starting panels exceed the budget of {MAX_INTERVALS}")
     while lo.size < n_panels:
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    # every live panel splits once per wave, so all share one budget
-    budget = tol / n_panels
-    accepted: list[float] = []
-
-    while lo.size:
-        centre = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fx = f((centre[:, None] + half[:, None] * KRONROD_NODES).ravel())
-        fx = fx.reshape(lo.size, KRONROD_NODES.size)
-        kronrod = half * (fx * KRONROD_WEIGHTS).sum(axis=1)
-        gauss = half * (fx[:, 1::2] * GAUSS_WEIGHTS).sum(axis=1)
-        done = np.abs(kronrod - gauss) <= budget
-        # a panel too narrow to bisect has converged as far as floats allow
-        stuck = (centre <= lo) | (centre >= hi)
-        if np.any(stuck & ~done):
-            raise QuadratureNonConvergence(
-                f"panel at {lo[np.argmax(stuck & ~done)].item()!r} cannot be refined further"
-            )
-        if np.any(done):
-            accepted.extend(kronrod[done].tolist())
-        keep = ~done
-        n_panels += 2 * int(np.count_nonzero(keep))
-        if n_panels > MAX_INTERVALS:
-            raise QuadratureNonConvergence(
-                f"subdivision budget of {MAX_INTERVALS} panels exhausted"
-            )
-        lo, hi, centre = lo[keep], hi[keep], centre[keep]
-        lo, hi = np.concatenate([lo, centre]), np.concatenate([centre, hi])
-        budget /= 2.0
-
-    return math.fsum(accepted)
+    return lo, hi
 
 
 def alias_safe_depth(interval_length: float, max_frequency: float) -> int:

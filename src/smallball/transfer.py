@@ -43,6 +43,9 @@ FLUSH_EVERY = 16
 PHASE_TABLE_BUDGET = 4 * 2**20  # bytes of the (xi, distinct value) phase table
 PHASE_TABLE_MIN = 512  # (xi, step, state) phases of a sweep worth a table
 MODULUS_SLACK = 1e-12
+# integer contributions are exact floats and int64s up to this magnitude; a
+# lattice that needs more exceeds DP_BUDGET by far
+EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -95,17 +98,63 @@ class SumDistribution:
         return self.offset + i, float(self.masses[i])
 
     def char_fn_modulus(self, xis) -> np.ndarray:
-        """|phi(xi)| = |sum_i masses[i] z^i| with z = exp(2 pi i xi), by Horner.
+        """|phi(xi)| = |sum_i masses[i] z^i| with z = exp(2 pi i xi), by Horner;
+        the one-law case of LawBlock.char_fn_modulus.
 
         The offset contributes a unimodular factor z^offset, which drops out.
         """
-        z = np.exp(2j * np.pi * np.asarray(xis, dtype=float))
-        acc = np.full(z.shape, self.masses[-1], dtype=complex)
-        for m in self.masses[-2::-1].tolist():
-            acc *= z
-            if m:  # adding +0.0 moves no bit of |acc|; parity lattices are half zeros
-                acc += m
-        return np.abs(acc)
+        xis = np.asarray(xis, dtype=float)
+        flat = xis.ravel()
+        return LawBlock.of([self]).char_fn_modulus(
+            flat, np.zeros(flat.size, dtype=np.intp)).reshape(xis.shape)
+
+
+@dataclass(frozen=True)
+class LawBlock:
+    """The masses of several lattice laws, for one Horner sweep over all of
+    their evaluation points; masses[k, i] is law i's mass at its offset + k
+    (0 past its last)."""
+
+    masses: np.ndarray
+    lengths: np.ndarray
+    # degrees at which some law of the block has a nonzero mass
+    nonzero: list
+
+    @classmethod
+    def of(cls, laws) -> "LawBlock":
+        lengths = np.array([law.masses.size for law in laws])
+        masses = np.zeros((int(lengths.max()), lengths.size))
+        for i, law in enumerate(laws):
+            masses[:law.masses.size, i] = law.masses
+        return cls(masses=masses, lengths=lengths, nonzero=masses.any(axis=1).tolist())
+
+    def char_fn_modulus(self, xis: np.ndarray, law: np.ndarray) -> np.ndarray:
+        """|phi| of law[k] at xis[k] (both 1-d), each bit for bit its own
+        Horner sweep.
+
+        The points are sorted by the length of their law, longest first, so
+        the laws still in their sweep at degree k are a prefix that grows as k
+        falls; each point starts at its law's top mass.  Adding +0.0 moves no
+        bit of |acc| (parity lattices are half zeros), so a degree is skipped
+        only where every law of the block has a zero.
+        """
+        order = np.argsort(-self.lengths[law], kind="stable")
+        law = law[order]
+        z = np.exp(2j * np.pi * xis[order])
+        # active[k]: points whose law has a mass at degree k or above
+        active = np.searchsorted(-self.lengths[law], -np.arange(self.masses.shape[0]),
+                                 side="left").tolist()
+        acc = np.zeros(z.shape, dtype=complex)
+        live = 0
+        for k in range(self.masses.shape[0] - 1, -1, -1):
+            if live:
+                acc[:live] *= z[:live]
+            live = active[k]
+            if self.nonzero[k]:
+                acc[:live] += self.masses[k].take(law[:live])
+        out = np.empty(xis.shape)
+        out[order] = np.abs(acc)
+        return out
 
 
 def sign_contributions(signs: SignSystem, weights: WeightSystem) -> np.ndarray:
@@ -181,6 +230,7 @@ def char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
 
 
 def _integer_table(contribs: np.ndarray) -> np.ndarray:
+    """contribs as int64, each an integer of magnitude at most EXACT_INT."""
     table = np.asarray(contribs)
     rounded = np.round(table)
     if not np.all(table == rounded):
@@ -188,6 +238,12 @@ def _integer_table(contribs: np.ndarray) -> np.ndarray:
         raise NonIntegerWeights(
             f"contribution at step {bad[0]}, state {bad[1]} is "
             f"{table[tuple(bad)].item()!r}, not an integer"
+        )
+    if not np.all(np.abs(table) <= EXACT_INT):
+        bad = np.argwhere(~(np.abs(table) <= EXACT_INT))[0]
+        raise OutOfRange(
+            f"contribution at step {bad[0]}, state {bad[1]} is "
+            f"{table[tuple(bad)].item()!r}, beyond +-2^53"
         )
     return rounded.astype(np.int64)
 

@@ -190,6 +190,19 @@ class TestWeightSystem:
         with pytest.raises(PreconditionViolated):
             make_weight_system([[1.0, 0.0], [0.0, bad]], variant)
 
+    @pytest.mark.parametrize("variant", ["general", "at-least-unit"])
+    def test_overflowing_absolute_sum_rejected(self, variant):
+        # each weight is finite; their sum, and the norm of the 2-d row, are not
+        with pytest.raises(PreconditionViolated, match="largest float"):
+            make_weight_system([1e308, 1e308, 1e308, 1.0], variant)
+        with pytest.raises(PreconditionViolated, match="largest float"):
+            make_weight_system([[1e308, 1e308], [1.0, 0.0]], variant)
+
+    def test_norms_only_for_variants_that_read_them(self):
+        # |(1e200, 1e200)| overflows a float's square, but "general" reads no norm
+        w = make_weight_system([[1e200, 1e200], [1.0, 0.0]])
+        assert w.dimension == 2
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(PreconditionViolated, match="unknown weight variant"):
             make_weight_system([1.0, 2.0], "integers")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,11 @@ class TestConfigs:
         # S mod p is not defined for a sum that is not an integer
         ["zp-average", "--chain", "{chain}", "--weights", "{half_weights}", "--x0", "0"],
         ["zp-average", "--chain", "{chain}", "--weights", "{mixed_weights}", "--x0", "0"],
+        # finite weights whose absolute sum overflows: a wrapped cell count
+        # and an estimate of 0.0 with exit 0, each after numpy warnings
+        ["exact-dist", "--chain", "{chain}", "--weights", "{overflow_weights}"],
+        ["smallball", "--chain", "{chain}", "--weights", "{overflow_weights}", "--mode", "mc",
+         "--samples", "100"],
     ])
     def test_bad_input_exits_2_without_traceback(self, argv, tmp_path, chain_file,
                                                  weights_file, capsys):
@@ -288,13 +294,30 @@ class TestConfigs:
                            ("huge_weights", f"[1{'0' * 400}, 1, 1, 1]"),
                            ("half_weights", "[1.5]"),
                            ("short_weights", "[0.5, 1, 1, 1]"),
-                           ("mixed_weights", "[1.5, 2.5, 1.25, 3.75]")):
+                           ("mixed_weights", "[1.5, 2.5, 1.25, 3.75]"),
+                           ("overflow_weights", "[1e308, 1e308, 1e308, 1]")):
             paths[name] = str(tmp_path / f"{name}.json")
             Path(paths[name]).write_text(text)
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "error: "))
         assert "Traceback" not in err and "np." not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-dist"],
+        ["smallball", "--mode", "mc", "--samples", "100"],
+    ])
+    def test_overflowing_weights_refused_without_warning(self, argv, tmp_path, chain_file,
+                                                         capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text("[1e308, 1e308, 1e308, 1]")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--chain", chain_file, "--weights", str(weights),
+                                "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert "sum past the largest float" in capsys.readouterr().err
 
     def test_prg_test_k_must_match_graph_file(self, tmp_path, capsys):
         graph = str(tmp_path / "g4.json")

@@ -14,12 +14,14 @@ from smallball.bounds import QUAD_TOL, esseen_bound
 from smallball.chains import make_sign_system, make_weight_system
 from smallball.errors import OutOfRange
 from smallball.fitting import (
+    ESSEEN_BLOCK,
     FITTERS,
     LAW_MASSES_PER_SWEEP_CELL,
     abs_charfn,
     esseen_formula,
+    esseen_formulas,
 )
-from smallball.quadrature import alias_safe_depth
+from smallball.quadrature import adaptive_simpson, alias_safe_depth
 from smallball.transfer import exact_sum_distribution
 
 # the transfer-sweep reference over [-eps, eps] costs ~15 s per eps on both
@@ -82,9 +84,9 @@ def test_folded_integral_matches_transfer_sweep_over_whole_window(eps, stride,
     assert _worst_fold_error(instances, eps) <= 1e-12
 
 
-@pytest.mark.parametrize("eps", [0.3, 1.0, 1.7])
-def test_folded_sweep_integrand_for_large_weights(eps):
-    # about 40 masses per step and state: |phi| comes from the transfer sweep
+def _large_weight_instances():
+    """Two instances with about 40 masses per step and state, whose |phi|
+    comes from the transfer sweep."""
     rng = np.random.default_rng(5)
     instances = []
     for n_states in (2, 3):
@@ -95,7 +97,76 @@ def test_folded_sweep_integrand_for_large_weights(eps):
         dist = exact_sum_distribution(chain, signs, weights)
         assert dist.masses.size > LAW_MASSES_PER_SWEEP_CELL * 8 * n_states
         instances.append((chain, signs, weights, 1.0))
-    assert _worst_fold_error(instances, eps) <= 1e-12
+    return instances
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.0, 1.7])
+def test_folded_sweep_integrand_for_large_weights(eps):
+    assert _worst_fold_error(_large_weight_instances(), eps) <= 1e-12
+
+
+def _one_at_a_time(chain, signs, weights, dist, radius, eps):
+    """esseen_formula as it was before blocks: one adaptive_simpson run per
+    member, over the per-law Horner sweep or the transfer sweep."""
+
+    def horner(xis):
+        z = np.exp(2j * np.pi * np.asarray(xis, dtype=float))
+        acc = np.full(z.shape, dist.masses[-1], dtype=complex)
+        for m in dist.masses[-2::-1].tolist():
+            acc *= z
+            if m:
+                acc += m
+        return np.abs(acc)
+
+    if dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states:
+        modulus = horner
+    else:
+        modulus = abs_charfn(chain, signs, weights)
+    depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()))
+    mantissa, exponent = math.frexp(eps)
+    if mantissa == 0.5 and eps >= 0.5:
+        integral = 4.0 * eps * adaptive_simpson(modulus, 0.0, 0.5, tol=QUAD_TOL / (4.0 * eps),
+                                                min_depth=depth - exponent - 1)
+    else:
+        integral = 2.0 * adaptive_simpson(modulus, 0.0, eps, tol=QUAD_TOL / 2.0,
+                                          min_depth=depth - 1)
+    return (radius + 1.0 / eps) * integral
+
+
+@pytest.fixture(scope="module")
+def esseen_members(esseen_families):
+    """Both Esseen families and their laws, with a transfer-sweep member first
+    and one inside the third block."""
+    members = [(inst.chain, inst.signs, inst.weights,
+                exact_sum_distribution(inst.chain, inst.signs, inst.weights), inst.radius)
+               for inst in esseen_families]
+    for at, (chain, signs, weights, radius) in zip((0, 130), _large_weight_instances()):
+        members.insert(at, (chain, signs, weights,
+                            exact_sum_distribution(chain, signs, weights), radius))
+    return members
+
+
+def test_esseen_members_mix_strides_lengths_and_evaluators(esseen_members):
+    def stride(masses):
+        return int(np.gcd.reduce(np.flatnonzero(masses)))
+
+    by_law = [m for m in esseen_members
+              if m[3].masses.size <= LAW_MASSES_PER_SWEEP_CELL * m[2].n_weights * m[0].n_states]
+    assert len(esseen_members) - len(by_law) == 2
+    lengths = [m[3].masses.size for m in by_law]
+    assert min(lengths) == 1 and max(lengths) == 135
+    for begin in range(0, len(by_law), ESSEEN_BLOCK):
+        strides = {stride(m[3].masses) for m in by_law[begin:begin + ESSEEN_BLOCK]}
+        assert {2, 4} <= strides and len(strides) >= 3
+    assert {0, 2, 4, 8, 16} <= {stride(m[3].masses) for m in by_law}
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.3, 0.5, 1.0, 1.7, 2.0])
+def test_block_runs_equal_one_at_a_time_runs(eps, esseen_members):
+    # 0.5, 1 and 2 fold onto the half-period, 0.25, 0.3 and 1.7 onto [0, eps]
+    got = esseen_formulas(esseen_members, eps)
+    want = [_one_at_a_time(*member, eps) for member in esseen_members]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)

@@ -132,6 +132,18 @@ class TestBruteForce:
             assert {s: m.hex() for s, m in paths.law().items()} == {
                 s: m.hex() for s, m in _reference_law(chain, signs, weights).items()}
 
+    def test_char_fn_equals_one_exp_per_path_bit_for_bit(self):
+        # the form before exp was taken once per distinct path sum
+        def per_path(paths, xi):
+            vals = paths.measure * np.exp(2j * np.pi * xi * paths.sums)
+            return oracles.exact_sums(vals.view(float).reshape(-1, 2), oracles.RE_IM, 2)
+
+        for inst in oracle_family(20240513, 200):
+            paths = enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
+            for xi in (*inst["xis"].tolist(), -1.3, 0.0, 0.5):
+                got = paths.char_fn(xi)
+                assert [got.re.hex(), got.im.hex()] == [v.hex() for v in per_path(paths, xi)]
+
     def test_oracle_family_keeps_its_bits(self):
         # recorded from the per-xi enumeration with math.fsum over lists
         h = hashlib.sha256()
@@ -323,6 +335,30 @@ class TestHolder:
         for inst in holder_family(777, 120):
             lhs, rhs = holder_lhs_rhs(inst)
             assert lhs <= rhs + 1e-9
+
+    def test_rhs_equals_term_by_term_loop_bit_for_bit(self):
+        # the loop form before the terms were one array expression: the same
+        # factors in the same order, the bits of s, then the extraction indices
+        def loop_rhs(inst):
+            n = inst.mu.size
+            t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)),
+                                         inst.mu).tolist()
+            u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
+            terms = []
+            for code in range(2**inst.k):
+                s = [(code >> j) & 1 for j in range(inst.k)]
+                factor = 1.0
+                for j, bit in enumerate(s):
+                    factor *= t_norms[j] if bit else (1.0 - inst.lam)
+                for i in extraction_indices(s):
+                    factor *= u_dots[i - 1]
+                terms.append(factor)
+            return math.fsum(terms)
+
+        instances = holder_family(20240513, 500)
+        assert {inst.k for inst in instances} == set(range(1, 7))
+        for inst in instances:
+            assert holder_lhs_rhs(inst)[1].hex() == loop_rhs(inst).hex()
 
     def test_u_norm_precondition(self):
         with pytest.raises(PreconditionViolated):

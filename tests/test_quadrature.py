@@ -15,6 +15,7 @@ from smallball.quadrature import (
     PANEL_DEPTH_OFFSET,
     adaptive_simpson,
     alias_safe_depth,
+    integrate_family,
 )
 from smallball.sampling import first_coord_tail
 from smallball.transfer import exact_sum_distribution
@@ -95,6 +96,49 @@ def test_budget_counts_per_starting_piece(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_INTERVALS", 5)
     with pytest.raises(QuadratureNonConvergence):
         adaptive_simpson(f, -1.0, 1.0, min_depth=depth, cuts=cuts)
+
+
+def test_family_errors_stop_only_their_own_run(monkeypatch):
+    # run 1 cannot bisect its one panel, run 2 needs more than MAX_INTERVALS
+    # panels; runs 0 and 3 keep the bits of their runs alone
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 64)
+    a = 0.3
+    runs = [(0.0, 1.0, 1e-12, 3, ()), (a, math.nextafter(a, 1.0), 1e-12, 3, ()),
+            (-1.0, 1.0, 1e-14, 3, ()), (-2.0, 2.0, 1e-10, 4, [0.5])]
+    integrands = [np.exp, lambda x: np.full_like(x, np.nan), lambda x: np.abs(x) ** 0.1,
+                  np.cos]
+
+    evaluated = [0] * len(runs)
+
+    def f(x, owner):
+        node_owner = np.repeat(owner, KRONROD_NODES.size)
+        out = np.empty_like(x)
+        for i, g in enumerate(integrands):
+            out[node_owner == i] = g(x[node_owner == i])
+            evaluated[i] += int(np.count_nonzero(node_owner == i))
+        return out
+
+    values = integrate_family(f, runs)
+    for g, run, value in zip(integrands, runs, values):
+        try:
+            alone = adaptive_simpson(g, *run)
+        except QuadratureNonConvergence as exc:
+            assert isinstance(value, QuadratureNonConvergence)
+            assert str(value) == str(exc)
+        else:
+            assert value.hex() == alone.hex()
+    assert "cannot be refined further" in str(values[1])
+    assert "panels exhausted" in str(values[2])
+    assert [isinstance(v, float) for v in values] == [True, False, False, True]
+    # a stopped run's panels go: the stuck one was evaluated in one wave only
+    assert evaluated[1] == KRONROD_NODES.size
+
+
+def test_family_of_empty_and_refused_runs():
+    values = integrate_family(lambda x, owner: x, [(1.0, 1.0, 1e-10, 3, ()),
+                                                   (0.0, 1.0, 1e-10, 60, ())])
+    assert values[0] == 0.0
+    assert "starting panels exceed" in str(values[1])
 
 
 def _rule_errors(degree):

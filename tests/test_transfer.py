@@ -32,6 +32,7 @@ from smallball.families import (
 )
 from smallball.oracles import enumerate_paths
 from smallball.transfer import (
+    LawBlock,
     PHASE_TABLE_BUDGET,
     char_fn,
     char_fn_values,
@@ -142,6 +143,17 @@ class TestExactDistribution:
         with pytest.raises(NonIntegerWeights):
             exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 2),
                                    make_weight_system([1.0, 1.5]))
+
+    @pytest.mark.parametrize("big", [2.0**53 + 2, 1e20, 1e300])
+    def test_contributions_beyond_exact_integers_rejected(self, two_state_03, big):
+        # an int64 cast of 1e20 is invalid, and past 2^53 a float holds no
+        # odd integer; 2^53 itself stays (its lattice then fails the budget)
+        with pytest.raises(OutOfRange, match="beyond"):
+            exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 4),
+                                   make_weight_system([big, 1.0, 1.0, 1.0]))
+        with pytest.raises(BudgetExceeded):
+            exact_sum_distribution(two_state_03, balanced_signs(two_state_03, 4),
+                                   make_weight_system([2.0**53, 1.0, 1.0, 1.0]))
 
     def test_budget_guard(self, two_state_03, monkeypatch):
         # read at call time: 2 states x 8 steps x 17 sums = 272 cells
@@ -584,6 +596,38 @@ def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
         worst_paths = max(worst_paths, float(np.max(np.abs(got - paths))))
     assert worst_sweep <= 1e-12
     assert worst_paths <= 1e-12
+
+
+def _horner_modulus(masses, xis):
+    """The per-law Horner sweep LawBlock replaced, kept as its oracle."""
+    z = np.exp(2j * np.pi * np.asarray(xis, dtype=float))
+    acc = np.full(z.shape, masses[-1], dtype=complex)
+    for m in masses[-2::-1].tolist():
+        acc *= z
+        if m:
+            acc += m
+    return np.abs(acc)
+
+
+def test_block_horner_equals_per_law_horner_bit_for_bit():
+    laws = [exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+            for inst in esseen_family(ESSEEN_SEED, 200)]
+    lengths = [law.masses.size for law in laws]
+    assert min(lengths) == 1 and max(lengths) >= 100
+    rng = np.random.default_rng(12)
+    for begin in range(0, len(laws), 50):
+        block = laws[begin:begin + 50]
+        xis = rng.uniform(-2.0, 2.0, 6000)
+        owner = rng.integers(0, len(block), xis.size)
+        got = LawBlock.of(block).char_fn_modulus(xis, owner)
+        for i, law in enumerate(block):
+            want = _horner_modulus(law.masses, xis[owner == i])
+            assert np.array_equal(got[owner == i], want)
+            assert np.array_equal(law.char_fn_modulus(xis[owner == i]), want)
+    # the one-law method keeps the shape of its points
+    grid = rng.uniform(-1.0, 1.0, (3, 4))
+    assert np.array_equal(laws[7].char_fn_modulus(grid),
+                          _horner_modulus(laws[7].masses, grid))
 
 
 def test_phase_table_rule_takes_integer_tables_only():
