@@ -3,10 +3,11 @@
 Each criterion returns a CriterionResult with JSON-able details; the CLI's
 verify-all renders them to report files, and criterion 13 reruns the whole
 battery to certify byte-identical output.  Each family sweep is defined once:
-criteria 3, 4, 6, 9 and 12 run the sweeps of smallball.fitting
-(half_unit_reports, point_mass_reports, cosine_pairs, walk_reports and
-size_pairs, esseen_reports) at the committed constants, where the fitters run
-them at 1.0; criterion 10 and the CLI's tightness run tightness_sweep; criteria
+criteria 3, 4, 9 and 12 run the sweeps of smallball.fitting
+(half_unit_reports, point_mass_reports, walk_reports, esseen_reports) at the
+committed constants, where the fitters run them at 1.0; criteria 6, 9 and 11
+check the proved bounds.C_COS, C_SIZE and C_COORD against closed forms and
+quadrature; criterion 10 and the CLI's tightness run tightness_sweep; criteria
 7 and 8 and the CLI's verify-claims run splitting_worst, identity_worsts and
 switching_grid.
 """
@@ -20,9 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from . import families as fam
 from . import oracles
-from .bounds import FittedConstant, binomial_negative_moment, load_constants
+from .bounds import (
+    FittedConstant,
+    binomial_negative_moment,
+    cosine_power_integral,
+    cosine_product_integral,
+    load_constants,
+)
 from .chains import (
     make_two_state_chain,
     make_weight_system,
@@ -31,16 +39,14 @@ from .chains import (
 )
 from .errors import OutOfRange
 from .fitting import (
-    cosine_pairs,
     esseen_reports,
     fit_c_equal,
     half_unit_reports,
     point_mass_reports,
-    size_pairs,
     walk_reports,
 )
-from .prg import build_mgg_expander, certify_lambda
-from .sampling import first_coord_tail
+from .prg import build_mgg_expander, certify_lambda, size_bound_exponent
+from .sampling import coordinate_median, first_coord_tail
 from .transfer import (
     char_fn,
     exact_sum_distribution,
@@ -214,13 +220,16 @@ def criterion_5() -> CriterionResult:
     return _timed(5, "binomial negative moment bound is exact on the whole grid", run)
 
 
-def criterion_6(constants) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     def run():
-        c_cos = constants["C_cos"]
-        worst_ratio = max(v / bound for v, bound in cosine_pairs(c_cos.value))
-        return worst_ratio <= 1.0, {"k_max": fam.COS_K_MAX,
-                                    "worst_ratio": worst_ratio,
-                                    "committed": c_cos.value}, []
+        worst_dev = worst_ratio = 0.0
+        for k in range(1, fam.COS_K_MAX + 1):
+            closed = cosine_power_integral(k)
+            worst_dev = max(worst_dev, abs(cosine_product_integral(np.ones(k)) - closed))
+            worst_ratio = max(worst_ratio, closed / (bounds.C_COS / math.sqrt(k)))
+        ok = worst_dev <= bounds.QUAD_TOL and worst_ratio <= 1.0
+        return ok, {"k_max": fam.COS_K_MAX, "closed_form_deviation": worst_dev,
+                    "worst_ratio": worst_ratio, "constant": bounds.C_COS}, []
 
     return _timed(6, "cosine-product integral decays like 1/sqrt(k)", run)
 
@@ -260,8 +269,9 @@ def criterion_9(constants) -> CriterionResult:
                    for r in walk_reports(constants, graphs[k], fam.PRG_N_GRID)]
         bounds_ok = all(r.passed for r in reports)
 
-        worst_size = max(v / bound for v, bound in size_pairs(constants["C_size"].value))
-        size_ok = worst_size <= 1.0
+        worst_size = max(size_bound_exponent(n) / (bounds.C_SIZE * math.sqrt(n))
+                         for n in fam.SIZE_N_RANGE)
+        size_ok = worst_size < 1.0
         ok = spectral_ok and bounds_ok and size_ok
         return ok, {"mgg_k4_lambda": lam4, "ceiling": MGG_SPECTRAL_CEILING,
                     "bounds_ok": bounds_ok, "worst_size_ratio": worst_size}, reports
@@ -282,18 +292,19 @@ def criterion_10() -> CriterionResult:
     return _timed(10, "two-state tightness: sqrt scaling in the gap-adjusted n", run)
 
 
-def criterion_11(constants) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     def run():
-        c_coord = constants["C_coord"]
         worst_tail = 1.0
+        median_dev = 0.0
         for d in fam.COORD_D_RANGE:
-            tail = first_coord_tail(d, 1.0 / (c_coord.value * math.sqrt(d)))
+            tail = first_coord_tail(d, 1.0 / (bounds.C_COORD * math.sqrt(d)))
             worst_tail = min(worst_tail, tail)
-        t3 = 1.0 / (c_coord.value * math.sqrt(3))
+            median_dev = max(median_dev, abs(first_coord_tail(d, coordinate_median(d)) - 0.5))
+        t3 = 1.0 / (bounds.C_COORD * math.sqrt(3))
         d3_dev = abs(first_coord_tail(3, t3) - (1.0 - t3))
-        ok = worst_tail >= 0.5 and d3_dev <= 1e-10
+        ok = worst_tail >= 0.5 and d3_dev <= 1e-10 and median_dev <= 1e-10
         return ok, {"worst_tail": worst_tail, "d3_deviation": d3_dev,
-                    "committed": c_coord.value}, []
+                    "median_deviation": median_dev, "constant": bounds.C_COORD}, []
 
     return _timed(11, "random unit vector coordinate tail clears one half", run)
 
@@ -336,12 +347,12 @@ def run_criteria(seed: int = fam.DEFAULT_SEED,
         criterion_3(cc, seed),
         criterion_4(cc),
         criterion_5(),
-        criterion_6(cc),
+        criterion_6(),
         criterion_7(seed),
         criterion_8(),
         criterion_9(cc),
         criterion_10(),
-        criterion_11(cc),
+        criterion_11(),
         criterion_12(cc),
     ]
 

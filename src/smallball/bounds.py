@@ -1,6 +1,7 @@
-"""Numeric evaluation of the analytic bounds and their fitted constants.
+"""Numeric evaluation of the analytic bounds and their constants.
 
-Every "universal constant" in a bound formula is realized as a FittedConstant:
+A universal constant with a closed-form supremum is one expression here
+(C_COS, C_COORD, C_SIZE).  Every other one is realized as a FittedConstant:
 the recorded supremum of probability/formula over a named, seeded instance
 family.  The committed values live in data/fitted_constants.json and are
 re-derivable with the fit-constants CLI command.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -32,6 +34,20 @@ QUAD_TOL = 1e-10
 # fitted suprema carry one ulp-scale headroom so that ratio <= 1 survives the
 # round trip through bound = C * formula
 FIT_HEADROOM = 1e-12
+
+# sqrt(k) times the integral of |cos(2 pi xi)|^k over [-1, 1], which is
+# cosine_power_integral(k): Wendel's G(x+1/2) < sqrt(x) G(x) at x = k/2 gives
+# G((k+1)/2) < sqrt(2/k) G(k/2+1), so it is < 2 sqrt(2/pi) for every k >= 1
+C_COS = 2.0 * math.sqrt(2.0 / math.pi)
+# 1 / (median |v_1| sqrt(d)) for a uniform unit vector in R^d rises with d
+# (scanned to d = 10^6) toward its limit 1/median|Z| = 1/Phi^-1(3/4), Z
+# standard normal
+C_COORD = 1.0 / statistics.NormalDist().inv_cdf(0.75)
+# log2 |D| / sqrt(n) with k = prg.even_rounded_sqrt(n): sqrt(n) <= k < sqrt(n) + 2
+# <= sqrt(3n) for n >= 8, so log2 |D| = k + 3 (ceil(n/k) - 1) < k + 3n/k, whose
+# largest value on [sqrt(n), sqrt(3n)] is 4 sqrt(n) at k = sqrt(n); n < 8 by
+# direct check
+C_SIZE = 4.0
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,15 @@ def cosine_product_integral(vs) -> float:
                             cuts=np.concatenate(zeros))
 
 
+def cosine_power_integral(k: int) -> float:
+    """Integral of |cos(2 pi xi)|^k over [-1, 1] in closed form,
+    (2/sqrt(pi)) G((k+1)/2) / G(k/2+1).  The lgamma difference loses digits
+    as k grows: 8.8e-13 relative error at most for k <= 1000 against 40-digit
+    arithmetic, 6e-10 at k = 10^6."""
+    return 2.0 * math.exp(math.lgamma((k + 1) / 2) - math.lgamma(k / 2 + 1)
+                          ) / math.sqrt(math.pi)
+
+
 def binomial_negative_moment(n: int, p: float, d: int) -> tuple[float, float]:
     """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound d^d/(np)^d)."""
     from scipy.special import gammaln, xlogy
@@ -193,7 +218,7 @@ def theorem_bound(kind: str, params: dict, constants: dict) -> float:
 
     params carries n and, per kind, lam / d / R.  constants maps constant
     names to FittedConstant (or plain floats); highdim checks its hypothesis
-    R >= 1/(C_coord sqrt(d)) against the coordinate-tail constant.
+    R >= 1/(C_COORD sqrt(d)) against the coordinate-tail constant.
     """
     if kind not in BOUND_KINDS:
         raise PreconditionViolated(f"unknown bound kind {kind!r}")
@@ -209,11 +234,10 @@ def theorem_bound(kind: str, params: dict, constants: dict) -> float:
     if kind == "highdim":
         d = params["d"]
         radius = params["R"]
-        hyp = _constant_value(constants["C_coord"])
-        if radius < 1.0 / (hyp * math.sqrt(d)):
+        if radius < 1.0 / (C_COORD * math.sqrt(d)):
             raise HypothesisViolated(
                 f"R = {radius!r} is below the hypothesis floor 1/(C sqrt(d)) = "
-                f"{1.0 / (hyp * math.sqrt(d))!r}"
+                f"{1.0 / (C_COORD * math.sqrt(d))!r}"
             )
         return _constant_value(constants["C_equal"]) * radius * math.sqrt(d) / (
             (1.0 - lam) * math.sqrt(n))

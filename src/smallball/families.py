@@ -34,6 +34,7 @@ DIFF_N_GRID = (9, 16, 25, 36, 49)
 DIFF_LAMBDAS = (0.0, 0.3, 0.6)
 PRG_K_GRID = (2, 4)
 PRG_N_GRID = (8, 12, 16)
+# grids on which criteria 6, 11 and 9 check the proved C_COS, C_COORD, C_SIZE
 COS_K_MAX = 100
 COORD_D_RANGE = tuple(range(2, 65))
 SIZE_N_RANGE = tuple(range(4, 4097))
@@ -252,19 +253,4 @@ def identity_inputs(seed: int, count: int) -> list[dict]:
 PRG_FAMILY_DESC = (
     f"prg-{FAMILY_VERSION}: MGG degree-8 walks, k in {PRG_K_GRID}, "
     f"n in {PRG_N_GRID}, all-ones weights, x0=0, R=1, exact enumeration"
-)
-
-COS_FAMILY_DESC = (
-    f"cos-{FAMILY_VERSION}: integral of |cos(2 pi xi)|^k over [-1,1] times "
-    f"sqrt(k), k in 1..{COS_K_MAX}"
-)
-
-COORD_FAMILY_DESC = (
-    f"coord-{FAMILY_VERSION}: reciprocal of median(|v_1|) sqrt(d) for d in "
-    f"{COORD_D_RANGE[0]}..{COORD_D_RANGE[-1]}"
-)
-
-SIZE_FAMILY_DESC = (
-    f"size-{FAMILY_VERSION}: (k + 3 (ceil(n/k) - 1)) / sqrt(n) with k the even-"
-    f"rounded-up sqrt(n), n in {SIZE_N_RANGE[0]}..{SIZE_N_RANGE[-1]}"
 )

@@ -11,8 +11,6 @@ CLI, where it has a command) at the committed value:
 - point_mass_reports: fit_c_diff, criterion 4, the diff-scaling config kind
 - walk_reports: fit_c_prg, criterion 9, the prg config kind
 - esseen_reports (instances and their laws): fit_c_esseen, criterion 12
-- cosine_pairs: fit_c_cos, criterion 6
-- size_pairs: fit_c_size, criterion 9
 
 The closed-form formulas come from bounds.theorem_bound.
 """
@@ -25,24 +23,11 @@ import numpy as np
 
 from . import bounds
 from . import families as fam
-from .bounds import (
-    BoundReport,
-    FittedConstant,
-    cosine_product_integral,
-    fit_constant,
-    theorem_bound,
-)
+from .bounds import BoundReport, FittedConstant, fit_constant, theorem_bound
 from .chains import WeightSystem
 from .errors import OutOfRange, QuadratureNonConvergence
-from .prg import (
-    ExpanderGraph,
-    PrgSpec,
-    build_mgg_expander,
-    prg_smallball,
-    size_bound_exponent,
-)
+from .prg import ExpanderGraph, PrgSpec, build_mgg_expander, prg_smallball
 from .quadrature import KRONROD_NODES, adaptive_simpson, alias_safe_depth, integrate_family
-from .sampling import coord_tail_total, first_coord_tail
 from .transfer import (
     LawBlock,
     SumDistribution,
@@ -253,52 +238,10 @@ def fit_c_esseen() -> FittedConstant:
                               "count": fam.ESSEEN_COUNT})
 
 
-def cosine_pairs(c: float) -> list[tuple[float, float]]:
-    """(integral of |cos(2 pi xi)|^k over [-1, 1], c / sqrt(k)) for k = 1..COS_K_MAX."""
-    return [(cosine_product_integral(np.ones(k)), c / math.sqrt(k))
-            for k in range(1, fam.COS_K_MAX + 1)]
-
-
-def fit_c_cos() -> FittedConstant:
-    return fit_constant(cosine_pairs(1.0), "C_cos", fam.COS_FAMILY_DESC,
-                        grid={"k_max": fam.COS_K_MAX})
-
-
-def coordinate_median(d: int) -> float:
-    """Median of |v_1| for a uniform unit vector in R^d."""
-    from scipy.optimize import brentq
-
-    total = coord_tail_total(d)
-    return brentq(lambda t: first_coord_tail(d, t, total=total) - 0.5, 0.0, 1.0,
-                  xtol=1e-13, rtol=8.9e-16)
-
-
-def fit_c_coord() -> FittedConstant:
-    pairs = []
-    for d in fam.COORD_D_RANGE:
-        med = coordinate_median(d)
-        pairs.append((1.0, med * math.sqrt(d)))
-    return fit_constant(pairs, "C_coord", fam.COORD_FAMILY_DESC,
-                        grid={"d": [fam.COORD_D_RANGE[0], fam.COORD_D_RANGE[-1]]})
-
-
-def size_pairs(c: float) -> list[tuple[float, float]]:
-    """(log2 |D| at the even-rounded block size, c sqrt(n)) for n in SIZE_N_RANGE."""
-    return [(size_bound_exponent(n), c * math.sqrt(n)) for n in fam.SIZE_N_RANGE]
-
-
-def fit_c_size() -> FittedConstant:
-    return fit_constant(size_pairs(1.0), "C_size", fam.SIZE_FAMILY_DESC,
-                        grid={"n": [fam.SIZE_N_RANGE[0], fam.SIZE_N_RANGE[-1]]})
-
-
 FITTERS = {
     "C_equal": fit_c_equal,
     "C_diff": fit_c_diff,
     "C_zp": fit_c_zp,
     "C_prg": fit_c_prg,
     "C_esseen": fit_c_esseen,
-    "C_cos": fit_c_cos,
-    "C_coord": fit_c_coord,
-    "C_size": fit_c_size,
 }

@@ -211,21 +211,12 @@ def _cos_power(d: int):
     return f
 
 
-def coord_tail_total(d: int) -> float:
-    """The normaliser of first_coord_tail for dimension d >= 2."""
-    if d < 2:
-        raise UnsupportedDimension(f"the normaliser needs dimension >= 2, got {d}")
-    return adaptive_simpson(_cos_power(d), 0.0, math.pi / 2.0, tol=1e-12)
-
-
-def first_coord_tail(d: int, t: float, total: float | None = None) -> float:
+def first_coord_tail(d: int, t: float) -> float:
     """P[|v_1| >= t] for v uniform on the unit sphere in R^d.
 
     The density of v_1 is proportional to (1-s^2)^((d-3)/2); substituting
     s = sin(theta) removes the d = 2 endpoint singularity, so the tail is a
-    ratio of two smooth quadratures.  A caller that evaluates many t at one d
-    passes the normaliser coord_tail_total(d) as total, so it is integrated
-    once.
+    ratio of two smooth quadratures.
     """
     if d < 1:
         raise UnsupportedDimension(f"dimension must be >= 1, got {d}")
@@ -235,6 +226,13 @@ def first_coord_tail(d: int, t: float, total: float | None = None) -> float:
         # the coordinate is +-1, no density involved
         return 1.0
     upper = adaptive_simpson(_cos_power(d), math.asin(t), math.pi / 2.0, tol=1e-12)
-    if total is None:
-        total = coord_tail_total(d)
+    total = adaptive_simpson(_cos_power(d), 0.0, math.pi / 2.0, tol=1e-12)
     return min(1.0, upper / total)
+
+
+def coordinate_median(d):
+    """Median of |v_1| for a uniform unit vector in R^d, d >= 2 (elementwise
+    over an array of d): v_1^2 ~ Beta(1/2, (d-1)/2)."""
+    from scipy.special import betaincinv
+
+    return np.sqrt(betaincinv(0.5, (np.asarray(d) - 1) / 2.0, 0.5))

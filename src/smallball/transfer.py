@@ -403,9 +403,14 @@ def find_prime(weights: WeightSystem) -> int:
     """Smallest prime strictly greater than 2 int(max |v|), for any scalar weights.
 
     Fixing this choice makes the Z_p averages reproducible and keeps any
-    single weight from wrapping around the modulus.
+    single weight from wrapping around the modulus.  A start above DP_BUDGET
+    is refused before any trial division: the Z_p functions would need at
+    least that many (point, step, state) cells at the prime.
     """
     candidate = max(2, 2 * int(np.abs(weights.scalars).max()) + 1)
+    if candidate > DP_BUDGET:
+        raise BudgetExceeded(
+            f"the prime search starts at {candidate}, beyond the budget {DP_BUDGET}")
     while not _is_prime(candidate):
         candidate += 1
     return candidate
@@ -444,7 +449,11 @@ def fold_mod(dist: SumDistribution, p: int) -> np.ndarray:
 def _zp_char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
                 p: int) -> np.ndarray:
     """E[exp(2 pi i xi S / p)] for xi = 0..p-1: p a prime no smaller than any
-    |v_j|, and every contribution an integer, as in the DP."""
+    |v_j|, and every contribution an integer, as in the DP.  The p n N
+    (point, step, state) cells count against DP_BUDGET before p is tested."""
+    cells = int(p) * signs.n_steps * chain.n_states
+    if cells > DP_BUDGET:
+        raise BudgetExceeded(f"Z_p sweep needs {cells} cells, budget is {DP_BUDGET}")
     if not _is_prime(int(p)):
         raise NotPrime(f"{p} is not prime")
     contribs = sign_contributions(signs, weights)

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import balanced_signs, ones_weights
 from smallball.bounds import (
+    C_COS,
     QUAD_TOL,
     BoundReport,
     FittedConstant,
     binomial_negative_moment,
+    cosine_power_integral,
     cosine_product_integral,
     esseen_bound,
     fit_constant,
@@ -81,10 +83,26 @@ class TestCosineProductIntegral:
     def test_empty_product(self):
         assert cosine_product_integral([]) == 2.0
 
-    def test_large_power_within_committed_constant(self, constants):
+    def test_large_power_within_committed_constant(self):
         k = 25
         val = cosine_product_integral(np.ones(k))
-        assert val <= constants["C_cos"].value / 5.0
+        assert val <= C_COS / 5.0
+
+    def test_closed_form_within_proved_constant_for_every_power(self):
+        # Wallis: the integral is 4/pi at k = 1, 1 at k = 2, and its ratio
+        # from k to k + 2 is (k+1)/(k+2); the constant fitted on k = 1..100,
+        # 1.5917847477451674, is exceeded from k = 101 on
+        k = np.arange(1, 10**6 + 1)
+        integral = np.empty(k.size)
+        for first, start in ((0, 4.0 / math.pi), (1, 1.0)):
+            steps = (k[first:-2:2] + 1.0) / (k[first:-2:2] + 2.0)
+            integral[first::2] = start * np.cumprod(np.concatenate([[1.0], steps]))
+        scaled = integral * np.sqrt(k)
+        assert np.all(scaled < C_COS)
+        assert scaled[101 - 1] > 1.5917847477451674
+        for j in (1, 2, 101, 1000):
+            assert cosine_power_integral(j) * math.sqrt(j) == pytest.approx(
+                scaled[j - 1], rel=1e-12)
 
     def test_nonincreasing_in_k(self):
         vals = [cosine_product_integral(np.ones(k)) for k in range(1, 30)]
@@ -236,8 +254,7 @@ class TestFitConstant:
 
 class TestConstantsFile:
     def test_committed_constants_load(self, constants):
-        for name in ("C_equal", "C_diff", "C_zp", "C_prg", "C_esseen", "C_cos",
-                     "C_coord", "C_size"):
+        for name in ("C_equal", "C_diff", "C_zp", "C_prg", "C_esseen"):
             assert name in constants
             assert constants[name].value > 0
             assert constants[name].family

@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from smallball.cli import (
 from smallball.errors import ConfigError
 from smallball.prg import build_mgg_expander, save_graph
 
+ROOT = Path(__file__).resolve().parent.parent
 CHAIN_DOC = ('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
              '"stationary": [0.5, 0.5]}')
 
@@ -93,6 +97,20 @@ class TestSubcommands:
                      "arange", "--n", "5", "--x0", "1"]) == 0
         out = capsys.readouterr().out
         assert "average" in out
+
+    def test_zp_average_refuses_a_large_weight_at_once(self, chain_file, tmp_path):
+        # in a subprocess, so a prime search near 2e20 hits the timeout
+        # instead of hanging the suite
+        weights = tmp_path / "w.json"
+        weights.write_text("[1e20, 1, 1, 1]")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "smallball.cli", "zp-average",
+                              "--chain", chain_file, "--weights", str(weights),
+                              "--x0", "0"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert "beyond the budget" in run.stderr
 
     def test_prg_build_and_test(self, tmp_path, capsys):
         graph = str(tmp_path / "g.json")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from smallball import prg
+from smallball.bounds import C_SIZE
 from smallball.chains import spectral_lambda
 from smallball.errors import (
     BudgetExceeded,
@@ -393,10 +394,17 @@ class TestSizeBound:
         assert spec.size == 2**2 * 8 ** (2 - 1)
         assert math.log2(spec.size) == size_bound_exponent(4)
 
-    def test_committed_constant_covers_grid(self, constants):
-        c = constants["C_size"].value
+    def test_committed_constant_covers_grid(self):
         for n in range(4, 4097):
-            assert size_bound_exponent(n) <= c * math.sqrt(n)
+            assert size_bound_exponent(n) < C_SIZE * math.sqrt(n)
+
+    def test_proved_constant_covers_every_n(self):
+        # the constant fitted on n = 4..4096, 3.9838814840156673, is exceeded
+        # at n = 4291; at n = 188^2, k = 188 and 188 blocks give 749 < 752
+        assert size_bound_exponent(4291) > 3.9838814840156673 * math.sqrt(4291)
+        assert size_bound_exponent(188**2) == 188 + 3 * 187
+        for n in range(1, 10**5 + 1):
+            assert size_bound_exponent(n) < C_SIZE * math.sqrt(n), n
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import beta, betainc
 
 from conftest import balanced_signs, ones_weights
-from smallball import sampling
+from smallball import bounds, sampling
 from smallball.chains import (
     make_independent_chain,
     make_sign_system,
@@ -22,7 +22,7 @@ from smallball.families import random_reversible_chain
 from smallball.rngstreams import uniforms
 from smallball.sampling import (
     CHUNK,
-    coord_tail_total,
+    coordinate_median,
     first_coord_tail,
     sample_signs,
     smallball_mc,
@@ -420,25 +420,30 @@ class TestFirstCoordTail:
     def test_one_dimension_special_case(self):
         assert first_coord_tail(1, 0.7) == 1.0
 
-    def test_passed_normaliser_keeps_the_bits(self):
-        for d in (2, 3, 17, 64):
-            total = coord_tail_total(d)
-            for t in (0.0, 0.05, 0.3, 0.9, 1.0):
-                assert (first_coord_tail(d, t, total=total).hex()
-                        == first_coord_tail(d, t).hex())
-        with pytest.raises(UnsupportedDimension):
-            coord_tail_total(1)
-
     def test_rejects_bad_input(self):
         with pytest.raises(UnsupportedDimension):
             first_coord_tail(0, 0.5)
         with pytest.raises(OutOfRange):
             first_coord_tail(3, 1.5)
 
-    def test_committed_constant_clears_half(self, constants):
-        c = constants["C_coord"].value
+    def test_committed_constant_clears_half(self):
+        c = bounds.C_COORD
         for d in (2, 3, 5, 9, 17, 33, 64):
             assert first_coord_tail(d, 1.0 / (c * math.sqrt(d))) >= 0.5
+
+    def test_proved_constant_clears_half_past_the_criterion_grid(self):
+        # the constant fitted on d = 2..64, 1.4678188662986078, left
+        # P[|v_1| >= 1/(C sqrt(d))] below 1/2 from d = 65 on
+        for d in (65, 128):
+            assert first_coord_tail(d, 1.0 / (bounds.C_COORD * math.sqrt(d))) >= 0.5
+
+    def test_median_ratio_rises_below_the_proved_constant(self):
+        d = np.arange(2, 10**5 + 1)
+        ratio = 1.0 / (coordinate_median(d) * np.sqrt(d))
+        assert ratio[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(np.diff(ratio) > 0.0)
+        assert np.all(ratio < bounds.C_COORD)
+        assert ratio[65 - 2] > 1.4678188662986078
 
 
 def test_highdim_bound_dominates_mc_estimates(constants, two_state_03):

@@ -372,6 +372,31 @@ class TestPrimesAndZp:
         assert find_prime(make_weight_system([-5.0, 1.0])) == 11
         assert find_prime(make_weight_system([2.0, -2.0, 2.0])) == 5
 
+    def test_find_prime_refuses_a_start_above_the_budget(self, monkeypatch):
+        # the weight 1e20, whose trial division would run for hours, is
+        # checked in a subprocess with a timeout in test_cli.py
+        monkeypatch.setattr(transfer, "DP_BUDGET", 7)
+        assert find_prime(make_weight_system([2.0, 3.0])) == 7  # starts at 7
+        monkeypatch.setattr(transfer, "DP_BUDGET", 6)
+        with pytest.raises(BudgetExceeded, match="starts at 7"):
+            find_prime(make_weight_system([2.0, 3.0]))
+
+    def test_zp_cells_count_before_the_primality_test(self, uniform_independent,
+                                                      monkeypatch):
+        # p n N = 7 * 3 * 2 = 42 cells
+        signs = balanced_signs(uniform_independent, 3)
+        monkeypatch.setattr(transfer, "DP_BUDGET", 42)
+        zp_fourier_average(uniform_independent, signs, ones_weights(3), 7)
+        with pytest.raises(NotPrime):
+            mod_p_point_probability(uniform_independent, signs, ones_weights(3), 6, 0)
+        monkeypatch.setattr(transfer, "DP_BUDGET", 41)
+        # a composite p is refused by the budget, not tested
+        for p, cells in ((7, "42 cells"), (8, "48 cells")):
+            with pytest.raises(BudgetExceeded, match=cells):
+                zp_fourier_average(uniform_independent, signs, ones_weights(3), p)
+            with pytest.raises(BudgetExceeded, match=cells):
+                mod_p_point_probability(uniform_independent, signs, ones_weights(3), p, 0)
+
     def test_three_term_average(self, uniform_independent):
         signs = balanced_signs(uniform_independent, 1)
         avg = zp_fourier_average(uniform_independent, signs, ones_weights(1), 3)
