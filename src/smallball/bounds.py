@@ -292,16 +292,3 @@ def write_bound_reports(path, reports) -> bool:
     """Write the CSV report; returns True when every row passed."""
     write_csv(path, REPORT_FIELDS, (rep.row() for rep in reports))
     return all(rep.passed for rep in reports)
-
-
-def read_bound_reports(path) -> list[BoundReport]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(BoundReport(
-                instance_id=row["instance_id"], n=int(row["n"]), d=int(row["d"]),
-                lam=float(row["lambda"]), radius=float(row["R"]),
-                prob=float(row["prob"]), bound=float(row["bound"]),
-            ))
-    return out

@@ -63,12 +63,6 @@ def random_reversible_chain(rng, n_states: int) -> MarkovChain:
     return validate_chain(s / rowsums[:, None], rowsums / rowsums.sum())
 
 
-def random_stochastic_matrix(rng, n_states: int) -> np.ndarray:
-    """Generic row-stochastic matrix, almost surely not reversible."""
-    a = rng.uniform(0.05, 1.0, size=(n_states, n_states))
-    return a / a.sum(axis=1, keepdims=True)
-
-
 def paired_reversible_chain(rng, n_pairs: int, lam_target: float,
                             wobble: float = 0.049):
     """A reversible chain whose lambda lies within `wobble` of lam_target and

@@ -232,22 +232,6 @@ def t_indices(s) -> list[int]:
     return [i for i in range(1, len(s) + 2) if padded[i] == 0 and padded[i - 1] == 0]
 
 
-def t_indices_prose(s) -> list[int]:
-    """Same set via the edge-cased prose definition; must agree with t_indices."""
-    k = len(s)
-    out = []
-    for i in range(1, k + 2):
-        if i == 1:
-            ok = k == 0 or s[0] == 0
-        elif i == k + 1:
-            ok = s[k - 1] == 0
-        else:
-            ok = s[i - 1] == 0 and s[i - 2] == 0
-        if ok:
-            out.append(i)
-    return out
-
-
 def extraction_indices(s) -> list[int]:
     """The provably extractable subset: t_indices with the left edge dropped.
 

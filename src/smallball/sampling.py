@@ -8,7 +8,6 @@ which stays valid near probability zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,13 +43,6 @@ class McEstimate:
 
     def covers(self, p: float) -> bool:
         return self.ci_low <= p <= self.ci_high
-
-    def serialize(self) -> str:
-        return json.dumps({
-            "estimate": repr(self.estimate), "samples": self.samples,
-            "ci_low": repr(self.ci_low), "ci_high": repr(self.ci_high),
-            "seed": self.seed,
-        }, sort_keys=True)
 
 
 def _clopper_pearson(hits: int, total: int):

@@ -34,11 +34,13 @@ DP_BUDGET = 10**9  # cells = n_states * n_steps * lattice size
 # on a 2-core Xeon: random chains with 4 states at n = 430 (2.5e9) take 3-4.5 s,
 # with 16 states at n = 180 (3.0e9) 6.3 s and at n = 216 (5.2e9) 6-9 s
 RATIONAL_BUDGET = 3 * 10**9
-# the float DP zeroes every (step, state) mass below FLOOR, the least normal
-# double, once every FLUSH_EVERY steps and after the last: at most
-# cells swept * FLOOR <= DP_BUDGET * FLOOR ~ 2.2e-299 of mass goes, and the
-# sweep does no subnormal arithmetic beyond FLUSH_EVERY steps
-FLOOR = np.finfo(float).tiny
+# the float DP zeroes every (step, state) mass below FLOOR once every
+# FLUSH_EVERY steps and after the last: at most cells swept * FLOOR <=
+# DP_BUDGET * FLOOR ~ 1.0e-283 of mass goes.  FLOOR sits 52 binades above the
+# least normal double, so a mass that shrinks by less than 2^52 between two
+# flushes stays normal: subnormal operands made the full-band sweep of a
+# 16-state n = 3000 law take 0.105 s where it takes 0.063 s without them
+FLOOR = 2.0**-970
 FLUSH_EVERY = 16
 PHASE_TABLE_BUDGET = 4 * 2**20  # bytes of the (xi, distinct value) phase table
 PHASE_TABLE_MIN = 512  # (xi, step, state) phases of a sweep worth a table
@@ -268,7 +270,8 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
         return SumDistribution(offset=0, masses=point, span=(0, 0),
                                rational={0: Fraction(1)} if exact else None)
     # budgets count the global lattice, which holds every intermediate partial sum
-    pmin = np.cumsum(table.min(axis=1))
+    low = table.min(axis=1)
+    pmin = np.cumsum(low)
     pmax = np.cumsum(table.max(axis=1))
     glo = int(min(pmin.min(), 0))
     ghi = int(max(pmax.max(), 0))
@@ -283,16 +286,18 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
         )
     # after step j mass sits only on pmin[j] + g k: each step adds its row
     # minimum plus a multiple of g
-    g = max(int(np.gcd.reduce((table - table.min(axis=1)[:, None]).ravel())), 1)
+    rise = table - low[:, None]
+    g = max(int(np.gcd.reduce(rise.ravel())), 1)
+    shifts, moving = rise // g, bool(table.any())
 
     rational = None
     if exact:
-        rational = _rational_dp(chain, table, pmin, pmax, g)
+        rational = _rational_dp(chain, shifts, moving, lo, g)
         band = np.zeros((hi - lo) // g + 1)
         for s, frac in rational.items():
             band[(s - lo) // g] = float(frac)
     else:
-        band = _banded_dp(chain.transition.T, chain.stationary, table, pmin, pmax, g)
+        band = _banded_dp(chain.transition.T, chain.stationary, shifts, moving)
     masses = np.zeros(hi - lo + 1)
     masses[::g] = band
 
@@ -304,42 +309,66 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
                            rational=rational)
 
 
-def _banded_dp(a_t, mu, table, pmin, pmax, g):
-    """Masses after the last step on pmin[-1] + g k, k = 0..(pmax[-1] - pmin[-1])/g.
+def _banded_dp(a_t, mu, shifts, moving):
+    """Masses after the last step on pmin[-1] + g k, k = 0..sum of the row
+    maxima of shifts, where step j moves state y's mass by shifts[j, y] (the
+    contribution's rise over its row minimum, in units of g).
 
-    Sweeps only the strided band of each step.  The dtype of mu sets the
-    arithmetic: object arrays of Python ints for the exact DP, or float64,
-    which every FLUSH_EVERY steps and after the last zeroes each
-    (state, partial sum) mass below FLOOR.
+    Sweeps only the columns of the band that can hold mass.  The dtype of mu
+    sets the arithmetic: object arrays of Python ints for the exact DP, or
+    float64, which every FLUSH_EVERY steps and after the last zeroes each
+    (state, partial sum) mass below FLOOR and trims the live columns to the
+    first and last that keep mass.  moving is False only for an all-zero
+    table, whose lattice is one point.
     """
-    n, n_states = table.shape
-    shifts = (table - np.diff(pmin, prepend=0)[:, None]) // g
-    # pad zero columns on both sides: a row shifted by at most pad carries its
-    # zeros along, so no cell needs clearing, and a_t @ band stays a matrix
-    # product, rounded like the full lattice's (BLAS rounds a matrix-vector
-    # product differently; only an all-zero table has a one-point lattice)
-    pad = int(shifts.max()) or int(table.any())
-    widths = ((pmax - pmin) // g + 1 + 2 * pad).tolist()
-    shifts = shifts.tolist()
-    cur = np.zeros((n_states, widths[-1]), dtype=mu.dtype)
+    n, n_states = shifts.shape
+    reach = shifts.max(axis=1)
+    # pad zero columns on both sides, so that a row shifted by at most pad
+    # stays in the buffer and every product takes at least two columns: a
+    # matrix product, rounded like the full lattice's (BLAS rounds a
+    # matrix-vector product differently; only an all-zero table has a
+    # one-point lattice)
+    pad = int(reach.max()) or int(moving)
+    least = 2 if pad else 1
+    width = int(reach.sum()) + 1 + 2 * pad
+    reach, shifts = reach.tolist(), shifts.tolist()
+    cur = np.zeros((n_states, width), dtype=mu.dtype)
     nxt, products = np.zeros_like(cur), np.zeros_like(cur)
     # numpy's object matmul overwrites out= without releasing what it held,
     # so only the float sweep keeps one buffer for the products
     floats = mu.dtype != object
     for y, s in enumerate(shifts[0]):
         cur[y, pad + s] = mu[y]
+    # cur is zero outside columns [live, end), and nxt, the law one step
+    # older, outside [stale, stale_end): the columns multiplied cover both,
+    # so the shifted rows overwrite every stale mass
+    live, end = pad, pad + reach[0] + 1
+    stale, stale_end = width, 0
     for j in range(1, n):
-        w = widths[j - 1]
-        mixed = np.matmul(a_t, cur[:, :w], out=products[:, :w] if floats else None)
+        r = reach[j]
+        lo = min(live, stale - r)
+        hi = max(end, stale_end, lo + least)
+        mixed = np.matmul(a_t, cur[:, lo:hi], out=products[:, :hi - lo] if floats else None)
         for y, s in enumerate(shifts[j]):
-            nxt[y, s:s + w] = mixed[y]
+            nxt[y, lo + s:hi + s] = mixed[y]
         cur, nxt = nxt, cur
+        stale, stale_end = live, end
+        end += r
         if floats and j % FLUSH_EVERY == 0:
-            band = cur[:, :widths[j]]
-            np.multiply(band, band >= FLOOR, out=band)
+            live, end = _flush(cur, live, end)
     if floats:
-        np.multiply(cur, cur >= FLOOR, out=cur)
-    return cur[:, pad:widths[-1] - pad].sum(axis=0)
+        _flush(cur, live, end)
+    return cur[:, pad:width - pad].sum(axis=0)
+
+
+def _flush(cur, live, end):
+    """Zero the masses of cur[:, live:end] below FLOOR; return the range
+    (first, last + 1) of the columns that keep mass."""
+    band = cur[:, live:end]
+    kept = band >= FLOOR
+    np.multiply(band, kept, out=band)
+    cols = np.flatnonzero(kept.any(axis=0))
+    return live + int(cols[0]), live + int(cols[-1]) + 1
 
 
 def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -350,8 +379,9 @@ def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(values.shape), e
 
 
-def _rational_dp(chain, table, pmin, pmax, g):
-    """Exact law as {partial sum: Fraction}, zero masses dropped.
+def _rational_dp(chain, shifts, moving, lo, g):
+    """Exact law as {partial sum: Fraction}, zero masses dropped; the band of
+    _banded_dp starts at partial sum lo with stride g.
 
     Every float is m 2^e, so the DP runs on integer numerators over the common
     denominator 2^(e_mu + (n - 1) e_a); no Fraction exists until the one
@@ -359,9 +389,8 @@ def _rational_dp(chain, table, pmin, pmax, g):
     """
     a, e_a = _dyadic(chain.transition)
     mu, e_mu = _dyadic(chain.stationary)
-    band = _banded_dp(a.T, mu, table, pmin, pmax, g)
-    denom = 1 << (e_mu + (table.shape[0] - 1) * e_a)
-    lo = int(pmin[-1])
+    band = _banded_dp(a.T, mu, shifts, moving)
+    denom = 1 << (e_mu + (shifts.shape[0] - 1) * e_a)
     return {lo + g * k: Fraction(m, denom) for k, m in enumerate(band.tolist()) if m}
 
 

@@ -1,7 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from smallball.bounds import load_constants
+from smallball.bounds import BoundReport, load_constants
 from smallball.chains import (
     make_independent_chain,
     make_two_state_chain,
@@ -33,3 +36,23 @@ def balanced_signs(chain, n):
 
 def ones_weights(n):
     return make_weight_system(np.ones(n))
+
+
+def read_bound_reports(path):
+    """The BoundReport rows of a CSV that bounds.write_bound_reports wrote."""
+    with open(path, newline="") as fh:
+        return [BoundReport(
+            instance_id=row["instance_id"], n=int(row["n"]), d=int(row["d"]),
+            lam=float(row["lambda"]), radius=float(row["R"]),
+            prob=float(row["prob"]), bound=float(row["bound"]),
+        ) for row in csv.DictReader(fh)]
+
+
+def serialize(est):
+    """An McEstimate as sorted-key JSON with every float by its repr: the
+    text whose sha256 the pinned-estimate tests record."""
+    return json.dumps({
+        "estimate": repr(est.estimate), "samples": est.samples,
+        "ci_low": repr(est.ci_low), "ci_high": repr(est.ci_high),
+        "seed": est.seed,
+    }, sort_keys=True)

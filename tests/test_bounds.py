@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_signs, ones_weights
+from conftest import balanced_signs, ones_weights, read_bound_reports
 from smallball.bounds import (
     C_COS,
     QUAD_TOL,
@@ -17,7 +17,6 @@ from smallball.bounds import (
     cosine_product_integral,
     esseen_bound,
     fit_constant,
-    read_bound_reports,
     theorem_bound,
     write_bound_reports,
 )

@@ -24,8 +24,14 @@ from smallball.errors import (
     PreconditionViolated,
     ZeroStationaryMass,
 )
-from smallball.families import random_reversible_chain, random_stochastic_matrix
+from smallball.families import random_reversible_chain
 from smallball.oracles import averaging_operator, operator_norm_l2mu
+
+
+def random_stochastic_matrix(rng, n_states: int) -> np.ndarray:
+    """Generic row-stochastic matrix, almost surely not reversible."""
+    a = rng.uniform(0.05, 1.0, size=(n_states, n_states))
+    return a / a.sum(axis=1, keepdims=True)
 
 
 class TestValidateChain:

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import read_bound_reports
 from smallball.bounds import (
     FittedConstant,
     load_constants,
-    read_bound_reports,
     save_constants,
 )
 from smallball.cli import (

@@ -36,7 +36,6 @@ from smallball.oracles import (
     operator_norm_l2mu,
     switching_stats,
     t_indices,
-    t_indices_prose,
 )
 
 
@@ -274,6 +273,22 @@ class TestExactSum:
         assert math.isinf(exact_sums(np.array([1.0, np.inf] * 600))[0])
         with pytest.raises(ValueError):
             exact_sums(np.array([np.inf, -np.inf] * 600))  # as fsum raises
+
+
+def t_indices_prose(s) -> list[int]:
+    """oracles.t_indices' set via the edge-cased prose definition."""
+    k = len(s)
+    out = []
+    for i in range(1, k + 2):
+        if i == 1:
+            ok = k == 0 or s[0] == 0
+        elif i == k + 1:
+            ok = s[k - 1] == 0
+        else:
+            ok = s[i - 1] == 0 and s[i - 2] == 0
+        if ok:
+            out.append(i)
+    return out
 
 
 class TestIndexConventions:

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import serialize
 from smallball import prg
 from smallball.bounds import C_SIZE
 from smallball.chains import spectral_lambda
@@ -307,13 +308,13 @@ class TestPrgSmallball:
         (8, "a0c60b842363aba4d9155a266624e5e3b3b9172aff5ec10162f780e8017fc2c1"),
     ])
     def test_sampled_estimates_are_pinned(self, k, digest):
-        # serialize() digests recorded before the step-major walk sampler;
+        # serialize digests recorded before the step-major walk sampler;
         # CHUNK + 3 walks cross one chunk edge
         spec = PrgSpec(graph=build_mgg_expander(k), n=4 * k)
         scalars = np.random.default_rng(k).integers(1, 3, 4 * k).astype(float)
         est = prg_smallball(spec, scalars, 1.0, 3.0, mode="sampled",
                             samples=CHUNK + 3, seed=k)
-        assert hashlib.sha256(est.serialize().encode()).hexdigest() == digest
+        assert hashlib.sha256(serialize(est).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("graph", [
         build_mgg_expander(4),

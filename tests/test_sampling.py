@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import beta, betainc
 
-from conftest import balanced_signs, ones_weights
+from conftest import balanced_signs, ones_weights, serialize
 from smallball import bounds, sampling
 from smallball.chains import (
     make_independent_chain,
@@ -208,8 +208,8 @@ class TestSmallballMc:
     def test_serialization_is_bit_stable(self, two_state_03):
         args = (two_state_03, balanced_signs(two_state_03, 4), ones_weights(4),
                 0.0, 1.0, 5000)
-        a = smallball_mc(*args, seed=42).serialize()
-        b = smallball_mc(*args, seed=42).serialize()
+        a = serialize(smallball_mc(*args, seed=42))
+        b = serialize(smallball_mc(*args, seed=42))
         assert a.encode() == b.encode()
 
     def test_ci_orders(self, two_state_03):
@@ -285,11 +285,11 @@ class TestSmallballMc:
          "406a265cddab3904d8e1cb1381b604a6a820a301be45f741ee92b885c7377a3d"),
     ])
     def test_pinned_estimates(self, n_states, kind, x0, radius, digest):
-        # serialize() digests recorded before the step-major sampler
+        # serialize digests recorded before the step-major sampler
         chain, signs, weights = pinned_instance(n_states, kind)
         est = smallball_mc(chain, signs, weights, x0, radius, PINNED_COUNT,
                            seed=n_states)
-        assert sha256(est.serialize().encode()) == digest
+        assert sha256(serialize(est).encode()) == digest
 
     def test_memory_stays_within_one_sign_matrix(self):
         # one chunk's float signs would be 8 n CHUNK bytes; the sums are taken

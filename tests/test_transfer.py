@@ -253,7 +253,7 @@ class TestExactDistribution:
     @pytest.mark.parametrize("n", [200, 257])
     def test_float_dp_floor_against_rational_oracle(self, n):
         # P(+1) = 0.01 per step: the masses C(n, k) 0.01^k 0.99^(n-k) of the
-        # upper tail fall below FLOOR (29 of them at n = 200, 72 at n = 257).
+        # upper tail fall below FLOOR (35 of them at n = 200, 78 at n = 257).
         # The float DP zeroes them, returns no mass below FLOOR, and stays
         # within its declared bound, cells swept * FLOOR, of the exact law,
         # beyond the rounding that test_float_dp_against_rational_oracle_at_n400
@@ -266,7 +266,7 @@ class TestExactDistribution:
         cells = 2 * n * (2 * n + 1)  # states x steps x lattice: at least those swept
         removed = [frac for s, frac in exact.rational.items()
                    if plain.probability_at(s) == 0]
-        assert len(removed) >= 29
+        assert len(removed) >= 35
         assert sum(removed) <= cells * Fraction(transfer.FLOOR)
         for s, frac in exact.rational.items():
             want = float(frac)
@@ -497,7 +497,9 @@ def full_lattice_law(chain, contribs, floor=0.0):
     """Reference DP over the whole lattice of partial sums at every step.
 
     Every FLUSH_EVERY steps and after the last it zeroes each mass below
-    floor.  Returns (offset, masses) trimmed to the first and last nonzero mass.
+    floor.  Returns (offset, masses, subnormal): the masses trimmed to the
+    first and last nonzero one, and the number of (step, state, partial sum)
+    cells that a step left in (0, 2^-1022), before any flush.
     """
     table = np.asarray(contribs).astype(np.int64)
     n, n_states = table.shape
@@ -509,6 +511,8 @@ def full_lattice_law(chain, contribs, floor=0.0):
     dp = np.zeros((n_states, size))
     for y in range(n_states):
         dp[y, table[0, y] - glo] = chain.stationary[y]
+    tiny = np.finfo(float).tiny
+    subnormal = 0
     for j in range(1, n):
         mixed = a_t @ dp
         dp = np.zeros_like(dp)
@@ -518,12 +522,13 @@ def full_lattice_law(chain, contribs, floor=0.0):
                 dp[y, c:] = mixed[y, :size - c]
             else:
                 dp[y, :size + c] = mixed[y, -c:]
+        subnormal += np.count_nonzero(dp < tiny) - np.count_nonzero(dp == 0.0)
         if j % transfer.FLUSH_EVERY == 0:
             dp[dp < floor] = 0.0
     dp[dp < floor] = 0.0
     masses = dp.sum(axis=0)
     nonzero = np.flatnonzero(masses)
-    return glo + int(nonzero[0]), masses[nonzero[0]:nonzero[-1] + 1]
+    return glo + int(nonzero[0]), masses[nonzero[0]:nonzero[-1] + 1], subnormal
 
 
 def _dp_cases():
@@ -553,10 +558,54 @@ def _dp_cases():
 
 def test_banded_dp_bit_identical_to_full_lattice():
     for chain, contribs in _dp_cases():
-        offset, masses = full_lattice_law(chain, contribs)
+        offset, masses, _ = full_lattice_law(chain, contribs)
         dist = distribution_from_contributions(chain, contribs)
         assert dist.offset == offset
         assert np.array_equal(dist.masses, masses)
+
+
+def rational_lattice_law(chain, contribs):
+    """{partial sum: Fraction} of nonzero mass, by a forward sweep over one
+    dict per state in the exact binary values of the chain."""
+    table = np.asarray(contribs).astype(np.int64).tolist()
+    a = [[Fraction(x) for x in row] for row in chain.transition.tolist()]
+    law = [{c: Fraction(m)} for c, m in zip(table[0], chain.stationary.tolist())]
+    for row in table[1:]:
+        nxt = [{} for _ in row]
+        for x, masses in enumerate(law):
+            for y, c in enumerate(row):
+                if a[x][y]:
+                    for s, m in masses.items():
+                        nxt[y][s + c] = nxt[y].get(s + c, 0) + m * a[x][y]
+        law = nxt
+    out = {}
+    for masses in law:
+        for s, m in masses.items():
+            out[s] = out.get(s, 0) + m
+    return {s: m for s, m in out.items() if m}
+
+
+def _live_band_cases():
+    """Edge cases of the float sweep's live columns, and whether each is
+    small enough for the rational oracle."""
+    rng = np.random.default_rng(2100)
+    chain4 = random_reversible_chain(rng, 4)
+    flip = make_two_state_chain(1.0)  # deterministic alternation
+    # n < FLUSH_EVERY, a flush on the last step (n = 33: j = 32), one step
+    # before and one past it
+    for n in (9, 32, 33, 34):
+        yield chain4, rng.choice([-1.0, 1.0], size=(n, 4)), n < 16
+    # only two paths carry mass, so each flush trims the band on both sides
+    # to their span, and shifts up to 6 spread it again
+    for n in (17, 33, 50):
+        yield flip, rng.integers(-3, 4, size=(n, 2)).astype(float), True
+    yield flip, np.tile([1.0, -1.0], (40, 1)), True  # exact zeros inside the band
+    zero_rows = rng.integers(-3, 4, size=(40, 4)).astype(float)
+    zero_rows[[0, 15, 16, 17, 32, 39]] = 0.0
+    yield chain4, zero_rows, False
+    yield random_reversible_chain(rng, 16), rng.integers(-3, 4, size=(33, 16)).astype(float), False
+    for n_states in (2, 4):
+        yield random_reversible_chain(rng, n_states), np.zeros((40, n_states)), True
 
 
 def test_floored_band_bit_identical_to_floored_full_lattice():
@@ -568,12 +617,34 @@ def test_floored_band_bit_identical_to_floored_full_lattice():
              (random_reversible_chain(rng, 4), rng.integers(-3, 4, size=(700, 4)).astype(float)),
              (random_reversible_chain(rng, 3), 2.0 * rng.choice([-1.0, 1.0], size=(2500, 3)))]
     for chain, contribs in cases:
-        offset, masses = full_lattice_law(chain, contribs, floor=transfer.FLOOR)
+        offset, masses, _ = full_lattice_law(chain, contribs, floor=transfer.FLOOR)
         # the floored law is narrower than the lattice
         assert masses.size - 1 < np.sum(contribs.max(axis=1) - contribs.min(axis=1))
         dist = distribution_from_contributions(chain, contribs)
         assert dist.offset == offset
         assert np.array_equal(dist.masses, masses)
+    for chain, contribs, rational in _live_band_cases():
+        offset, masses, _ = full_lattice_law(chain, contribs, floor=transfer.FLOOR)
+        dist = distribution_from_contributions(chain, contribs)
+        assert dist.offset == offset
+        assert np.array_equal(dist.masses, masses)
+        if rational:
+            exact = distribution_from_contributions(chain, contribs, exact=True)
+            assert exact.rational == rational_lattice_law(chain, contribs)
+
+
+def test_float_sweep_does_no_subnormal_arithmetic():
+    # masses that fall below FLOOR between two flushes stay normal on long
+    # chains; at the least normal double as the floor they do not, so the
+    # count can fail
+    rng = np.random.default_rng(2101)
+    chain16 = random_reversible_chain(rng, 16)
+    cases = [(make_two_state_chain(lam), np.tile([1.0, -1.0], (2000, 1)))
+             for lam in (0.0, 0.3, 0.6)]
+    cases.append((chain16, rng.choice([-1.0, 1.0], size=(1000, 16))))
+    for chain, contribs in cases:
+        assert full_lattice_law(chain, contribs, floor=transfer.FLOOR)[2] == 0
+        assert full_lattice_law(chain, contribs, floor=np.finfo(float).tiny)[2] > 0
 
 
 @pytest.mark.parametrize("n_states", [2, 3, 8])
