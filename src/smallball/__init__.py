@@ -10,7 +10,9 @@ from .bounds import (
     BoundReport,
     FittedConstant,
     binomial_negative_moment,
+    binomial_negative_moments,
     cosine_product_integral,
+    cosine_product_integrals,
     esseen_bound,
     fit_constant,
     load_constants,
@@ -33,9 +35,11 @@ from .chains import (
 )
 from .oracles import (
     HolderInstance,
+    averaging_identity_reports,
     check_averaging_identities,
     enumerate_paths,
     holder_lhs_rhs,
+    holder_sides,
     switching_stats,
 )
 from .prg import (
@@ -46,7 +50,13 @@ from .prg import (
     enumerate_walks,
     prg_smallball,
 )
-from .sampling import McEstimate, first_coord_tail, sample_signs, smallball_mc
+from .sampling import (
+    McEstimate,
+    first_coord_tail,
+    first_coord_tails,
+    sample_signs,
+    smallball_mc,
+)
 from .transfer import (
     CharFnValue,
     SumDistribution,

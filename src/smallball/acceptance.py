@@ -26,9 +26,9 @@ from . import families as fam
 from . import oracles
 from .bounds import (
     FittedConstant,
-    binomial_negative_moment,
+    binomial_negative_moments,
     cosine_power_integral,
-    cosine_product_integral,
+    cosine_product_integrals,
     load_constants,
 )
 from .chains import (
@@ -46,7 +46,7 @@ from .fitting import (
     walk_reports,
 )
 from .prg import build_mgg_expander, certify_lambda, size_bound_exponent
-from .sampling import coordinate_median, first_coord_tail
+from .sampling import coordinate_median, first_coord_tails
 from .transfer import (
     char_fn,
     exact_sum_distribution,
@@ -121,17 +121,18 @@ def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
 
 def splitting_worst(seed: int) -> float:
     """Largest lhs - rhs of the splitting inequality over the Holder family."""
-    return max(lhs - rhs for lhs, rhs in map(oracles.holder_lhs_rhs,
-                                              fam.holder_family(seed, HOLDER_COUNT)))
+    return max(lhs - rhs for lhs, rhs in oracles.holder_sides(
+        fam.holder_family(seed, HOLDER_COUNT)))
 
 
 def identity_worsts(seed: int) -> dict[str, float]:
     """Largest violation of each averaging-operator identity over the inputs."""
     worst = {"averaging_sandwich": 0.0, "l1_product": 0.0,
              "diagonal_contraction": 0.0}
-    for inputs in fam.identity_inputs(seed, IDENTITY_COUNT):
-        rep = oracles.check_averaging_identities(inputs["mu"], inputs["us"],
-                                                 inputs["r_mats"], inputs["t_mats"])
+    reports = oracles.averaging_identity_reports(
+        (inputs["mu"], inputs["us"], inputs["r_mats"], inputs["t_mats"])
+        for inputs in fam.identity_inputs(seed, IDENTITY_COUNT))
+    for rep in reports:
         for name in worst:
             worst[name] = max(worst[name], getattr(rep, name))
     return worst
@@ -209,10 +210,10 @@ def criterion_5() -> CriterionResult:
     def run():
         worst = -1.0
         count = 0
+        ps = [p10 / 10.0 for p10 in range(1, 11)]
         for n in range(1, 51):
-            for d in (1, 2, 3):
-                for p10 in range(1, 11):
-                    exact, bound = binomial_negative_moment(n, p10 / 10.0, d)
+            for row in binomial_negative_moments(n, ps, (1, 2, 3)):
+                for exact, bound in row:
                     worst = max(worst, exact - bound * (1.0 + 1e-12))
                     count += 1
         return worst <= 0.0, {"grid_points": count, "worst_excess": worst}, []
@@ -222,10 +223,12 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     def run():
+        ks = range(1, fam.COS_K_MAX + 1)
+        integrals = cosine_product_integrals([np.ones(k) for k in ks])
         worst_dev = worst_ratio = 0.0
-        for k in range(1, fam.COS_K_MAX + 1):
+        for k, integral in zip(ks, integrals):
             closed = cosine_power_integral(k)
-            worst_dev = max(worst_dev, abs(cosine_product_integral(np.ones(k)) - closed))
+            worst_dev = max(worst_dev, abs(integral - closed))
             worst_ratio = max(worst_ratio, closed / (bounds.C_COS / math.sqrt(k)))
         ok = worst_dev <= bounds.QUAD_TOL and worst_ratio <= 1.0
         return ok, {"k_max": fam.COS_K_MAX, "closed_form_deviation": worst_dev,
@@ -294,14 +297,14 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     def run():
-        worst_tail = 1.0
-        median_dev = 0.0
-        for d in fam.COORD_D_RANGE:
-            tail = first_coord_tail(d, 1.0 / (bounds.C_COORD * math.sqrt(d)))
-            worst_tail = min(worst_tail, tail)
-            median_dev = max(median_dev, abs(first_coord_tail(d, coordinate_median(d)) - 0.5))
+        ds = fam.COORD_D_RANGE
+        floors = [1.0 / (bounds.C_COORD * math.sqrt(d)) for d in ds]
+        medians = coordinate_median(np.array(ds)).tolist()
         t3 = 1.0 / (bounds.C_COORD * math.sqrt(3))
-        d3_dev = abs(first_coord_tail(3, t3) - (1.0 - t3))
+        tails = first_coord_tails([*zip(ds, floors), *zip(ds, medians), (3, t3)])
+        worst_tail = min(1.0, *tails[:len(ds)])
+        median_dev = max(0.0, *(abs(tail - 0.5) for tail in tails[len(ds):-1]))
+        d3_dev = abs(tails[-1] - (1.0 - t3))
         ok = worst_tail >= 0.5 and d3_dev <= 1e-10 and median_dev <= 1e-10
         return ok, {"worst_tail": worst_tail, "d3_deviation": d3_dev,
                     "median_deviation": median_dev, "constant": bounds.C_COORD}, []

@@ -26,9 +26,16 @@ from .errors import (
     HypothesisViolated,
     OutOfRange,
     PreconditionViolated,
+    QuadratureNonConvergence,
     UnsupportedDimension,
 )
-from .quadrature import DEFAULT_MIN_DEPTH, adaptive_simpson
+from .quadrature import (
+    DEFAULT_MIN_DEPTH,
+    KRONROD_NODES,
+    adaptive_simpson,
+    integrate_family,
+    scalar_powers,
+)
 
 QUAD_TOL = 1e-10
 # fitted suprema carry one ulp-scale headroom so that ratio <= 1 survives the
@@ -146,14 +153,24 @@ def esseen_bound(charfn_modulus, d: int, radius: float, eps: float,
     return _constant_value(prefactor) * (radius / math.sqrt(d) + math.sqrt(d) / eps) ** d * integral
 
 
-def _cos_product(vs):
-    """prod_j |cos(2 pi xi v_j)| as one power per distinct |v_j|."""
-    freqs, mults = np.unique(np.abs(np.asarray(vs, dtype=float)), return_counts=True)
+def _cos_products(vss):
+    """The integrand of integrate_family whose run i is prod_j |cos(2 pi xi v_j)|
+    over vss[i]: one power per distinct |v_j|, in increasing |v_j|, with its
+    multiplicity as exponent.  Slots past a run's last |v_j| multiply by
+    |cos 0|^0 = 1, which moves no bit."""
+    tables = [np.unique(np.abs(vs), return_counts=True) for vs in vss]
+    width = max((freqs.size for freqs, _ in tables), default=0)
+    freqs = np.zeros((width, len(vss)))
+    mults = np.zeros((width, len(vss)))
+    for i, (f, m) in enumerate(tables):
+        freqs[:f.size, i] = f
+        mults[:m.size, i] = m
 
-    def f(xi):
+    def f(xi, owner):
+        run = np.repeat(owner, KRONROD_NODES.size)
         out = np.ones_like(xi)
-        for v, m in zip(freqs.tolist(), mults.tolist()):
-            out = out * np.abs(np.cos(2.0 * np.pi * xi * v)) ** m
+        for v, m in zip(freqs, mults):
+            out = out * scalar_powers(np.abs(np.cos(2.0 * np.pi * xi * v[run])), m[run])
         return out
 
     return f
@@ -164,21 +181,38 @@ def cosine_product_integral(vs) -> float:
 
     The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j).  One run
     cuts the domain there, so no piece holds a full oscillation of any factor
-    and a shallow forced depth suffices.
+    and a shallow forced depth suffices.  This is the one-member case of
+    cosine_product_integrals.
     """
-    vs = np.asarray(vs, dtype=float)
-    if vs.size and below_unit(np.min(np.abs(vs))):
-        raise PreconditionViolated(
-            f"|v_{int(np.argmin(np.abs(vs)))}| = {np.min(np.abs(vs)).item()!r} < 1"
-        )
-    if vs.size == 0:
-        return 2.0
-    zeros = []
-    for v in np.unique(np.abs(vs)).tolist():
-        m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
-        zeros.append((2 * m + 1) / (4.0 * v))
-    return adaptive_simpson(_cos_product(vs), -1.0, 1.0, tol=QUAD_TOL, min_depth=2,
-                            cuts=np.concatenate(zeros))
+    value, = cosine_product_integrals([vs])
+    return value
+
+
+def cosine_product_integrals(vss) -> list[float]:
+    """cosine_product_integral of each vs in vss, in order, as the runs of one
+    integrate_family call, so each value is bit for bit that of vs alone.
+    Every vs is checked for |v_j| >= 1 before any work."""
+    vss = [np.asarray(vs, dtype=float) for vs in vss]
+    for vs in vss:
+        if vs.size and below_unit(np.min(np.abs(vs))):
+            raise PreconditionViolated(
+                f"|v_{int(np.argmin(np.abs(vs)))}| = {np.min(np.abs(vs)).item()!r} < 1"
+            )
+    values: list = [2.0] * len(vss)  # the empty product is 1 on [-1, 1]
+    members = [i for i, vs in enumerate(vss) if vs.size]
+    runs = []
+    for i in members:
+        zeros = []
+        for v in np.unique(np.abs(vss[i])).tolist():
+            m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
+            zeros.append((2 * m + 1) / (4.0 * v))
+        runs.append((-1.0, 1.0, QUAD_TOL, 2, np.concatenate(zeros)))
+    for i, value in zip(members, integrate_family(
+            _cos_products([vss[i] for i in members]), runs)):
+        if isinstance(value, QuadratureNonConvergence):
+            raise value
+        values[i] = value
+    return values
 
 
 def cosine_power_integral(k: int) -> float:
@@ -191,19 +225,37 @@ def cosine_power_integral(k: int) -> float:
 
 
 def binomial_negative_moment(n: int, p: float, d: int) -> tuple[float, float]:
-    """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound d^d/(np)^d)."""
+    """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound d^d/(np)^d);
+    the one-member case of binomial_negative_moments."""
+    return binomial_negative_moments(n, [p], [d])[0][0]
+
+
+def binomial_negative_moments(n: int, ps, ds) -> list[list[tuple[float, float]]]:
+    """binomial_negative_moment(n, p, d) for each d in ds (one list each) and
+    each p in ps (one pair each), every value bit for bit the lone call's.
+
+    The log terms of every p are one array.  Each d divides it by (i+1)^d at
+    its own scalar exponent (scalar_powers says why), and each (p, d) sums in
+    one math.fsum.  Every d, then every p, is checked before any work.
+    """
     from scipy.special import gammaln, xlogy
 
-    if n < 1 or d < 1:
-        raise OutOfRange(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
-    if not 0.0 < p <= 1.0:
-        raise OutOfRange(f"success probability must lie in (0, 1], got {p!r}")
+    ps, ds = list(ps), list(ds)
+    for d in ds:
+        if n < 1 or d < 1:
+            raise OutOfRange(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    for p in ps:
+        if not 0.0 < p <= 1.0:
+            raise OutOfRange(f"success probability must lie in (0, 1], got {p!r}")
     i = np.arange(n + 1)
-    log_terms = (gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-                 + xlogy(i, p) + xlogy(n - i, 1.0 - p))
-    exact = math.fsum((np.exp(log_terms) / (i + 1.0) ** d).tolist())
-    bound = d**d / (n**d * p**d)
-    return exact, bound
+    p_col = np.array(ps, dtype=float)[:, None]
+    masses = np.exp(gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+                    + xlogy(i, p_col) + xlogy(n - i, 1.0 - p_col))
+    out = []
+    for d in ds:
+        terms = (masses / (i + 1.0) ** d).tolist()
+        out.append([(math.fsum(row), d**d / (n**d * p**d)) for row, p in zip(terms, ps)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -229,17 +229,19 @@ def holder_family(seed: int, count: int) -> list[HolderInstance]:
 
 
 def identity_inputs(seed: int, count: int) -> list[dict]:
-    """Random (mu, u, R, T) tuples for the averaging-operator identities."""
+    """Random (mu, u, R, T) tuples for the averaging-operator identities: us a
+    (k+1, N) array, r_mats and t_mats (k, N, N) arrays."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         n_states = int(rng.integers(2, 9))
         mu = rng.dirichlet(np.ones(n_states))
         k = int(rng.integers(1, 6))
-        us = [np.exp(2j * np.pi * rng.uniform(size=n_states))
-              * rng.uniform(0.5, 1.0, size=n_states) for _ in range(k + 1)]
-        r_mats = [rng.normal(size=(n_states, n_states)) for _ in range(k)]
-        t_mats = [rng.normal(size=(n_states, n_states)) for _ in range(k)]
+        # each u's phases, then its moduli: uniform(0.5, 1) is 0.5 + 0.5 x
+        # for the same draw x, so the stream is the per-vector draws'
+        x = rng.random((k + 1, 2, n_states))
+        us = np.exp(2j * np.pi * x[:, 0]) * (0.5 + 0.5 * x[:, 1])
+        r_mats, t_mats = rng.normal(size=(2, k, n_states, n_states))
         out.append({"mu": mu, "us": us, "r_mats": r_mats, "t_mats": t_mats})
     return out
 

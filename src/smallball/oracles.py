@@ -34,34 +34,51 @@ IDENTITY_TOL = 1e-10  # largest violation an averaging-operator identity may sho
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(v, mu, p) -> float:
-    """||v||_{L_p(mu)}; p = inf is the essential sup over the support of mu."""
+def lp_norm(v, mu, p):
+    """||v||_{L_p(mu)} over the last axis of v and mu, which broadcast: a float
+    for one vector, an array of norms for a stack.  p = inf is the essential
+    sup over the support of mu.  Each root is a float64 scalar power, as one
+    vector's norm takes it; an array ** 0.5 would take square roots, which
+    round some sums the other way."""
     v = np.asarray(v)
     mu = np.asarray(mu, dtype=float)
     if p == np.inf:
-        support = mu > 0
-        return float(np.max(np.abs(v[support]))) if support.any() else 0.0
-    return float(np.sum(np.abs(v) ** p * mu) ** (1.0 / p))
+        norms = np.max(np.where(mu > 0, np.abs(v), 0.0), axis=-1, initial=0.0)
+    else:
+        sums = np.sum(np.abs(v) ** p * mu, axis=-1)
+        norms = np.reshape([s ** (1.0 / p) for s in np.ravel(sums)], sums.shape)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def operator_norm_l2mu(m, mu):
     """||M||_{L2(mu)->L2(mu)} = largest singular value of D^1/2 M D^-1/2.
 
-    m may be a stack (..., N, N); its norms then come back as an array, one
+    m may be a stack (..., N, N), and mu a stack (..., N) that broadcasts
+    against m's leading axes; the norms then come back as an array, one
     batched SVD for the whole stack, each norm bit for bit the single
     matrix's.
     """
     mu = np.asarray(mu, dtype=float)
     root = np.sqrt(mu)
-    scaled = np.asarray(m) * (root[:, None] / root[None, :])
+    scaled = np.asarray(m) * (root[..., :, None] / root[..., None, :])
     norms = np.linalg.svd(scaled, compute_uv=False).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 
 def averaging_operator(mu) -> np.ndarray:
-    """Rank-one stochastic matrix E_mu whose every row is mu."""
+    """Rank-one stochastic matrix E_mu whose every row is mu; a stack (..., N)
+    of laws gives a stack (..., N, N)."""
     mu = np.asarray(mu, dtype=float)
-    return np.tile(mu, (mu.size, 1))
+    return np.repeat(mu[..., None, :], mu.shape[-1], axis=-2)
+
+
+def _shape_groups(keys) -> list[list[int]]:
+    """The indices of equal keys, one list per distinct key in order of first
+    appearance, each list in increasing order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +227,25 @@ class HolderInstance:
             raise PreconditionViolated(
                 f"need k+1 diagonal vectors for k = {len(self.ts)} matrices"
             )
-        _check_sup_norms(self.us, self.mu)
+        breach = _first_sup_norm_breach(np.asarray(self.us)[None], np.asarray(self.mu)[None])
+        if breach is not None:
+            raise PreconditionViolated(breach[1])
 
     @property
     def k(self) -> int:
         return len(self.ts)
 
 
-def _check_sup_norms(us, mu) -> None:
-    """The hypothesis ||u_i||_inf(mu) <= 1 (to 1e-12) of every diagonal vector u_i."""
-    norms = np.abs(np.asarray(us))[:, np.asarray(mu) > 0].max(axis=1, initial=0.0)
+def _first_sup_norm_breach(us, mu):
+    """(b, message) for the first member b of a stack, us (B, k+1, N) over mu
+    (B, N), whose hypothesis ||u_i||_inf(mu) <= 1 (to 1e-12) fails for some
+    u_i, the first such i; None when every member's holds."""
+    norms = np.abs(us).max(axis=-1, initial=0.0, where=mu[:, None, :] > 0)
     over = norms > 1.0 + 1e-12
-    if over.any():
-        i = int(np.argmax(over))
-        raise PreconditionViolated(f"||u_{i}||_inf(mu) = {float(norms[i])!r} > 1")
+    if not over.any():
+        return None
+    b, i = np.argwhere(over)[0].tolist()
+    return b, f"||u_{i}||_inf(mu) = {float(norms[b, i])!r} > 1"
 
 
 def t_indices(s) -> list[int]:
@@ -250,23 +272,52 @@ def holder_lhs_rhs(inst: HolderInstance) -> tuple[float, float]:
 
     The right-hand side extracts mean factors over extraction_indices; the
     interior indices it shares with t_indices are the only ones the switching
-    arguments downstream rely on.
+    arguments downstream rely on.  This is the one-instance case of
+    holder_sides.
     """
-    if inst.k > HOLDER_K_BUDGET:
-        raise BudgetExceeded(f"k = {inst.k} exceeds the enumeration budget")
-    e_mu = averaging_operator(inst.mu)
-    w = np.asarray(inst.us[inst.k], dtype=complex)
-    for j in range(inst.k - 1, -1, -1):
-        block = np.asarray(inst.ts[j], dtype=complex) + (1.0 - inst.lam) * e_mu
-        w = np.asarray(inst.us[j], dtype=complex) * (block @ w)
-    lhs = lp_norm(w, inst.mu, 1)
+    return holder_sides([inst])[0]
 
-    n = inst.mu.size
-    t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)), inst.mu).tolist()
-    u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
-    picks = np.where(_switching_picks(inst.k), [1.0 - inst.lam] * inst.k + u_dots[1:],
-                     t_norms + [1.0] * inst.k)
-    return lhs, math.fsum(np.multiply.reduce(picks, axis=1).tolist())
+
+def holder_sides(instances) -> list[tuple[float, float]]:
+    """holder_lhs_rhs of each instance, in order.
+
+    The instances that share N states, k matrices and the matrices' dtype run
+    as one stack, so each side is bit for bit that of the instance alone:
+    stacked matrix products and SVDs round as single ones do, and each u.mu
+    stays one np.dot (a stacked product rounds some of them differently).
+    Every k is checked against HOLDER_K_BUDGET before any work.
+    """
+    instances = list(instances)
+    for inst in instances:
+        if inst.k > HOLDER_K_BUDGET:
+            raise BudgetExceeded(f"k = {inst.k} exceeds the enumeration budget")
+    # the dtype of D^1/2 T D^-1/2, whose SVD is real or complex with it
+    keys = [(inst.mu.size, inst.k, np.result_type(float, *inst.ts)) for inst in instances]
+    sides: list = [None] * len(instances)
+    for idx in _shape_groups(keys):
+        n, k, dtype = keys[idx[0]]
+        group = [instances[i] for i in idx]
+        mu = np.array([inst.mu for inst in group], dtype=float)
+        gaps = 1.0 - np.array([inst.lam for inst in group], dtype=float)
+        ts = np.array([inst.ts for inst in group], dtype=dtype).reshape(len(idx), k, n, n)
+        us = np.array([inst.us for inst in group], dtype=complex)
+        averaged = gaps[:, None, None] * averaging_operator(mu)
+        w = us[:, k]
+        for j in range(k - 1, -1, -1):
+            block = ts[:, j].astype(complex) + averaged
+            w = us[:, j] * (block @ w[..., None])[..., 0]
+        lhs = lp_norm(w, mu, 1)
+
+        t_norms = operator_norm_l2mu(ts, mu[:, None, :])
+        u_dots = np.array([[abs(np.dot(u, m)) for u in row] for row, m in zip(us, mu)])
+        picks = np.where(_switching_picks(k),
+                         np.concatenate([np.repeat(gaps[:, None], k, axis=1),
+                                         u_dots[:, 1:]], axis=1)[:, None, :],
+                         np.concatenate([t_norms, np.ones((len(idx), k))], axis=1)[:, None, :])
+        terms = np.multiply.reduce(picks, axis=-1)
+        for i, left, row in zip(idx, lhs.tolist(), terms.tolist()):
+            sides[i] = (left, math.fsum(row))
+    return sides
 
 
 @cache
@@ -303,36 +354,66 @@ def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:
 
     us: k+1 vectors (entries of modulus <= 1; us[0] also drives the sandwich
     identity), r_mats: matrices for the L1 product bound, t_mats: k matrices
-    for the diagonal contraction.
+    for the diagonal contraction.  This is the one-member case of
+    averaging_identity_reports.
     """
-    mu = np.asarray(mu, dtype=float)
-    _check_sup_norms(us, mu)
-    e_mu = averaging_operator(mu)
+    return averaging_identity_reports([(mu, us, r_mats, t_mats)])[0]
 
-    u0 = np.asarray(us[0], dtype=complex)
-    lhs = e_mu @ np.diag(u0) @ e_mu
-    rhs = np.dot(u0, mu) * e_mu
-    sandwich = float(np.max(np.abs(lhs - rhs)))
 
-    w = np.asarray(r_mats[-1], dtype=float) @ np.ones(mu.size)
-    bound = lp_norm(w, mu, 1)
-    for r in reversed(r_mats[:-1]):
-        r = np.asarray(r, dtype=float)
-        w = r @ (e_mu @ w)
-        bound *= lp_norm(r @ np.ones(mu.size), mu, 1)
-    l1_product = max(0.0, lp_norm(w, mu, 1) - bound)
+def averaging_identity_reports(members) -> list[IdentityReport]:
+    """check_averaging_identities of each member (mu, us, r_mats, t_mats), in order.
 
-    ts = np.asarray(t_mats, dtype=complex).reshape(len(t_mats), mu.size, mu.size)
-    t_norms = operator_norm_l2mu(ts, mu).tolist()
-    w = np.asarray(us[len(t_mats)], dtype=complex).copy()
-    bound = 1.0
-    for j in range(len(t_mats) - 1, -1, -1):
-        w = np.asarray(us[j], dtype=complex) * (ts[j] @ w)
-        bound *= t_norms[j]
-    contraction = max(0.0, lp_norm(w, mu, 1) - bound)
+    The members that share N and their numbers of us, r_mats and t_mats run
+    as one stack, so each report is bit for bit that of the member alone (as
+    in holder_sides).  Every member's hypothesis ||u_i||_inf(mu) <= 1 is
+    checked before any work; the first member that breaks it raises.
+    """
+    members = list(members)
+    keys = [(np.size(mu), len(us), len(r_mats), len(t_mats))
+            for mu, us, r_mats, t_mats in members]
+    stacks, breaches = [], []
+    for idx in _shape_groups(keys):
+        mu = np.array([members[i][0] for i in idx], dtype=float)
+        us = np.array([members[i][1] for i in idx], dtype=complex)
+        breach = _first_sup_norm_breach(us, mu)
+        if breach is not None:
+            breaches.append((idx[breach[0]], breach[1]))
+        stacks.append((idx, mu, us))
+    if breaches:
+        raise PreconditionViolated(min(breaches)[1])
 
-    return IdentityReport(averaging_sandwich=sandwich, l1_product=l1_product,
-                          diagonal_contraction=contraction)
+    reports: list = [None] * len(members)
+    for idx, mu, us in stacks:
+        n, _, n_r, n_t = keys[idx[0]]
+        r = np.array([members[i][2] for i in idx], dtype=float).reshape(len(idx), n_r, n, n)
+        t = np.array([members[i][3] for i in idx], dtype=complex).reshape(len(idx), n_t, n, n)
+        e_mu = averaging_operator(mu)
+        diag = np.zeros((len(idx), n, n), dtype=complex)
+        diag[:, np.arange(n), np.arange(n)] = us[:, 0]
+        dots = np.array([np.dot(u, m) for u, m in zip(us[:, 0], mu)])
+        sandwich = np.abs(e_mu @ diag @ e_mu - dots[:, None, None] * e_mu).max(axis=(1, 2))
+
+        ones = np.ones(n)
+        w = r[:, -1] @ ones
+        bound = lp_norm(w, mu, 1)
+        for j in range(r.shape[1] - 2, -1, -1):
+            w = (r[:, j] @ (e_mu @ w[..., None]))[..., 0]
+            bound = bound * lp_norm(r[:, j] @ ones, mu, 1)
+        l1_product = lp_norm(w, mu, 1) - bound
+
+        t_norms = operator_norm_l2mu(t, mu[:, None, :])
+        w = us[:, t.shape[1]]
+        bound = np.ones(len(idx))
+        for j in range(t.shape[1] - 1, -1, -1):
+            w = us[:, j] * (t[:, j] @ w[..., None])[..., 0]
+            bound = bound * t_norms[:, j]
+        contraction = lp_norm(w, mu, 1) - bound
+
+        for i, s, l1, c in zip(idx, sandwich.tolist(), l1_product.tolist(),
+                               contraction.tolist()):
+            reports[i] = IdentityReport(averaging_sandwich=s, l1_product=max(0.0, l1),
+                                        diagonal_contraction=max(0.0, c))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,18 @@ def integrate_family(f, runs) -> list:
     return values
 
 
+def scalar_powers(base, exps) -> np.ndarray:
+    """base ** e at each point with its own exponent e, each rounded as
+    base ** e with e a Python scalar rounds it: numpy squares for e == 2 and
+    calls pow for every other e, also when e is an array, and the two round
+    some squares differently.  Batched integrands of integrate_family take
+    their per-run powers through it, so each run keeps the bits it has alone."""
+    out = np.power(base, exps)
+    square = exps == 2
+    out[square] = np.square(base[square])
+    return out
+
+
 def _live(values) -> np.ndarray:
     return np.array([not isinstance(v, QuadratureNonConvergence) for v in values])
 

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MarkovChain, SignSystem, WeightSystem, check_window
-from .errors import DimensionMismatch, OutOfRange, UnsupportedDimension
-from .quadrature import adaptive_simpson
+from .errors import (
+    DimensionMismatch,
+    OutOfRange,
+    QuadratureNonConvergence,
+    UnsupportedDimension,
+)
+from .quadrature import DEFAULT_MIN_DEPTH, KRONROD_NODES, integrate_family, scalar_powers
 from .rngstreams import step_words, to_unit
 
 CHUNK = 1 << 14
@@ -193,33 +198,50 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
 # ---------------------------------------------------------------------------
 
 
-def _cos_power(d: int):
-    """theta -> cos(theta)^(d-2), the density of v_1 = sin(theta) up to a constant."""
-    power = d - 2
-
-    def f(theta):
-        return np.cos(theta) ** power
-
-    return f
-
-
 def first_coord_tail(d: int, t: float) -> float:
     """P[|v_1| >= t] for v uniform on the unit sphere in R^d.
 
     The density of v_1 is proportional to (1-s^2)^((d-3)/2); substituting
     s = sin(theta) removes the d = 2 endpoint singularity, so the tail is a
-    ratio of two smooth quadratures.
+    ratio of two smooth quadratures of cos(theta)^(d-2).  This is the
+    one-member case of first_coord_tails.
     """
-    if d < 1:
-        raise UnsupportedDimension(f"dimension must be >= 1, got {d}")
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"threshold must lie in [0,1], got {t!r}")
-    if d == 1:
-        # the coordinate is +-1, no density involved
-        return 1.0
-    upper = adaptive_simpson(_cos_power(d), math.asin(t), math.pi / 2.0, tol=1e-12)
-    total = adaptive_simpson(_cos_power(d), 0.0, math.pi / 2.0, tol=1e-12)
-    return min(1.0, upper / total)
+    tail, = first_coord_tails([(d, t)])
+    return tail
+
+
+def first_coord_tails(pairs) -> list[float]:
+    """first_coord_tail(d, t) of each pair (d, t), in order, from one
+    integrate_family run: one integral over [asin t, pi/2] per distinct
+    (d, t) and one normaliser over [0, pi/2] per distinct d, each bit for bit
+    the lone run's.  Every pair is checked before any work."""
+    pairs = list(pairs)
+    for d, t in pairs:
+        if d < 1:
+            raise UnsupportedDimension(f"dimension must be >= 1, got {d}")
+        if not 0.0 <= t <= 1.0:
+            raise OutOfRange(f"threshold must lie in [0,1], got {t!r}")
+    runs, powers, index = [], [], {}
+    for d, t in pairs:
+        if d > 1:
+            # the tail over [asin t, pi/2] is keyed (d, t), the normaliser (d, None)
+            for key, lower in (((d, t), math.asin(t)), ((d, None), 0.0)):
+                if key not in index:
+                    index[key] = len(runs)
+                    runs.append((lower, math.pi / 2.0, 1e-12, DEFAULT_MIN_DEPTH, ()))
+                    powers.append(d - 2)
+    powers = np.array(powers, dtype=float)
+
+    def f(theta, owner):
+        return scalar_powers(np.cos(theta), powers[np.repeat(owner, KRONROD_NODES.size)])
+
+    values = integrate_family(f, runs)
+    for value in values:
+        if isinstance(value, QuadratureNonConvergence):
+            raise value
+    # d = 1: the coordinate is +-1, no density involved
+    return [1.0 if d == 1 else min(1.0, values[index[d, t]] / values[index[d, None]])
+            for d, t in pairs]
 
 
 def coordinate_median(d):

@@ -13,8 +13,10 @@ from smallball.bounds import (
     BoundReport,
     FittedConstant,
     binomial_negative_moment,
+    binomial_negative_moments,
     cosine_power_integral,
     cosine_product_integral,
+    cosine_product_integrals,
     esseen_bound,
     fit_constant,
     theorem_bound,
@@ -29,6 +31,7 @@ from smallball.errors import (
     QuadratureNonConvergence,
     UnsupportedDimension,
 )
+from smallball.quadrature import adaptive_simpson
 from smallball.transfer import exact_sum_distribution, smallball_exact
 
 
@@ -274,3 +277,81 @@ def test_bound_report_round_trip(tmp_path):
     assert [r.instance_id for r in back] == ["a", "b"]
     assert [r.passed for r in back] == [True, False]
     assert back[0].ratio == pytest.approx(0.6, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the batched families of criteria 5 and 6 against the per-member code they
+# replaced, kept here as its oracle
+# ---------------------------------------------------------------------------
+
+
+def negative_moment_alone(n, p, d):
+    """binomial_negative_moment as one (n, p, d) evaluated it before batches."""
+    from scipy.special import gammaln, xlogy
+
+    i = np.arange(n + 1)
+    log_terms = (gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
+                 + xlogy(i, p) + xlogy(n - i, 1.0 - p))
+    return (math.fsum((np.exp(log_terms) / (i + 1.0) ** d).tolist()),
+            d**d / (n**d * p**d))
+
+
+def cosine_integral_alone(vs):
+    """cosine_product_integral as one adaptive_simpson run evaluated it."""
+    vs = np.asarray(vs, dtype=float)
+    freqs, mults = np.unique(np.abs(vs), return_counts=True)
+
+    def f(xi):
+        out = np.ones_like(xi)
+        for v, m in zip(freqs.tolist(), mults.tolist()):
+            out = out * np.abs(np.cos(2.0 * np.pi * xi * v)) ** m
+        return out
+
+    zeros = []
+    for v in freqs.tolist():
+        m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
+        zeros.append((2 * m + 1) / (4.0 * v))
+    return adaptive_simpson(f, -1.0, 1.0, tol=QUAD_TOL, min_depth=2,
+                            cuts=np.concatenate(zeros))
+
+
+class TestBatchedFamilies:
+    def test_negative_moments_equal_the_lone_calls_on_the_criterion_grid(self):
+        ps = [p10 / 10.0 for p10 in range(1, 11)]
+        for n in range(1, 51):
+            got = binomial_negative_moments(n, ps, (1, 2, 3))
+            for d, row in zip((1, 2, 3), got):
+                for p, pair in zip(ps, row):
+                    want = negative_moment_alone(n, p, d)
+                    assert [x.hex() for x in pair] == [x.hex() for x in want], (n, p, d)
+                    assert binomial_negative_moment(n, p, d) == pair
+
+    def test_negative_moments_check_every_member_first(self):
+        with pytest.raises(OutOfRange) as lone:
+            binomial_negative_moment(5, 1.5, 2)
+        with pytest.raises(OutOfRange) as batch:
+            binomial_negative_moments(5, [0.5, 1.5, 0.0], [1, 2])
+        assert str(batch.value) == str(lone.value)
+        with pytest.raises(OutOfRange, match="d = 0"):
+            binomial_negative_moments(5, [0.0], [2, 0])
+
+    def test_cosine_integrals_equal_lone_runs_bit_for_bit(self):
+        vss = [np.ones(k) for k in range(1, 101)]
+        got = cosine_product_integrals(vss)
+        assert [x.hex() for x in got] == [cosine_integral_alone(vs).hex() for vs in vss]
+        # distinct frequencies, multiplicities 1 and 2 side by side, the
+        # empty product, and a batch of one
+        mixed = [[1.0, 2.0, 2.0, 3.5], [], [-1.5], [2.0, 1.0, 2.0], [3.0] * 5, [1.25, -1.25]]
+        got = cosine_product_integrals(mixed)
+        assert got[1] == 2.0
+        for vs, value in zip(mixed, got):
+            if vs:
+                assert value.hex() == cosine_integral_alone(vs).hex()
+            assert cosine_product_integrals([vs]) == [value] == [cosine_product_integral(vs)]
+
+    def test_cosine_integrals_check_every_member_first(self):
+        with pytest.raises(PreconditionViolated) as lone:
+            cosine_product_integral([1.0, 0.5])
+        with pytest.raises(PreconditionViolated) as batch:
+            cosine_product_integrals([[1.0], [1.0, 0.5], [0.25]])
+        assert str(batch.value) == str(lone.value)

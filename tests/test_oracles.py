@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import balanced_signs, ones_weights
 from smallball import oracles
-from smallball.chains import make_sign_system, make_weight_system
+from smallball.chains import make_sign_system, make_weight_system, spectral_lambda
 from smallball.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -354,26 +354,10 @@ class TestHolder:
     def test_rhs_equals_term_by_term_loop_bit_for_bit(self):
         # the loop form before the terms were one array expression: the same
         # factors in the same order, the bits of s, then the extraction indices
-        def loop_rhs(inst):
-            n = inst.mu.size
-            t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)),
-                                         inst.mu).tolist()
-            u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
-            terms = []
-            for code in range(2**inst.k):
-                s = [(code >> j) & 1 for j in range(inst.k)]
-                factor = 1.0
-                for j, bit in enumerate(s):
-                    factor *= t_norms[j] if bit else (1.0 - inst.lam)
-                for i in extraction_indices(s):
-                    factor *= u_dots[i - 1]
-                terms.append(factor)
-            return math.fsum(terms)
-
         instances = holder_family(20240513, 500)
         assert {inst.k for inst in instances} == set(range(1, 7))
         for inst in instances:
-            assert holder_lhs_rhs(inst)[1].hex() == loop_rhs(inst).hex()
+            assert holder_lhs_rhs(inst)[1].hex() == holder_loop(inst)[1].hex()
 
     def test_u_norm_precondition(self):
         with pytest.raises(PreconditionViolated):
@@ -465,3 +449,208 @@ class TestSwitching:
         rep = switching_stats(n, lam10 / 10.0, mask)
         assert rep.dominates
         assert rep.moment_chain_holds
+
+
+# ---------------------------------------------------------------------------
+# the batched Holder sides and identity reports against the per-instance
+# loops they replaced, kept here as their oracles
+# ---------------------------------------------------------------------------
+
+
+SHAPE_SEEDS = (20240513, 20240514, 777, 31337)
+
+
+def lp_norm_loop(v, mu, p):
+    """One vector's L_p(mu) norm as lp_norm took it before stacks."""
+    v = np.asarray(v)
+    mu = np.asarray(mu, dtype=float)
+    if p == np.inf:
+        support = mu > 0
+        return float(np.max(np.abs(v[support]))) if support.any() else 0.0
+    return float(np.sum(np.abs(v) ** p * mu) ** (1.0 / p))
+
+
+def holder_loop(inst):
+    """Both sides of one splitting instance, one matrix product at a time."""
+    e_mu = np.tile(inst.mu, (inst.mu.size, 1))
+    w = np.asarray(inst.us[inst.k], dtype=complex)
+    for j in range(inst.k - 1, -1, -1):
+        block = np.asarray(inst.ts[j], dtype=complex) + (1.0 - inst.lam) * e_mu
+        w = np.asarray(inst.us[j], dtype=complex) * (block @ w)
+    lhs = lp_norm_loop(w, inst.mu, 1)
+    n = inst.mu.size
+    t_norms = operator_norm_l2mu(np.reshape(inst.ts, (inst.k, n, n)), inst.mu).tolist()
+    u_dots = [abs(np.dot(np.asarray(u, dtype=complex), inst.mu)) for u in inst.us]
+    terms = []
+    for code in range(2**inst.k):
+        s = [(code >> j) & 1 for j in range(inst.k)]
+        factor = 1.0
+        for j, bit in enumerate(s):
+            factor *= t_norms[j] if bit else (1.0 - inst.lam)
+        for i in extraction_indices(s):
+            factor *= u_dots[i - 1]
+        terms.append(factor)
+    return lhs, math.fsum(terms)
+
+
+def identity_loop(mu, us, r_mats, t_mats):
+    """The three identity violations of one input set, matrix by matrix."""
+    mu = np.asarray(mu, dtype=float)
+    e_mu = np.tile(mu, (mu.size, 1))
+    u0 = np.asarray(us[0], dtype=complex)
+    sandwich = float(np.max(np.abs(e_mu @ np.diag(u0) @ e_mu - np.dot(u0, mu) * e_mu)))
+    w = np.asarray(r_mats[-1], dtype=float) @ np.ones(mu.size)
+    bound = lp_norm_loop(w, mu, 1)
+    for r in reversed(r_mats[:-1]):
+        r = np.asarray(r, dtype=float)
+        w = r @ (e_mu @ w)
+        bound *= lp_norm_loop(r @ np.ones(mu.size), mu, 1)
+    l1_product = max(0.0, lp_norm_loop(w, mu, 1) - bound)
+    ts = np.asarray(t_mats, dtype=complex).reshape(len(t_mats), mu.size, mu.size)
+    t_norms = operator_norm_l2mu(ts, mu).tolist()
+    w = np.asarray(us[len(t_mats)], dtype=complex).copy()
+    bound = 1.0
+    for j in range(len(t_mats) - 1, -1, -1):
+        w = np.asarray(us[j], dtype=complex) * (ts[j] @ w)
+        bound *= t_norms[j]
+    return sandwich, l1_product, max(0.0, lp_norm_loop(w, mu, 1) - bound)
+
+
+def holder_shape_instances(rng):
+    """One splitting instance of every (N, k) with N in 2..8 and k in 1..6, a
+    complex-T one beside each real one, so no shape is missed by the family."""
+    out = []
+    for n in range(2, 9):
+        chain = random_reversible_chain(rng, n)
+        lam = spectral_lambda(chain)
+        t = chain.transition - (1.0 - lam) * averaging_operator(chain.stationary)
+        for k in range(1, 7):
+            us = tuple(np.exp(2j * np.pi * rng.uniform(size=n)) * rng.uniform(0.5, 1.0)
+                       for _ in range(k + 1))
+            out.append(HolderInstance(mu=chain.stationary, lam=lam, ts=(t,) * k, us=us))
+            out.append(HolderInstance(mu=chain.stationary, lam=lam, us=us,
+                                      ts=tuple(t + 0.1j * rng.normal(size=(n, n))
+                                               for _ in range(k))))
+    return out
+
+
+def identity_shape_inputs(rng):
+    """One identity input set of every (N, k) with N in 2..8 and k in 1..6."""
+    out = []
+    for n in range(2, 9):
+        for k in range(1, 7):
+            out.append((rng.dirichlet(np.ones(n)),
+                        np.exp(2j * np.pi * rng.uniform(size=(k + 1, n)))
+                        * rng.uniform(0.5, 1.0, size=(k + 1, n)),
+                        list(rng.normal(size=(k, n, n))), list(rng.normal(size=(k, n, n)))))
+    return out
+
+
+def _hex_pairs(pairs):
+    return [tuple(x.hex() for x in pair) for pair in pairs]
+
+
+def _hex_reports(reports):
+    return [(r.averaging_sandwich.hex(), r.l1_product.hex(), r.diagonal_contraction.hex())
+            for r in reports]
+
+
+class TestBatchedOracles:
+    @pytest.mark.parametrize("seed", SHAPE_SEEDS)
+    def test_holder_sides_equal_the_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        # the shape instances first and last, so groups hold members far apart
+        extra = holder_shape_instances(rng)
+        instances = extra[::2] + holder_family(seed, 300) + extra[1::2]
+        assert {(i.mu.size, i.k) for i in instances} == set(
+            itertools.product(range(2, 9), range(1, 7)))
+        got = oracles.holder_sides(instances)
+        assert _hex_pairs(got) == _hex_pairs(map(holder_loop, instances))
+        # a batch of one, and the one-instance function, give the same bits
+        for inst, pair in zip(instances[::37], got[::37]):
+            assert _hex_pairs(oracles.holder_sides([inst])) == _hex_pairs([pair])
+            assert _hex_pairs([holder_lhs_rhs(inst)]) == _hex_pairs([pair])
+
+    @pytest.mark.parametrize("seed", SHAPE_SEEDS)
+    def test_identity_reports_equal_the_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        members = [(d["mu"], d["us"], d["r_mats"], d["t_mats"])
+                   for d in identity_inputs(seed, 300)] + identity_shape_inputs(rng)
+        assert {(np.size(m[0]), len(m[3])) for m in members} == set(
+            itertools.product(range(2, 9), range(1, 7)))
+        got = oracles.averaging_identity_reports(members)
+        want = [identity_loop(*m) for m in members]
+        assert _hex_reports(got) == [tuple(x.hex() for x in w) for w in want]
+        for m, rep in zip(members[::37], got[::37]):
+            assert _hex_reports(oracles.averaging_identity_reports([m])) == _hex_reports([rep])
+            assert _hex_reports([check_averaging_identities(*m)]) == _hex_reports([rep])
+
+    def test_identity_inputs_draw_the_per_vector_stream(self):
+        # the stacked draws are the per-vector draws they replaced, bit for bit
+        for seed in SHAPE_SEEDS:
+            rng = np.random.default_rng(seed)
+            for inputs in identity_inputs(seed, 200):
+                n = int(rng.integers(2, 9))
+                mu = rng.dirichlet(np.ones(n))
+                k = int(rng.integers(1, 6))
+                us = [np.exp(2j * np.pi * rng.uniform(size=n)) * rng.uniform(0.5, 1.0, size=n)
+                      for _ in range(k + 1)]
+                r_mats = [rng.normal(size=(n, n)) for _ in range(k)]
+                t_mats = [rng.normal(size=(n, n)) for _ in range(k)]
+                assert inputs["mu"].tobytes() == mu.tobytes()
+                assert np.asarray(inputs["us"]).tobytes() == np.array(us).tobytes()
+                assert np.asarray(inputs["r_mats"]).tobytes() == np.array(r_mats).tobytes()
+                assert np.asarray(inputs["t_mats"]).tobytes() == np.array(t_mats).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 2.5, np.inf])
+    def test_stacked_lp_norms_equal_one_vector_norms_bit_for_bit(self, p):
+        rng = np.random.default_rng(40)
+        for n in range(1, 9):
+            mu = rng.dirichlet(np.ones(n), size=300)
+            mu[::7, 0] = 0.0  # states outside the support
+            real = rng.normal(size=(300, n)) * rng.uniform(0.1, 10.0, size=(300, 1))
+            for v in (real, real + 1j * rng.normal(size=(300, n))):
+                got = lp_norm(v, mu, p)
+                assert got.shape == (300,)
+                want = [lp_norm_loop(row, m, p).hex() for row, m in zip(v, mu)]
+                assert [x.hex() for x in got.tolist()] == want
+                assert [lp_norm(row, m, p).hex() for row, m in zip(v, mu)] == want
+                # one law broadcast against a stack of vectors
+                assert [x.hex() for x in lp_norm(v, mu[0], p).tolist()] == [
+                    lp_norm_loop(row, mu[0], p).hex() for row in v]
+
+    def test_a_broken_sup_norm_inside_a_batch_raises_the_lone_message(self):
+        rng = np.random.default_rng(3)
+        members = identity_shape_inputs(rng)
+        a, b = 20, 37  # shapes (N, k) = (5, 3) and (8, 2)
+        members[a] = (members[a][0], 1.5 * members[a][1]) + members[a][2:]
+        members[b] = (members[b][0], 2.0 * members[b][1]) + members[b][2:]
+        # a good member of b's shape first, so b's group is stacked before a's
+        members.insert(0, identity_shape_inputs(rng)[b])
+        with pytest.raises(PreconditionViolated) as lone:
+            check_averaging_identities(*members[a + 1])
+        with pytest.raises(PreconditionViolated) as batch:
+            oracles.averaging_identity_reports(members)
+        assert str(batch.value) == str(lone.value)
+        with pytest.raises(PreconditionViolated) as other:
+            check_averaging_identities(*members[b + 1])
+        assert str(other.value) != str(lone.value)
+
+    def test_breaches_are_found_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work began before every precondition was checked")
+
+        monkeypatch.setattr(oracles, "averaging_operator", no_work)
+        monkeypatch.setattr(oracles, "operator_norm_l2mu", no_work)
+        rng = np.random.default_rng(4)
+        members = identity_shape_inputs(rng)
+        members[-1] = (members[-1][0], 3.0 * members[-1][1]) + members[-1][2:]
+        with pytest.raises(PreconditionViolated, match=r"\|\|u_0\|\|_inf"):
+            oracles.averaging_identity_reports(members)
+        instances = holder_shape_instances(rng)
+        k = 17
+        instances.append(HolderInstance(mu=np.array([0.5, 0.5]), lam=0.1,
+                                        ts=(np.zeros((2, 2)),) * k,
+                                        us=(np.ones(2),) * (k + 1)))
+        with pytest.raises(BudgetExceeded, match="k = 17"):
+            oracles.holder_sides(instances)

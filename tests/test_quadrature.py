@@ -16,6 +16,7 @@ from smallball.quadrature import (
     adaptive_simpson,
     alias_safe_depth,
     integrate_family,
+    scalar_powers,
 )
 from smallball.sampling import first_coord_tail
 from smallball.transfer import exact_sum_distribution
@@ -175,3 +176,13 @@ def test_alias_safe_depth_resolves_frequency():
     depth = alias_safe_depth(2.0, 8.0)
     assert 2.0 / 2**depth < 1.0 / (2 * 8.0)
     assert alias_safe_depth(2.0, 0.0) >= 3
+
+
+def test_scalar_powers_round_as_scalar_exponents():
+    rng = np.random.default_rng(21)
+    base = np.abs(np.cos(rng.uniform(-3.0, 3.0, 5000)))
+    exps = rng.integers(0, 8, base.size).astype(float)
+    got = scalar_powers(base, exps)
+    for e in range(8):
+        pick = exps == e
+        assert np.array_equal(got[pick], base[pick] ** e), e

@@ -19,11 +19,13 @@ from smallball.chains import (
 )
 from smallball.errors import DimensionMismatch, OutOfRange, UnsupportedDimension
 from smallball.families import random_reversible_chain
+from smallball.quadrature import adaptive_simpson
 from smallball.rngstreams import uniforms
 from smallball.sampling import (
     CHUNK,
     coordinate_median,
     first_coord_tail,
+    first_coord_tails,
     sample_signs,
     smallball_mc,
 )
@@ -465,3 +467,37 @@ def test_highdim_bound_dominates_mc_estimates(constants, two_state_03):
             "n": n, "d": d, "R": 1.0, "lam": spectral_lambda(two_state_03)},
             constants)
         assert est.ci_high <= bound
+
+
+def coord_tail_alone(d, t):
+    """first_coord_tail as two lone adaptive_simpson runs evaluated it."""
+    if d == 1:
+        return 1.0
+
+    def f(theta):
+        return np.cos(theta) ** (d - 2)
+
+    upper = adaptive_simpson(f, math.asin(t), math.pi / 2.0, tol=1e-12)
+    total = adaptive_simpson(f, 0.0, math.pi / 2.0, tol=1e-12)
+    return min(1.0, upper / total)
+
+
+class TestFirstCoordTails:
+    def test_criterion_grid_equals_lone_runs_bit_for_bit(self):
+        ds = range(2, 65)
+        floors = [(d, 1.0 / (bounds.C_COORD * math.sqrt(d))) for d in ds]
+        medians = [(d, float(coordinate_median(d))) for d in ds]
+        pairs = floors + medians + [(3, 0.5), (1, 0.7), (4, 0.0), (4, 1.0)]
+        got = first_coord_tails(pairs)
+        assert [x.hex() for x in got] == [coord_tail_alone(d, t).hex() for d, t in pairs]
+        for (d, t), tail in zip(pairs[::9], got[::9]):
+            assert first_coord_tails([(d, t)]) == [tail] == [first_coord_tail(d, t)]
+
+    def test_every_pair_is_checked_first(self):
+        with pytest.raises(OutOfRange) as lone:
+            first_coord_tail(3, 1.5)
+        with pytest.raises(OutOfRange) as batch:
+            first_coord_tails([(2, 0.5), (3, 1.5), (0, 0.5)])
+        assert str(batch.value) == str(lone.value)
+        with pytest.raises(UnsupportedDimension):
+            first_coord_tails([(2, 0.5), (0, 0.5), (3, 1.5)])
