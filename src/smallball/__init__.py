@@ -31,7 +31,9 @@ from .chains import (
     parity_labels,
     repeated_signs,
     spectral_lambda,
+    spectral_lambdas,
     validate_chain,
+    validate_chains,
 )
 from .oracles import (
     HolderInstance,

@@ -42,6 +42,7 @@ from .fitting import (
     esseen_reports,
     fit_c_equal,
     half_unit_reports,
+    instance_laws,
     point_mass_reports,
     walk_reports,
 )
@@ -49,10 +50,11 @@ from .prg import build_mgg_expander, certify_lambda, size_bound_exponent
 from .sampling import coordinate_median, first_coord_tails
 from .transfer import (
     char_fn,
-    exact_sum_distribution,
+    distributions_from_contributions,
     fold_mod,
     find_prime,
     mod_p_point_probability,
+    sign_contributions,
 )
 
 MGG_SPECTRAL_CEILING = 0.884
@@ -96,27 +98,27 @@ def loglog_slope(ns, probs) -> float:
                             [math.log(p) for p in probs], 1)[0])
 
 
-def zero_masses(lam: float, ns) -> list[float]:
-    """P(sum = 0) on the two-state chain with all-ones weights, one per n."""
-    chain = make_two_state_chain(lam)
-    out = []
-    for n in ns:
-        signs = repeated_signs(parity_labels(2), n, chain.stationary, balanced=True)
-        dist = exact_sum_distribution(chain, signs, make_weight_system(np.ones(n)))
-        out.append(dist.probability_at(0))
-    return out
+def zero_masses(lams, ns) -> list[list[float]]:
+    """P(sum = 0) on the two-state chain with all-ones weights, one list per
+    lambda with one entry per n; every law from one DP call."""
+    members = []
+    for lam in lams:
+        chain = make_two_state_chain(lam)
+        for n in ns:
+            signs = repeated_signs(parity_labels(2), n, chain.stationary, balanced=True)
+            members.append((chain, sign_contributions(signs, make_weight_system(np.ones(n)))))
+    probs = [law.probability_at(0) for law in distributions_from_contributions(members)]
+    return [probs[k:k + len(ns)] for k in range(0, len(probs), len(ns))]
 
 
 def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
     """(lambda, log-log slope, P(sum = 0) per n, gap-normalized P per n) for
     each lambda; P sqrt((1 - lambda) n / (1 + lambda)) is flat in n when
     P ~ 1/sqrt(n)."""
-    out = []
-    for lam in map(float, lams):
-        probs = zero_masses(lam, ns)
-        out.append((lam, loglog_slope(ns, probs), probs,
-                    [p * math.sqrt((1.0 - lam) * n / (1.0 + lam)) for n, p in zip(ns, probs)]))
-    return out
+    lams = list(map(float, lams))
+    return [(lam, loglog_slope(ns, probs), probs,
+             [p * math.sqrt((1.0 - lam) * n / (1.0 + lam)) for n, p in zip(ns, probs)])
+            for lam, probs in zip(lams, zero_masses(lams, ns))]
 
 
 def splitting_worst(seed: int) -> float:
@@ -147,16 +149,18 @@ def switching_grid(n_max: int) -> list:
 def criterion_1(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
     def run():
         instances = fam.oracle_family(seed, 200)
+        dists = distributions_from_contributions(
+            [(inst["chain"], sign_contributions(inst["signs"], inst["weights"]))
+             for inst in instances])
         worst_char = 0.0
         worst_mass = 0.0
-        for inst in instances:
+        for inst, dist in zip(instances, dists):
             paths = oracles.enumerate_paths(inst["chain"], inst["signs"], inst["weights"])
             for xi in inst["xis"]:
                 fast = char_fn(inst["chain"], inst["signs"], inst["weights"], xi)
                 slow = paths.char_fn(xi)
                 dev = abs(complex(fast.re, fast.im) - complex(slow.re, slow.im))
                 worst_char = max(worst_char, dev)
-            dist = exact_sum_distribution(inst["chain"], inst["signs"], inst["weights"])
             law = paths.law()
             pts = set(law) | set(dist.support().tolist())
             for s in pts:
@@ -172,7 +176,7 @@ def criterion_1(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
 def criterion_2() -> CriterionResult:
     def run():
         n = 10
-        prob = zero_masses(0.0, [n])[0]  # lambda = 0: independent uniform signs
+        prob = zero_masses([0.0], [n])[0][0]  # lambda = 0: independent uniform signs
         expect = math.comb(n, n // 2) / 2**n
         dev = abs(prob - expect)
         return dev <= 1e-12, {"prob": prob, "expected": expect, "deviation": dev}, []
@@ -317,8 +321,7 @@ def criterion_12(constants) -> CriterionResult:
         c_esseen = constants["C_esseen"].value
         instances = fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT)
         # one law per instance, for its Esseen report and its mod-p check
-        dists = [exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-                 for inst in instances]
+        dists = instance_laws(instances)
         reports = esseen_reports(instances, dists, c_esseen)
         mod_ok = True
         fourier_worst = 0.0

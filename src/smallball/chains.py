@@ -119,56 +119,133 @@ def validate_chain(transition, stationary=None) -> MarkovChain:
     Checks row-stochasticity, stationarity and detailed balance.  When no
     stationary vector is supplied it is computed as the unique left fixed
     probability vector; a fixed space of dimension > 1 is an error rather
-    than an arbitrary tie-break.
+    than an arbitrary tie-break.  This is the one-member case of
+    validate_chains.
     """
-    a = np.asarray(transition, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotStochastic(f"transition matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        raise NotStochastic("transition matrix is empty")
-    if stationary is not None:
-        mu = np.asarray(stationary, dtype=float)
-        if mu.shape != (n,):
-            raise InvalidDistribution(
-                f"stationary vector has shape {mu.shape}, expected ({n},)"
-            )
-        if not mu.min() >= 0:  # NaN fails here, +inf the sum
-            raise InvalidDistribution(
-                f"stationary mass mu[{int(np.argmin(mu))}] = {mu.min().item()!r} is not a "
-                "probability")
-        if abs(mu.sum() - 1.0) > DERIVED_TOL:
-            raise InvalidDistribution(
-                f"stationary masses sum to {mu.sum().item()!r}, expected 1")
-    # min is NaN when any entry is, so NaN fails here; +inf fails the row sum
-    if not a.min() >= 0:
-        i, j = divmod(int(np.argmin(a)), n)
-        raise NotStochastic(f"entry A[{i},{j}] = {a[i, j].item()!r} is not a probability")
-    rowsum = a.sum(axis=1)
-    worst = int(np.argmax(np.abs(rowsum - 1.0)))
-    if abs(rowsum[worst] - 1.0) > STRUCTURAL_TOL:
-        raise NotStochastic(f"row {worst} sums to {rowsum[worst].item()!r}, expected 1")
-    if stationary is None:
-        mu = _solve_stationary(a)
+    return validate_chains([(transition, stationary)])[0]
 
-    balance = mu[:, None] * a
-    gap = balance - balance.T  # mu_i A_ij - mu_j A_ji
-    i, j = divmod(int(np.argmax(np.abs(gap))), n)
-    if abs(gap[i, j]) > STRUCTURAL_TOL:
-        raise NotReversible(
+
+def validate_chains(members) -> list[MarkovChain]:
+    """validate_chain of each member (transition, stationary or None).
+
+    Members with the same number of states, alike in whether they supply a
+    stationary vector, are checked as one stack.  Every member is checked
+    before any chain is built: the first member, in order, that its lone
+    call would refuse raises that call's error.
+    """
+    errors, groups, passed = {}, {}, {}
+    for i, (transition, stationary) in enumerate(members):
+        a = np.asarray(transition, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            errors[i] = NotStochastic(f"transition matrix must be square, got shape {a.shape}")
+            continue
+        n = a.shape[0]
+        if n == 0:
+            errors[i] = NotStochastic("transition matrix is empty")
+            continue
+        mu = None
+        if stationary is not None:
+            mu = np.asarray(stationary, dtype=float)
+            if mu.shape != (n,):
+                errors[i] = InvalidDistribution(
+                    f"stationary vector has shape {mu.shape}, expected ({n},)")
+                continue
+        groups.setdefault((n, mu is None), []).append((i, a, mu))
+    for (n, solve), group in groups.items():
+        a = np.stack([a for _, a, _ in group])
+        mu = None if solve else np.stack([mu for *_, mu in group])
+        found = _structure_errors(a, mu)
+        keep = [b for b in range(len(group)) if b not in found]
+        if solve:
+            mu = np.zeros((len(group), n))
+            for b in keep:
+                try:
+                    mu[b] = _solve_stationary(a[b])
+                except NoUniqueStationary as exc:
+                    found[b] = exc
+            keep = [b for b in keep if b not in found]
+        if found:  # the balance checks see only the members that passed so far
+            a, mu = a[keep], mu[keep]
+        if keep:
+            for k, exc in _balance_errors(a, mu, not solve).items():
+                found[keep[k]] = exc
+        errors.update((group[b][0], exc) for b, exc in found.items())
+        passed.update((group[b][0], (a[k], mu[k])) for k, b in enumerate(keep) if b not in found)
+    if errors:
+        raise errors[min(errors)]
+    return [MarkovChain(n_states=len(mu), transition=_freeze(a), stationary=_freeze(mu))
+            for a, mu in map(passed.get, range(len(members)))]
+
+
+def _first_errors(checks) -> dict:
+    """{member: error} of the first failing check of each member; checks are
+    (failing mask, member -> error) pairs in order."""
+    errors = {}
+    for failing, error in checks:
+        if failing.any():
+            for b in np.flatnonzero(failing).tolist():
+                errors.setdefault(b, error(b))
+    return errors
+
+
+def _structure_errors(a: np.ndarray, mu) -> dict:
+    """The stationary vectors mu (None: to be solved for) of the (B, N, N)
+    stack a, then a's entries and row sums.  Each verdict is the lone
+    check's: a maximum picks the value its argmax does."""
+    n = a.shape[1]
+    checks = []
+    if mu is not None:
+        def mass(b):
+            return InvalidDistribution(
+                f"stationary mass mu[{int(np.argmin(mu[b]))}] = {mu[b].min().item()!r} is "
+                "not a probability")
+
+        # NaN fails here, +inf the sum
+        checks += [(~(mu.min(axis=1) >= 0), mass),
+                   (np.abs(mu.sum(axis=1) - 1.0) > DERIVED_TOL, lambda b: InvalidDistribution(
+                       f"stationary masses sum to {mu[b].sum().item()!r}, expected 1"))]
+
+    def negative(b):
+        i, j = divmod(int(np.argmin(a[b])), n)
+        return NotStochastic(f"entry A[{i},{j}] = {a[b, i, j].item()!r} is not a probability")
+
+    def row_sum(b):
+        rowsum = a[b].sum(axis=1)
+        worst = int(np.argmax(np.abs(rowsum - 1.0)))
+        return NotStochastic(f"row {worst} sums to {rowsum[worst].item()!r}, expected 1")
+
+    # min is NaN when any entry is, so NaN fails here; +inf fails the row sum
+    checks += [(~(a.min(axis=(1, 2)) >= 0), negative),
+               (np.abs(a.sum(axis=2) - 1.0).max(axis=1) > STRUCTURAL_TOL, row_sum)]
+    return _first_errors(checks)
+
+
+def _balance_errors(a: np.ndarray, mu: np.ndarray, given: bool) -> dict:
+    """Detailed balance of each chain of the stack, then, for given
+    stationary vectors, their fixed-point residue."""
+    n = a.shape[1]
+    balance = mu[:, :, None] * a
+    gap = balance - balance.transpose(0, 2, 1)  # mu_i A_ij - mu_j A_ji
+
+    def unbalanced(b):
+        i, j = divmod(int(np.argmax(np.abs(gap[b]))), n)
+        return NotReversible(
             f"detailed balance fails at ({i},{j}): "
-            f"mu_i A_ij = {balance[i, j].item()!r} vs mu_j A_ji = {balance[j, i].item()!r}"
-        )
-    if stationary is not None:
+            f"mu_i A_ij = {balance[b, i, j].item()!r} vs mu_j A_ji = {balance[b, j, i].item()!r}")
+
+    checks = [(np.abs(gap).max(axis=(1, 2)) > STRUCTURAL_TOL, unbalanced)]
+    if given:
         # detailed balance plus stochasticity already imply stationarity up to
         # accumulated tolerance; this catches gross fixed-point violations
-        resid = mu @ a - mu
-        worst = int(np.argmax(np.abs(resid)))
-        if abs(resid[worst]) > n * STRUCTURAL_TOL:
-            raise NotStationary(
-                f"mu is not a fixed point: (mu A - mu)[{worst}] = {resid[worst]:.3e}"
-            )
-    return MarkovChain(n_states=n, transition=_freeze(a), stationary=_freeze(mu))
+        resid = np.matmul(mu[:, None, :], a)[:, 0] - mu
+
+        def moving(b):
+            worst = int(np.argmax(np.abs(resid[b])))
+            return NotStationary(
+                f"mu is not a fixed point: (mu A - mu)[{worst}] = {resid[b, worst]:.3e}")
+
+        checks.append((np.abs(resid).max(axis=1) > n * STRUCTURAL_TOL, moving))
+    return _first_errors(checks)
 
 
 def spectral_lambda(chain: MarkovChain) -> float:
@@ -176,19 +253,36 @@ def spectral_lambda(chain: MarkovChain) -> float:
 
     Computed as the largest absolute eigenvalue of the symmetrized matrix
     D^1/2 (A - E_mu) D^-1/2 with D = diag(mu); reversibility makes this the
-    L2(mu) operator norm exactly.
+    L2(mu) operator norm exactly.  This is the one-member case of
+    spectral_lambdas.
     """
-    mu = chain.stationary
-    if mu.min() <= 0.0:
-        raise ZeroStationaryMass(
-            f"state {int(np.argmin(mu))} has zero stationary mass; "
-            "restrict the chain to its support first"
-        )
-    root = np.sqrt(mu)
-    sym = chain.transition * (root[:, None] / root[None, :]) - np.outer(root, root)
-    sym = 0.5 * (sym + sym.T)  # kill the <=1e-9 asymmetry allowed in inputs
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    return min(1.0, max(0.0, lam))
+    return spectral_lambdas([chain])[0]
+
+
+def spectral_lambdas(chains) -> list[float]:
+    """spectral_lambda of each chain, bit for bit: chains with the same number
+    of states share one stacked eigvalsh call (LAPACK solves each matrix on
+    its own).  Each chain's stationary law is checked first; the first chain,
+    in order, with a zero mass raises."""
+    for chain in chains:
+        mu = chain.stationary
+        if mu.min() <= 0.0:
+            raise ZeroStationaryMass(
+                f"state {int(np.argmin(mu))} has zero stationary mass; "
+                "restrict the chain to its support first"
+            )
+    groups, out = {}, [None] * len(chains)
+    for i, chain in enumerate(chains):
+        groups.setdefault(chain.n_states, []).append(i)
+    for idx in groups.values():
+        root = np.sqrt(np.stack([chains[i].stationary for i in idx]))
+        a = np.stack([chains[i].transition for i in idx])
+        sym = a * (root[:, :, None] / root[:, None, :]) - root[:, :, None] * root[:, None, :]
+        sym = 0.5 * (sym + sym.transpose(0, 2, 1))  # kill the <=1e-9 asymmetry allowed in inputs
+        lams = np.max(np.abs(np.linalg.eigvalsh(sym)), axis=1).tolist()
+        for i, lam in zip(idx, lams):
+            out[i] = min(1.0, max(0.0, lam))
+    return out
 
 
 def make_two_state_chain(lam: float) -> MarkovChain:

@@ -20,8 +20,9 @@ from .chains import (
     make_weight_system,
     parity_labels,
     repeated_signs,
-    spectral_lambda,
+    spectral_lambdas,
     validate_chain,
+    validate_chains,
 )
 from .oracles import HolderInstance
 
@@ -55,19 +56,25 @@ class BoundInstance:
     radius: float
 
 
-def random_reversible_chain(rng, n_states: int) -> MarkovChain:
-    """Random walk on a random symmetric weight matrix; reversible by design."""
+def reversible_draw(rng, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """(transition, stationary) of a random walk on a random symmetric weight
+    matrix, not yet validated; reversible by design."""
     s = rng.uniform(0.05, 1.0, size=(n_states, n_states))
     s = 0.5 * (s + s.T)
     rowsums = s.sum(axis=1)
-    return validate_chain(s / rowsums[:, None], rowsums / rowsums.sum())
+    return s / rowsums[:, None], rowsums / rowsums.sum()
 
 
-def paired_reversible_chain(rng, n_pairs: int, lam_target: float,
-                            wobble: float = 0.049):
-    """A reversible chain whose lambda lies within `wobble` of lam_target and
-    whose stationary law gives equal mass to paired states, so that pair-
-    antisymmetric sign functions are balanced to machine precision.
+def random_reversible_chain(rng, n_states: int) -> MarkovChain:
+    """The validated chain of one reversible_draw."""
+    return validate_chain(*reversible_draw(rng, n_states))
+
+
+def paired_reversible_draw(rng, n_pairs: int, lam_target: float, wobble: float = 0.049):
+    """(transition, stationary), not yet validated, of a reversible chain whose
+    lambda lies within `wobble` of lam_target and whose stationary law gives
+    equal mass to paired states, so that pair-antisymmetric sign functions
+    are balanced to machine precision.
 
     Blend of the averaging operator (lambda 0), the pair-swap permutation
     (lambda 1) and a random pair-symmetric chain (norm <= 1 perturbation).
@@ -87,17 +94,16 @@ def paired_reversible_chain(rng, n_pairs: int, lam_target: float,
     e_mu = np.tile(mu, (n, 1))
     p = np.zeros((n, n))
     p[np.arange(n), perm] = 1.0
-    a = (1.0 - lam_target - rho) * e_mu + lam_target * p + rho * a0
-    return validate_chain(a, mu)
+    return (1.0 - lam_target - rho) * e_mu + lam_target * p + rho * a0, mu
 
 
-def pair_antisymmetric_signs(rng, chain: MarkovChain, n_steps: int) -> SignSystem:
-    """Random signs flipping across each state pair; exactly balanced."""
-    n_pairs = chain.n_states // 2
+def pair_antisymmetric_functions(rng, n_pairs: int, n_steps: int) -> np.ndarray:
+    """Random sign functions flipping across each state pair; balanced
+    exactly under a paired_reversible_draw's stationary law."""
     r = rng.choice([-1, 1], size=(n_steps, n_pairs))
     functions = np.repeat(r, 2, axis=1)
     functions[:, 1::2] *= -1
-    return make_sign_system(functions, chain.stationary, balanced=True)
+    return functions
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +113,25 @@ def pair_antisymmetric_signs(rng, chain: MarkovChain, n_steps: int) -> SignSyste
 
 def half_unit_family(seed: int = DEFAULT_SEED) -> list[BoundInstance]:
     """Window probabilities vs C/((1-lambda) sqrt(n)): paired reversible chains
-    with lambda near each bucket, all-ones weights, closed window of radius 1."""
+    with lambda near each bucket, all-ones weights, closed window of radius 1.
+    The x0 rows of one draw share its chain, signs and weights."""
     rng = np.random.default_rng(seed)
-    out = []
+    draws, rows = [], []
     for bucket in HALF_UNIT_BUCKETS:
         for n in HALF_UNIT_N_RANGE:
             for n_pairs in (1, 2):
-                chain = paired_reversible_chain(rng, n_pairs, bucket)
-                lam = spectral_lambda(chain)
-                signs = pair_antisymmetric_signs(rng, chain, n)
-                weights = make_weight_system(np.ones(n), "at-least-unit")
-                for x0 in (0.0, 1.0):
-                    out.append(BoundInstance(
-                        instance_id=f"halfunit-b{bucket}-n{n}-N{2 * n_pairs}-x{int(x0)}",
-                        chain=chain, signs=signs, weights=weights,
-                        lam=lam, x0=x0, radius=1.0))
+                draws.append(paired_reversible_draw(rng, n_pairs, bucket))
+                rows.append((bucket, n, pair_antisymmetric_functions(rng, n_pairs, n)))
+    chains = validate_chains(draws)
+    out = []
+    for chain, lam, (bucket, n, functions) in zip(chains, spectral_lambdas(chains), rows):
+        signs = make_sign_system(functions, chain.stationary, balanced=True)
+        weights = make_weight_system(np.ones(n), "at-least-unit")
+        for x0 in (0.0, 1.0):
+            out.append(BoundInstance(
+                instance_id=f"halfunit-b{bucket}-n{n}-N{chain.n_states}-x{int(x0)}",
+                chain=chain, signs=signs, weights=weights,
+                lam=lam, x0=x0, radius=1.0))
     return out
 
 
@@ -166,20 +176,21 @@ ZP_FAMILY_DESC = (
 def esseen_family(seed: int, count: int) -> list[BoundInstance]:
     """Random desk-scale integer instances for Esseen / Z_p domination checks."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
+    draws, rows = [], []
+    for _ in range(count):
         n_states = int(rng.integers(2, 5))
-        chain = random_reversible_chain(rng, n_states)
+        draws.append(reversible_draw(rng, n_states))
         n = int(rng.integers(4, 11))
-        signs = make_sign_system(rng.choice([-1, 1], size=(n, n_states)),
-                                 chain.stationary)
+        functions = rng.choice([-1, 1], size=(n, n_states))
         weights = make_weight_system(rng.integers(1, 9, size=n).astype(float))
-        x0 = float(rng.integers(-3, 4))
-        radius = float(rng.choice([0.0, 1.0, 2.0]))
-        out.append(BoundInstance(
-            instance_id=f"esseen-{i:03d}", chain=chain, signs=signs,
-            weights=weights, lam=spectral_lambda(chain), x0=x0, radius=radius))
-    return out
+        rows.append((functions, weights, float(rng.integers(-3, 4)),
+                     float(rng.choice([0.0, 1.0, 2.0]))))
+    chains = validate_chains(draws)
+    return [BoundInstance(instance_id=f"esseen-{i:03d}", chain=chain,
+                          signs=make_sign_system(functions, chain.stationary),
+                          weights=weights, lam=lam, x0=x0, radius=radius)
+            for i, (chain, lam, (functions, weights, x0, radius))
+            in enumerate(zip(chains, spectral_lambdas(chains), rows))]
 
 
 ESSEEN_SEED = 20240701
@@ -195,36 +206,39 @@ ESSEEN_FAMILY_DESC = (
 def oracle_family(seed: int, count: int) -> list[dict]:
     """Small instances where full path enumeration is affordable."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
+    draws, rows = [], []
+    for _ in range(count):
         n_states = int(rng.integers(2, 5))
-        chain = random_reversible_chain(rng, n_states)
+        draws.append(reversible_draw(rng, n_states))
         n = int(rng.integers(2, 9))
-        signs = make_sign_system(rng.choice([-1, 1], size=(n, n_states)),
-                                 chain.stationary)
+        functions = rng.choice([-1, 1], size=(n, n_states))
         weights = make_weight_system(rng.integers(1, 6, size=n).astype(float))
-        xis = rng.uniform(-2.0, 2.0, size=2)
-        out.append({"instance_id": f"oracle-{i:03d}", "chain": chain,
-                    "signs": signs, "weights": weights, "xis": xis})
-    return out
+        rows.append((functions, weights, rng.uniform(-2.0, 2.0, size=2)))
+    return [{"instance_id": f"oracle-{i:03d}", "chain": chain,
+             "signs": make_sign_system(functions, chain.stationary),
+             "weights": weights, "xis": xis}
+            for i, (chain, (functions, weights, xis))
+            in enumerate(zip(validate_chains(draws), rows))]
 
 
 def holder_family(seed: int, count: int) -> list[HolderInstance]:
     """Splitting-inequality instances: chain-derived T_j and random bounded diagonals."""
     rng = np.random.default_rng(seed)
-    out = []
+    draws, rows = [], []
     for _ in range(count):
         n_states = int(rng.integers(2, 7))
-        chain = random_reversible_chain(rng, n_states)
-        lam = spectral_lambda(chain)
-        t = chain.transition - (1.0 - lam) * np.tile(chain.stationary, (n_states, 1))
+        draws.append(reversible_draw(rng, n_states))
         k = int(rng.integers(1, 7))
         us = []
         for _ in range(k + 1):
             scale = rng.uniform(0.5, 1.0) if rng.random() < 0.3 else 1.0
             us.append(scale * np.exp(2j * np.pi * rng.uniform(size=n_states)))
-        out.append(HolderInstance(mu=chain.stationary, lam=lam,
-                                  ts=(t,) * k, us=tuple(us)))
+        rows.append((k, tuple(us)))
+    chains = validate_chains(draws)
+    out = []
+    for chain, lam, (k, us) in zip(chains, spectral_lambdas(chains), rows):
+        t = chain.transition - (1.0 - lam) * np.tile(chain.stationary, (chain.n_states, 1))
+        out.append(HolderInstance(mu=chain.stationary, lam=lam, ts=(t,) * k, us=us))
     return out
 
 

@@ -32,7 +32,7 @@ from .transfer import (
     LawBlock,
     SumDistribution,
     char_fn_values,
-    exact_sum_distribution,
+    distributions_from_contributions,
     find_prime,
     sign_contributions,
     smallball_exact,
@@ -141,15 +141,26 @@ def _instance_report(inst: fam.BoundInstance, prob: float, bound: float) -> Boun
                        lam=inst.lam, radius=inst.radius, prob=prob, bound=bound)
 
 
+def instance_laws(instances) -> list[SumDistribution]:
+    """The exact law of each instance, all from one
+    distributions_from_contributions call; instances that share their chain,
+    signs and weights (objects) share one law."""
+    keys = [(id(inst.chain), id(inst.signs), id(inst.weights)) for inst in instances]
+    distinct = dict(zip(keys, instances))
+    laws = dict(zip(distinct, distributions_from_contributions(
+        [(inst.chain, sign_contributions(inst.signs, inst.weights))
+         for inst in distinct.values()])))
+    return [laws[key] for key in keys]
+
+
 def half_unit_reports(constants, seed: int) -> list[BoundReport]:
     """Window probability of each half-unit instance vs its C_equal bound."""
+    instances = fam.half_unit_family(seed)
     return [_instance_report(
-                inst,
-                smallball_exact(exact_sum_distribution(inst.chain, inst.signs, inst.weights),
-                                inst.x0, inst.radius),
+                inst, smallball_exact(law, inst.x0, inst.radius),
                 theorem_bound("scalar-half-unit",
                               {"n": inst.signs.n_steps, "lam": inst.lam}, constants))
-            for inst in fam.half_unit_family(seed)]
+            for inst, law in zip(instances, instance_laws(instances))]
 
 
 def fit_c_equal(seed: int = fam.DEFAULT_SEED, reports=None) -> FittedConstant:
@@ -168,13 +179,12 @@ def fit_c_equal(seed: int = fam.DEFAULT_SEED, reports=None) -> FittedConstant:
 def point_mass_reports(constants, lams=fam.DIFF_LAMBDAS,
                        ns=fam.DIFF_N_GRID) -> list[BoundReport]:
     """Max point mass of each distinct-integer instance vs its C_diff bound."""
+    instances = fam.diff_instances(lams, ns)
     return [_instance_report(
-                inst,
-                exact_sum_distribution(inst.chain, inst.signs,
-                                       inst.weights).max_point_mass()[1],
+                inst, law.max_point_mass()[1],
                 theorem_bound("distinct-int", {"n": inst.signs.n_steps, "lam": inst.lam},
                               constants))
-            for inst in fam.diff_instances(lams, ns)]
+            for inst, law in zip(instances, instance_laws(instances))]
 
 
 def fit_c_diff() -> FittedConstant:
@@ -230,9 +240,7 @@ def esseen_reports(instances, dists, c: float) -> list[BoundReport]:
 def fit_c_esseen() -> FittedConstant:
     instances = [inst for seed in (fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED)
                  for inst in fam.esseen_family(seed, fam.ESSEEN_COUNT)]
-    dists = [exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-             for inst in instances]
-    pairs = [(r.prob, r.bound) for r in esseen_reports(instances, dists, 1.0)]
+    pairs = [(r.prob, r.bound) for r in esseen_reports(instances, instance_laws(instances), 1.0)]
     return fit_constant(pairs, "C_esseen", fam.ESSEEN_FAMILY_DESC,
                         grid={"seeds": [fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED],
                               "count": fam.ESSEEN_COUNT})

@@ -114,7 +114,11 @@ def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
     if high + x.size.bit_length() > 1023:
         return _fsums(x, groups, n_groups)
     lo, hi = np.modf(mant * 2.0**(53 - HALF_BITS))  # lo: a multiple of 2^-26
-    keys = ((e - low) * n_groups + groups).ravel()
+    keys = e.astype(np.intp)
+    keys -= low
+    keys *= n_groups
+    keys += groups
+    keys = keys.ravel()
     size = (high - low + 1) * n_groups
     his = np.bincount(keys, weights=hi.ravel(), minlength=size)
     los = np.bincount(keys, weights=lo.ravel(), minlength=size) * 2.0**HALF_BITS

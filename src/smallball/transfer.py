@@ -138,7 +138,9 @@ class LawBlock:
         the laws still in their sweep at degree k are a prefix that grows as k
         falls; each point starts at its law's top mass.  Adding +0.0 moves no
         bit of |acc| (parity lattices are half zeros), so a degree is skipped
-        only where every law of the block has a zero.
+        only where every law of the block has a zero, and each mass is added
+        to the real parts alone (adding 0.0 to an imaginary part could change
+        only the sign of a zero).
         """
         order = np.argsort(-self.lengths[law], kind="stable")
         law = law[order]
@@ -153,7 +155,7 @@ class LawBlock:
                 acc[:live] *= z[:live]
             live = active[k]
             if self.nonzero[k]:
-                acc[:live] += self.masses[k].take(law[:live])
+                acc.real[:live] += self.masses[k].take(law[:live])
         out = np.empty(xis.shape)
         out[order] = np.abs(acc)
         return out
@@ -231,22 +233,34 @@ def char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     return CharFnValue(re=float(val.real), im=float(val.imag))
 
 
+def _table_errors(tables: np.ndarray, rounded: np.ndarray) -> dict:
+    """{member: error} for a stack of contribution tables and their
+    np.round: the first cell of each member, in row-major order, that is
+    not an integer or, failing that, is beyond +-2^53."""
+    errors = {}
+    if (tables == rounded).all() and (np.abs(tables) <= EXACT_INT).all():
+        return errors
+    for b in np.flatnonzero((tables != rounded).reshape(len(tables), -1).any(axis=1)).tolist():
+        bad = np.argwhere(tables[b] != rounded[b])[0]
+        errors[b] = NonIntegerWeights(
+            f"contribution at step {bad[0]}, state {bad[1]} is "
+            f"{tables[b][tuple(bad)].item()!r}, not an integer")
+    big = ~(np.abs(tables) <= EXACT_INT)
+    for b in np.flatnonzero(big.reshape(len(tables), -1).any(axis=1)).tolist():
+        bad = np.argwhere(big[b])[0]
+        errors.setdefault(b, OutOfRange(
+            f"contribution at step {bad[0]}, state {bad[1]} is "
+            f"{tables[b][tuple(bad)].item()!r}, beyond +-2^53"))
+    return errors
+
+
 def _integer_table(contribs: np.ndarray) -> np.ndarray:
     """contribs as int64, each an integer of magnitude at most EXACT_INT."""
     table = np.asarray(contribs)
     rounded = np.round(table)
-    if not np.all(table == rounded):
-        bad = np.argwhere(table != rounded)[0]
-        raise NonIntegerWeights(
-            f"contribution at step {bad[0]}, state {bad[1]} is "
-            f"{table[tuple(bad)].item()!r}, not an integer"
-        )
-    if not np.all(np.abs(table) <= EXACT_INT):
-        bad = np.argwhere(~(np.abs(table) <= EXACT_INT))[0]
-        raise OutOfRange(
-            f"contribution at step {bad[0]}, state {bad[1]} is "
-            f"{table[tuple(bad)].item()!r}, beyond +-2^53"
-        )
+    errors = _table_errors(table[None], rounded[None])
+    if errors:
+        raise errors[0]
     return rounded.astype(np.int64)
 
 
@@ -258,71 +272,124 @@ def distribution_from_contributions(chain: MarkovChain, contribs,
     masses below FLOOR as it goes, at most cells swept * FLOOR in all.
     exact=True runs the DP in integers over the dyadic values of the inputs
     instead (exact in their binary values), with no floor, and attaches the
-    rational law, whose rounding gives the float masses.
+    rational law, whose rounding gives the float masses.  This is the
+    one-member case of distributions_from_contributions.
     """
-    table = _integer_table(contribs)
-    n, n_states = table.shape
-    chain.check_states(n_states)
-    if n == 0:
-        # the empty sum is 0 on every path
-        point = np.ones(1)
-        point.setflags(write=False)
-        return SumDistribution(offset=0, masses=point, span=(0, 0),
-                               rational={0: Fraction(1)} if exact else None)
-    # budgets count the global lattice, which holds every intermediate partial sum
-    low = table.min(axis=1)
-    pmin = np.cumsum(low)
-    pmax = np.cumsum(table.max(axis=1))
-    glo = int(min(pmin.min(), 0))
-    ghi = int(max(pmax.max(), 0))
-    lo, hi = int(pmin[-1]), int(pmax[-1])
-    cells = n_states * n * (ghi - glo + 1)
-    if cells > DP_BUDGET:
-        raise BudgetExceeded(f"DP needs {cells} cells, budget is {DP_BUDGET}")
-    if exact and cells * n_states * n > RATIONAL_BUDGET:
-        raise BudgetExceeded(
-            f"rational DP needs {cells} cells x {n_states} states x {n} steps "
-            f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}"
-        )
-    # after step j mass sits only on pmin[j] + g k: each step adds its row
-    # minimum plus a multiple of g
-    rise = table - low[:, None]
-    g = max(int(np.gcd.reduce(rise.ravel())), 1)
-    shifts, moving = rise // g, bool(table.any())
+    return distributions_from_contributions([(chain, contribs)], exact)[0]
 
-    rational = None
-    if exact:
-        rational = _rational_dp(chain, shifts, moving, lo, g)
-        band = np.zeros((hi - lo) // g + 1)
-        for s, frac in rational.items():
-            band[(s - lo) // g] = float(frac)
-    else:
-        band = _banded_dp(chain.transition.T, chain.stationary, shifts, moving)
-    masses = np.zeros(hi - lo + 1)
-    masses[::g] = band
 
-    first = int(np.argmax(masses > 0))
-    last = masses.size - 1 - int(np.argmax(masses[::-1] > 0))
-    trimmed = masses[first:last + 1].copy()
-    trimmed.setflags(write=False)
-    return SumDistribution(offset=lo + first, masses=trimmed, span=(lo, hi),
-                           rational=rational)
+def distributions_from_contributions(members, exact: bool = False) -> list[SumDistribution]:
+    """distribution_from_contributions of each member (chain, contribs), each
+    bit for bit its own.
+
+    The float laws of members with the same numbers of steps and states, and
+    alike in whether any contribution is nonzero, come from one stacked
+    banded sweep; each exact law has a sweep of its own.  Every member is
+    checked before any sweep: the first member, in order, that its lone call
+    would refuse raises that call's error.
+    """
+    tables = [np.asarray(contribs) for _, contribs in members]
+    # tables are stacked by dtype too: an error message prints the bad
+    # entry as its own table holds it
+    by_shape: dict = {}
+    for i, table in enumerate(tables):
+        by_shape.setdefault((table.shape, table.dtype.str), []).append(i)
+    errors, sweeps, out = {}, {}, [None] * len(members)
+    for (shape, _), idx in by_shape.items():
+        stack = np.stack([tables[i] for i in idx])
+        rounded = np.round(stack)
+        found = _table_errors(stack, rounded)
+        n, n_states = shape
+        for b, i in enumerate(idx):
+            if b not in found:
+                try:
+                    members[i][0].check_states(n_states)
+                except DimensionMismatch as exc:
+                    found[b] = exc
+        errors.update((idx[b], exc) for b, exc in found.items())
+        keep = [b for b in range(len(idx)) if b not in found]
+        if not keep:
+            continue
+        if n == 0:
+            for b in keep:
+                # the empty sum is 0 on every path
+                point = np.ones(1)
+                point.setflags(write=False)
+                out[idx[b]] = SumDistribution(offset=0, masses=point, span=(0, 0),
+                                              rational={0: Fraction(1)} if exact else None)
+            continue
+        table = (rounded[keep] if found else rounded).astype(np.int64)
+        # budgets count the global lattice, which holds every intermediate partial sum
+        low = table.min(axis=2)
+        pmin = np.cumsum(low, axis=1)
+        pmax = np.cumsum(table.max(axis=2), axis=1)
+        glo = np.minimum(pmin.min(axis=1), 0).tolist()
+        ghi = np.maximum(pmax.max(axis=1), 0).tolist()
+        # after step j mass sits only on pmin[j] + g k: each step adds its row
+        # minimum plus a multiple of g
+        rise = table - low[:, :, None]
+        g = np.maximum(np.gcd.reduce(rise.reshape(len(keep), -1), axis=1), 1)
+        shifts = rise // g[:, None, None]
+        moving = table.reshape(len(keep), -1).any(axis=1).tolist()
+        for k, b in enumerate(keep):
+            i = idx[b]
+            cells = n_states * n * (ghi[k] - glo[k] + 1)
+            if cells > DP_BUDGET:
+                errors[i] = BudgetExceeded(f"DP needs {cells} cells, budget is {DP_BUDGET}")
+            elif exact and cells * n_states * n > RATIONAL_BUDGET:
+                errors[i] = BudgetExceeded(
+                    f"rational DP needs {cells} cells x {n_states} states x {n} steps "
+                    f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}")
+            else:
+                sweeps.setdefault(i if exact else (shape, moving[k]), []).append(
+                    (i, shifts[k], int(pmin[k, -1]), int(pmax[k, -1]), int(g[k]), moving[k]))
+    if errors:
+        raise errors[min(errors)]
+    for sweep in sweeps.values():
+        i, shifts, lo, hi, g, moving = sweep[0]
+        if exact:
+            rational = _rational_dp(members[i][0], shifts, moving, lo, g)
+            bands = [np.zeros((hi - lo) // g + 1)]
+            for s, frac in rational.items():
+                bands[0][(s - lo) // g] = float(frac)
+        else:
+            rational = None
+            group = [members[m][0] for m, *_ in sweep]
+            bands = _banded_dp(
+                np.stack([c.transition for c in group]).transpose(0, 2, 1),
+                np.stack([c.stationary for c in group]),
+                np.stack([m[1] for m in sweep]), moving)
+        for (i, _, lo, hi, g, _), band in zip(sweep, bands):
+            kept = np.flatnonzero(band)
+            first, last = int(kept[0]), int(kept[-1])
+            masses = np.zeros(g * (last - first) + 1)
+            masses[::g] = band[first:last + 1]
+            masses.setflags(write=False)
+            out[i] = SumDistribution(offset=lo + g * first, masses=masses, span=(lo, hi),
+                                     rational=rational)
+    return out
 
 
 def _banded_dp(a_t, mu, shifts, moving):
-    """Masses after the last step on pmin[-1] + g k, k = 0..sum of the row
-    maxima of shifts, where step j moves state y's mass by shifts[j, y] (the
-    contribution's rise over its row minimum, in units of g).
+    """For each member b, its masses after the last step on pmin_b[-1] + g_b
+    k, k = 0..sum of the row maxima of shifts[b], where step j moves state
+    y's mass by shifts[b, j, y] (the contribution's rise over its row minimum,
+    in units of g_b); a_t is the (B, N, N) stack of transposed transition
+    matrices and mu the (B, N) stack of stationary laws.
 
-    Sweeps only the columns of the band that can hold mass.  The dtype of mu
-    sets the arithmetic: object arrays of Python ints for the exact DP, or
-    float64, which every FLUSH_EVERY steps and after the last zeroes each
-    (state, partial sum) mass below FLOOR and trims the live columns to the
-    first and last that keep mass.  moving is False only for an all-zero
-    table, whose lattice is one point.
+    Sweeps only the columns of the band that can hold mass: one band for the
+    whole stack, each step as wide as its widest member and its live columns
+    the union of theirs.  A member's columns outside its own band hold exact
+    zeros, which stay exact zeros, so each member keeps the bits of its own
+    sweep.  The dtype of mu sets the arithmetic: object arrays of Python ints
+    for the exact DP, or float64, which every FLUSH_EVERY steps and after the
+    last zeroes each (state, partial sum) mass below FLOOR and trims the live
+    columns to the first and last that keep mass.  moving is False only for a
+    stack of all-zero tables, whose lattice is one point.
     """
-    n, n_states = shifts.shape
-    reach = shifts.max(axis=1)
+    n_members, n, n_states = shifts.shape
+    row_max = shifts.max(axis=2)
+    reach = row_max.max(axis=0)
     # pad zero columns on both sides, so that a row shifted by at most pad
     # stays in the buffer and every product takes at least two columns: a
     # matrix product, rounded like the full lattice's (BLAS rounds a
@@ -331,14 +398,22 @@ def _banded_dp(a_t, mu, shifts, moving):
     pad = int(reach.max()) or int(moving)
     least = 2 if pad else 1
     width = int(reach.sum()) + 1 + 2 * pad
-    reach, shifts = reach.tolist(), shifts.tolist()
-    cur = np.zeros((n_states, width), dtype=mu.dtype)
+    lengths = (row_max.sum(axis=1) + 1).tolist()
+    reach = reach.tolist()
+    # row b N + y of each buffer holds member b's state y; step j shifts it by
+    # row_shifts[j][b N + y]
+    row_shifts = shifts.transpose(1, 0, 2).reshape(n, -1).tolist()
+    cur = np.zeros((n_members * n_states, width), dtype=mu.dtype)
     nxt, products = np.zeros_like(cur), np.zeros_like(cur)
     # numpy's object matmul overwrites out= without releasing what it held,
     # so only the float sweep keeps one buffer for the products
     floats = mu.dtype != object
-    for y, s in enumerate(shifts[0]):
-        cur[y, pad + s] = mu[y]
+    # a lone member multiplies its 2-d rows, a stack 3-d views of them
+    stack = (n_members, n_states, width) if n_members > 1 else None
+    if stack is None:
+        a_t = a_t[0]
+    for r, (s, m) in enumerate(zip(row_shifts[0], mu.ravel().tolist())):
+        cur[r, pad + s] = m
     # cur is zero outside columns [live, end), and nxt, the law one step
     # older, outside [stale, stale_end): the columns multiplied cover both,
     # so the shifted rows overwrite every stale mass
@@ -348,8 +423,13 @@ def _banded_dp(a_t, mu, shifts, moving):
         r = reach[j]
         lo = min(live, stale - r)
         hi = max(end, stale_end, lo + least)
-        mixed = np.matmul(a_t, cur[:, lo:hi], out=products[:, :hi - lo] if floats else None)
-        for y, s in enumerate(shifts[j]):
+        if stack is None:
+            mixed = np.matmul(a_t, cur[:, lo:hi], out=products[:, :hi - lo] if floats else None)
+        else:
+            mixed = np.matmul(a_t, cur.reshape(stack)[..., lo:hi],
+                              out=products.reshape(stack)[..., :hi - lo] if floats else None
+                              ).reshape(-1, hi - lo)
+        for y, s in enumerate(row_shifts[j]):
             nxt[y, lo + s:hi + s] = mixed[y]
         cur, nxt = nxt, cur
         stale, stale_end = live, end
@@ -358,7 +438,8 @@ def _banded_dp(a_t, mu, shifts, moving):
             live, end = _flush(cur, live, end)
     if floats:
         _flush(cur, live, end)
-    return cur[:, pad:width - pad].sum(axis=0)
+    return [cur[b * n_states:(b + 1) * n_states, pad:pad + size].sum(axis=0)
+            for b, size in enumerate(lengths)]
 
 
 def _flush(cur, live, end):
@@ -389,7 +470,7 @@ def _rational_dp(chain, shifts, moving, lo, g):
     """
     a, e_a = _dyadic(chain.transition)
     mu, e_mu = _dyadic(chain.stationary)
-    band = _banded_dp(a.T, mu, shifts, moving)
+    band = _banded_dp(a.T[None], mu[None], shifts[None], moving)[0]
     denom = 1 << (e_mu + (shifts.shape[0] - 1) * e_a)
     return {lo + g * k: Fraction(m, denom) for k, m in enumerate(band.tolist()) if m}
 

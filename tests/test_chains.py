@@ -11,7 +11,9 @@ from smallball.chains import (
     make_weight_system,
     parity_labels,
     spectral_lambda,
+    spectral_lambdas,
     validate_chain,
+    validate_chains,
 )
 from smallball.errors import (
     ConfigError,
@@ -24,6 +26,8 @@ from smallball.errors import (
     PreconditionViolated,
     ZeroStationaryMass,
 )
+from smallball import chains as chains_module
+from smallball import families as fam
 from smallball.families import random_reversible_chain
 from smallball.oracles import averaging_operator, operator_norm_l2mu
 
@@ -288,3 +292,98 @@ def test_one_lambda_range_rule(lam, constants):
                  lambda x: switching_stats(8, x)):
         with pytest.raises(OutOfRange, match=r"lambda must lie in \[0,1\]"):
             call(lam)
+
+
+# ---------------------------------------------------------------------------
+# stacked chain checks against lone calls, on the members each family passes
+# ---------------------------------------------------------------------------
+
+
+def lambda_loop(chain):
+    """spectral_lambda of one chain by 2-d arrays, as it was before stacks."""
+    root = np.sqrt(chain.stationary)
+    sym = chain.transition * (root[:, None] / root[None, :]) - np.outer(root, root)
+    sym = 0.5 * (sym + sym.T)
+    return min(1.0, max(0.0, float(np.max(np.abs(np.linalg.eigvalsh(sym))))))
+
+
+STACKED_CHAIN_FAMILIES = {
+    "esseen": lambda: fam.esseen_family(fam.ESSEEN_SEED, fam.ESSEEN_COUNT),
+    "oracle": lambda: fam.oracle_family(fam.DEFAULT_SEED, 200),
+    "half_unit": fam.half_unit_family,
+    "holder": lambda: fam.holder_family(fam.DEFAULT_SEED, 500),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STACKED_CHAIN_FAMILIES))
+def test_stacked_chain_checks_equal_lone_calls(family, monkeypatch):
+    seen = {}
+
+    def recorded(name, fn):
+        def wrapper(arg):
+            seen[name] = (arg, fn(arg))
+            return seen[name][1]
+        return wrapper
+
+    monkeypatch.setattr(fam, "validate_chains", recorded("validate", validate_chains))
+    monkeypatch.setattr(fam, "spectral_lambdas", recorded("lambda", spectral_lambdas))
+    STACKED_CHAIN_FAMILIES[family]()
+    members, got = seen["validate"]
+    assert len({a.shape for a, _ in members}) > 1
+    for (a, mu), chain in zip(members, got):
+        lone = validate_chain(a, mu)
+        assert chain.transition.tobytes() == lone.transition.tobytes()
+        assert chain.stationary.tobytes() == lone.stationary.tobytes()
+    if family != "oracle":  # path enumeration needs no lambda
+        chains, lams = seen["lambda"]
+        assert chains == got
+        assert [lam.hex() for lam in lams] == [spectral_lambda(c).hex() for c in chains]
+        assert [lam.hex() for lam in lams] == [lambda_loop(c).hex() for c in chains]
+
+
+def test_stacked_chains_may_leave_their_stationary_law_to_be_solved():
+    rng = np.random.default_rng(24)
+    members = []
+    for n in (2, 3, 5, 3, 2, 5):
+        chain = random_reversible_chain(rng, n)
+        members += [(chain.transition, chain.stationary), (chain.transition, None)]
+    for (a, mu), chain in zip(members, validate_chains(members)):
+        lone = validate_chain(a, mu)
+        assert chain.transition.tobytes() == lone.transition.tobytes()
+        assert chain.stationary.tobytes() == lone.stationary.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    # a doubly stochastic 3-cycle with drift: uniform mu, no detailed balance
+    ([[0.1, 0.6, 0.3], [0.3, 0.1, 0.6], [0.6, 0.3, 0.1]], NotReversible),
+    ([[0.5, 0.6, -0.1], [0.3, 0.1, 0.6], [0.6, 0.3, 0.1]], NotStochastic),
+    ([[0.5, 0.6, 0.1], [0.3, 0.1, 0.6], [0.6, 0.3, 0.1]], NotStochastic),
+])
+def test_a_bad_chain_inside_a_batch_raises_the_lone_message(bad, error, monkeypatch):
+    rng = np.random.default_rng(25)
+    members = [(c.transition, c.stationary)
+               for c in (random_reversible_chain(rng, n) for n in (3, 2, 4, 3, 2))]
+    members.insert(3, (bad, np.full(3, 1.0 / 3.0)))
+    # a later member failing an earlier check, in a group checked first
+    members.append((members[0][0], np.array([0.5, 0.5, -0.0001])))
+    with pytest.raises(error) as lone:
+        validate_chain(bad, np.full(3, 1.0 / 3.0))
+
+    def forbidden(**fields):
+        raise AssertionError("a chain was built before every member was checked")
+
+    monkeypatch.setattr(chains_module, "MarkovChain", forbidden)
+    with pytest.raises(error) as batch:
+        validate_chains(members)
+    assert str(batch.value) == str(lone.value)
+
+
+def test_a_zero_mass_state_inside_a_batch_raises_the_lone_message():
+    rng = np.random.default_rng(26)
+    good = [random_reversible_chain(rng, n) for n in (2, 3, 4)]
+    zero = make_independent_chain([0.5, 0.0, 0.5])
+    with pytest.raises(ZeroStationaryMass) as lone:
+        spectral_lambda(zero)
+    with pytest.raises(ZeroStationaryMass) as batch:
+        spectral_lambdas(good + [zero] + good)
+    assert str(batch.value) == str(lone.value)

@@ -25,8 +25,14 @@ from smallball.errors import (
 )
 from smallball.families import (
     DEFAULT_SEED,
+    ESSEEN_COUNT,
+    ESSEEN_EXTRA_SEED,
     ESSEEN_SEED,
+    TIGHTNESS_LAMBDAS,
+    TIGHTNESS_N_GRID,
+    diff_instances,
     esseen_family,
+    half_unit_family,
     oracle_family,
     random_reversible_chain,
 )
@@ -770,3 +776,180 @@ def test_phase_table_fits_its_byte_budget(m, tabled):
         tracemalloc.stop()
     assert (peak >= table_bytes) == tabled
     assert np.array_equal(vals, tensor_char_fn_values(chain, contribs, xis))
+
+
+# ---------------------------------------------------------------------------
+# the stacked float DP against the one-law sweep it replaced, kept here as
+# its oracle
+# ---------------------------------------------------------------------------
+
+
+def _flush_loop(cur, live, end):
+    band = cur[:, live:end]
+    kept = band >= transfer.FLOOR
+    np.multiply(band, kept, out=band)
+    cols = np.flatnonzero(kept.any(axis=0))
+    return live + int(cols[0]), live + int(cols[-1]) + 1
+
+
+def law_loop(chain, contribs):
+    """(offset, masses, span) of one float law by a banded sweep of its own,
+    as distribution_from_contributions took it before stacks."""
+    table = np.asarray(contribs).astype(np.int64)
+    n, n_states = table.shape
+    low = table.min(axis=1)
+    pmin, pmax = np.cumsum(low), np.cumsum(table.max(axis=1))
+    rise = table - low[:, None]
+    g = max(int(np.gcd.reduce(rise.ravel())), 1)
+    shifts = rise // g
+    reach = shifts.max(axis=1)
+    pad = int(reach.max()) or int(table.any())
+    least = 2 if pad else 1
+    width = int(reach.sum()) + 1 + 2 * pad
+    a_t = chain.transition.T
+    cur = np.zeros((n_states, width))
+    nxt, products = np.zeros_like(cur), np.zeros_like(cur)
+    for y in range(n_states):
+        cur[y, pad + shifts[0, y]] = chain.stationary[y]
+    live, end = pad, pad + int(reach[0]) + 1
+    stale, stale_end = width, 0
+    for j in range(1, n):
+        r = int(reach[j])
+        lo = min(live, stale - r)
+        hi = max(end, stale_end, lo + least)
+        mixed = np.matmul(a_t, cur[:, lo:hi], out=products[:, :hi - lo])
+        for y in range(n_states):
+            s = int(shifts[j, y])
+            nxt[y, lo + s:hi + s] = mixed[y]
+        cur, nxt = nxt, cur
+        stale, stale_end = live, end
+        end += r
+        if j % transfer.FLUSH_EVERY == 0:
+            live, end = _flush_loop(cur, live, end)
+    _flush_loop(cur, live, end)
+    masses = np.zeros(int(pmax[-1] - pmin[-1]) + 1)
+    masses[::g] = cur[:, pad:width - pad].sum(axis=0)
+    kept = np.flatnonzero(masses)
+    return (int(pmin[-1]) + int(kept[0]), masses[kept[0]:kept[-1] + 1],
+            (int(pmin[-1]), int(pmax[-1])))
+
+
+def _law_hex(offset, masses, span):
+    return offset, [x.hex() for x in masses.tolist()], span
+
+
+def _instance_members(instances):
+    return [(inst.chain, sign_contributions(inst.signs, inst.weights)) for inst in instances]
+
+
+def _tightness_members():
+    members = []
+    for lam in TIGHTNESS_LAMBDAS:
+        chain = make_two_state_chain(lam)
+        members += [(chain, sign_contributions(balanced_signs(chain, n), ones_weights(n)))
+                    for n in TIGHTNESS_N_GRID]
+    return members
+
+
+STACKED_FAMILIES = {
+    "esseen": lambda: _instance_members(esseen_family(ESSEEN_SEED, ESSEEN_COUNT)),
+    "esseen_extra": lambda: _instance_members(esseen_family(ESSEEN_EXTRA_SEED, ESSEEN_COUNT)),
+    "oracle": lambda: [(inst["chain"], sign_contributions(inst["signs"], inst["weights"]))
+                       for inst in oracle_family(DEFAULT_SEED, 200)],
+    "half_unit": lambda: _instance_members(half_unit_family()),
+    "diff": lambda: _instance_members(diff_instances()),
+    "tightness": _tightness_members,
+}
+
+
+class TestStackedLaws:
+    @pytest.mark.parametrize("family", sorted(STACKED_FAMILIES))
+    def test_family_laws_equal_the_loop_bit_for_bit(self, family):
+        members = STACKED_FAMILIES[family]()
+        got = transfer.distributions_from_contributions(members)
+        assert [_law_hex(d.offset, d.masses, d.span) for d in got] == [
+            _law_hex(*law_loop(chain, contribs)) for chain, contribs in members]
+
+    def test_mixed_shapes_and_batches_of_one_equal_the_loop_bit_for_bit(self):
+        # every (N, n) shape of the DP cases in one batch, the all-zero and
+        # constant-row tables among them, and the long floored bands
+        members = list(_dp_cases()) + [(chain, contribs)
+                                       for chain, contribs, _ in _live_band_cases()]
+        order = np.random.default_rng(23).permutation(len(members))
+        members = [members[i] for i in order]
+        assert len({np.shape(contribs) for _, contribs in members}) > 50
+        want = [_law_hex(*law_loop(chain, contribs)) for chain, contribs in members]
+        got = transfer.distributions_from_contributions(members)
+        assert [_law_hex(d.offset, d.masses, d.span) for d in got] == want
+        for member, law in list(zip(members, want))[::17]:
+            one = transfer.distributions_from_contributions([member])[0]
+            assert _law_hex(one.offset, one.masses, one.span) == law
+            lone = distribution_from_contributions(*member)
+            assert _law_hex(lone.offset, lone.masses, lone.span) == law
+
+    def test_exact_laws_run_one_at_a_time(self):
+        members = STACKED_FAMILIES["oracle"]()[:40]
+        got = transfer.distributions_from_contributions(members, exact=True)
+        for (chain, contribs), law in zip(members, got):
+            lone = distribution_from_contributions(chain, contribs, exact=True)
+            assert law.rational == lone.rational
+            assert law.masses.tobytes() == lone.masses.tobytes()
+
+    @pytest.mark.parametrize("bad, error, needle", [
+        (0.5, NonIntegerWeights, "not an integer"),
+        (2.0**60, OutOfRange, "beyond"),
+        (1e9, BudgetExceeded, "DP needs"),
+    ])
+    def test_a_bad_member_raises_the_lone_message_before_any_work(self, bad, error, needle,
+                                                                 monkeypatch):
+        members = STACKED_FAMILIES["esseen"]()
+        k = 120
+        chain, contribs = members[k]
+        contribs = contribs.copy()
+        contribs[-1, -1] = bad
+        members[k] = (chain, contribs)
+        # a later member that fails an earlier check, in a shape stacked first
+        late_chain, late = members[0]
+        late = late.copy()
+        late[0, 0] = 0.25
+        members.append((late_chain, late))
+        with pytest.raises(error, match=needle) as lone:
+            distribution_from_contributions(chain, contribs)
+
+        def forbidden(*args):
+            raise AssertionError("a sweep began before every member was checked")
+
+        monkeypatch.setattr(transfer, "_banded_dp", forbidden)
+        monkeypatch.setattr(transfer, "_rational_dp", forbidden)
+        with pytest.raises(error) as batch:
+            transfer.distributions_from_contributions(members)
+        assert str(batch.value) == str(lone.value)
+
+    def test_a_member_on_too_few_states_raises_the_lone_message(self):
+        members = STACKED_FAMILIES["oracle"]()
+        chain = make_two_state_chain(0.3)
+        members.insert(7, (chain, np.ones((5, 3))))
+        with pytest.raises(DimensionMismatch) as lone:
+            distribution_from_contributions(chain, np.ones((5, 3)))
+        with pytest.raises(DimensionMismatch) as batch:
+            transfer.distributions_from_contributions(members)
+        assert str(batch.value) == str(lone.value)
+
+
+def _law_digest(dist):
+    return hashlib.sha256(dist.masses.tobytes()
+                          + repr((dist.offset, dist.span)).encode()).hexdigest()
+
+
+def test_lone_long_laws_keep_their_bits():
+    # the 16-state n = 3000 and the lambda = 0.3, n = 8192 laws of the
+    # large-n benchmark, pinned before the DP took stacks
+    rng = np.random.default_rng(20240513)
+    chain = random_reversible_chain(rng, 16)
+    signs = make_sign_system(rng.choice([-1, 1], size=(3000, 16)), chain.stationary)
+    assert _law_digest(exact_sum_distribution(chain, signs, ones_weights(3000))) == (
+        "1cfec44678ddff82730e60c52d31e9b02f3a0308cd03d934d83ddfd31e832072")
+    chain = make_two_state_chain(0.3)
+    assert _law_digest(exact_sum_distribution(
+        chain, balanced_signs(chain, 8192), ones_weights(8192))) == (
+        "b7935a98e8f5b945e723a7fcd852f10fe7a5abd665d76838eb6b3775defe4b5c")
