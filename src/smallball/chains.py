@@ -342,7 +342,7 @@ def repeated_signs(label_row, n_steps: int, mu, balanced: bool = False) -> SignS
 
 def make_weight_system(weights, variant: str = "general") -> WeightSystem:
     """Validate weights against the hypothesis `variant` names ("general": none,
-    "at-least-unit", "half-at-least-unit", "distinct-positive-integers")."""
+    "at-least-unit", "distinct-positive-integers")."""
     w = np.asarray(weights, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
@@ -354,17 +354,12 @@ def make_weight_system(weights, variant: str = "general") -> WeightSystem:
         if not np.isfinite(np.abs(w).sum()):
             raise PreconditionViolated("the weights' absolute values sum past the largest float")
     n, d = w.shape
-    if variant in ("at-least-unit", "half-at-least-unit"):
-        norms = np.linalg.norm(w, axis=1)
     if variant == "at-least-unit":
+        norms = np.linalg.norm(w, axis=1)
         if n and below_unit(norms.min()):
             raise PreconditionViolated(
                 f"|v_{int(np.argmin(norms))}| = {norms.min().item()!r} < 1"
             )
-    elif variant == "half-at-least-unit":
-        long = n - np.count_nonzero(below_unit(norms))
-        if long < n / 2:
-            raise PreconditionViolated(f"only {long} of {n} weights have length >= 1")
     elif variant == "distinct-positive-integers":
         if d != 1:
             raise PreconditionViolated("distinct-positive-integers requires dimension 1")

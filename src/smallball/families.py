@@ -166,12 +166,6 @@ DIFF_FAMILY_DESC = (
     f"weights 1..n for n in {DIFF_N_GRID}, max point probability"
 )
 
-ZP_FAMILY_DESC = (
-    f"zp-{FAMILY_VERSION}: two-state chains lambda in {DIFF_LAMBDAS}, "
-    f"weights 1..n for n in {DIFF_N_GRID}, mod-p averaged transfer product "
-    f"at the fixed smallest prime above twice the largest weight"
-)
-
 
 def esseen_family(seed: int, count: int) -> list[BoundInstance]:
     """Random desk-scale integer instances for Esseen / Z_p domination checks."""

@@ -33,10 +33,8 @@ from .transfer import (
     SumDistribution,
     char_fn_values,
     distributions_from_contributions,
-    find_prime,
     sign_contributions,
     smallball_exact,
-    zp_fourier_average,
 )
 
 
@@ -194,22 +192,6 @@ def fit_c_diff() -> FittedConstant:
                               "lambda": list(fam.DIFF_LAMBDAS)})
 
 
-def fit_c_zp() -> FittedConstant:
-    """The mod-p averaged transfer product needs its own constant: the zero
-    frequency alone contributes 1/p, so the point-probability constant
-    provably under-covers the average (n=9 already exceeds it)."""
-    pairs = []
-    for inst in fam.diff_instances():
-        avg = zp_fourier_average(inst.chain, inst.signs, inst.weights,
-                                 find_prime(inst.weights))
-        pairs.append((avg, theorem_bound("distinct-int",
-                                         {"n": inst.signs.n_steps, "lam": inst.lam},
-                                         UNIT_CONSTANTS)))
-    return fit_constant(pairs, "C_zp", fam.ZP_FAMILY_DESC,
-                        grid={"n": list(fam.DIFF_N_GRID),
-                              "lambda": list(fam.DIFF_LAMBDAS)})
-
-
 def walk_reports(constants, graph: ExpanderGraph, ns, x0: float = 0.0,
                  radius: float = 1.0) -> list[BoundReport]:
     """Walk-measure window probability of all-ones weights vs its C_prg bound."""
@@ -249,7 +231,6 @@ def fit_c_esseen() -> FittedConstant:
 FITTERS = {
     "C_equal": fit_c_equal,
     "C_diff": fit_c_diff,
-    "C_zp": fit_c_zp,
     "C_prg": fit_c_prg,
     "C_esseen": fit_c_esseen,
 }

@@ -256,7 +256,7 @@ class TestFitConstant:
 
 class TestConstantsFile:
     def test_committed_constants_load(self, constants):
-        for name in ("C_equal", "C_diff", "C_zp", "C_prg", "C_esseen"):
+        for name in ("C_equal", "C_diff", "C_prg", "C_esseen"):
             assert name in constants
             assert constants[name].value > 0
             assert constants[name].family

@@ -217,11 +217,6 @@ class TestWeightSystem:
         with pytest.raises(PreconditionViolated, match="unknown weight variant"):
             make_weight_system([1.0, 2.0], "integers")
 
-    def test_half_at_least_unit(self):
-        make_weight_system([2.0, 0.1, 3.0, 0.2, 1.0], "half-at-least-unit")
-        with pytest.raises(PreconditionViolated):
-            make_weight_system([0.1, 0.2, 0.3, 5.0], "half-at-least-unit")
-
     def test_distinct_positive_integers(self):
         make_weight_system([3.0, 1.0, 2.0], "distinct-positive-integers")
         for bad in ([1.0, 1.0], [0.0, 1.0], [1.5, 2.0]):

@@ -1,7 +1,8 @@
 """No library module imports a name it never uses, the oracles stay
 independent of the transfer engine they check, importing the library or its
 CLI loads numpy but no scipy module, no module copies a budget or fixed
-tolerance at import, and every `module.name` the README cites exists.
+tolerance at import, every `module.name` the README cites exists, and every
+committed fitted constant is read by a bound outside its fitter.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -215,3 +216,24 @@ def test_readme_reference_detector():
     text = ("`prg.ENUM_BUDGET` and `math.fsum`, `test_prg.py`, `oracles.gone` (x)\n"
             "```\n`transfer.inside_a_fence`\n```\n`smallball.prg`\n")
     assert readme_references(text) == [("prg", "ENUM_BUDGET"), ("oracles", "gone")]
+
+
+def constant_subscripts(source: str) -> set[str]:
+    """Names `C_...` that a module reads as a string subscript, `x["C_..."]`."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str) and node.slice.value.startswith("C_")}
+
+
+def test_every_committed_constant_is_read():
+    committed = json.loads((ROOT / "src" / "smallball" / "data"
+                            / "fitted_constants.json").read_text())
+    read = set().union(*(constant_subscripts(p.read_text()) for p in SOURCES
+                         if p.name != "fitting.py"))
+    assert sorted(set(committed) - read) == []
+
+
+def test_constant_subscript_detector():
+    source = ('c = constants["C_equal"].value\nd = {"C_diff": 1}\n'
+              'e = table["n"]\nf = constants.get("C_prg")\n')
+    assert constant_subscripts(source) == {"C_equal"}

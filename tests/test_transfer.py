@@ -420,18 +420,18 @@ class TestPrimesAndZp:
         with pytest.raises(NotPrime):
             zp_fourier_average(uniform_independent, signs, ones_weights(1), 4)
 
-    def test_average_bounds_distinct_integer_instance(self, uniform_independent,
-                                                      constants):
-        n = 9
-        signs = balanced_signs(uniform_independent, n)
-        weights = make_weight_system(np.arange(1.0, n + 1),
-                                     "distinct-positive-integers")
-        p = find_prime(weights)
-        avg = zp_fourier_average(uniform_independent, signs, weights, p)
-        dist = exact_sum_distribution(uniform_independent, signs, weights)
-        _, max_prob = dist.max_point_mass()
-        assert max_prob <= avg  # inversion dominates every point mass
-        assert avg <= constants["C_zp"].value * n**-1.5
+    def test_average_bounds_distinct_integer_instance(self):
+        for inst in diff_instances():
+            p = find_prime(inst.weights)
+            avg = zp_fourier_average(inst.chain, inst.signs, inst.weights, p)
+            _, max_prob = exact_sum_distribution(inst.chain, inst.signs,
+                                                 inst.weights).max_point_mass()
+            assert max_prob <= avg  # inversion dominates every point mass
+            # the zero frequency gives 1/p, each of the other p - 1 at most max |phi|;
+            # the upper side is met to rounding at lambda = 0, n = 9 and 36: 1e-15 slack
+            contribs = sign_contributions(inst.signs, inst.weights)
+            phi = np.abs(char_fn_values(inst.chain, contribs, np.arange(1, p) / p))
+            assert 1 / p - 1e-15 <= avg <= 1 / p + (p - 1) / p * phi.max() + 1e-15
 
     def test_independent_average_is_cosine_product_average(self, uniform_independent):
         n, p = 4, 11
