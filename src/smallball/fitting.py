@@ -39,10 +39,24 @@ from .transfer import (
 
 
 def abs_charfn(chain, signs, weights):
+    """|phi| at an ndarray of frequencies, by the transfer sweep.
+
+    The sum is real, so phi(-xi) = conj phi(xi) and the sweep's moduli at xi
+    and -xi agree bit for bit: each distinct |xi| is swept once and its value
+    scattered back, which halves the work of a run over panels symmetric
+    about 0.  A batch of two or more points gives each point the bits it
+    gets in any other such batch, but a lone point takes another BLAS path
+    and may round differently; so when a batch's |xi| collapse to one value,
+    that value is swept as a batch of two.
+    """
     contribs = sign_contributions(signs, weights)
 
     def f(xis):
-        return np.abs(char_fn_values(chain, contribs, xis))
+        xis = np.atleast_1d(np.asarray(xis, dtype=float))
+        mags, inverse = np.unique(np.abs(xis), return_inverse=True)
+        if mags.size == 1 < xis.size:
+            mags = np.repeat(mags, 2)
+        return np.abs(char_fn_values(chain, contribs, mags))[inverse]
 
     return f
 

@@ -297,10 +297,11 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
 
     contrib = block_contributions(spec, w)
     k, degree = spec.graph.k, spec.graph.degree
-    flat_neighbors = spec.graph.neighbors.ravel()
-    # the top b <= 53 bits of a word are floor(u * 2^b) for its uniform u, so
-    # the start vertex and a power-of-two degree's edge need no float; any
-    # other degree keeps the float rule
+    flat_neighbors = spec.graph.neighbors.ravel().astype(np.intp, copy=False)
+    # the top b <= 31 bits of a word are floor(u * 2^b) for its uniform u, so
+    # the start vertex (k <= 20) and a power-of-two degree's edge (a table in
+    # memory has degree < 2^31) need no float; any other degree keeps the
+    # float rule
     power_of_two = degree > 1 and degree & (degree - 1) == 0
     edge_bits = degree.bit_length() - 1 if power_of_two else 0
     hits = 0
@@ -311,13 +312,19 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
         sums = contrib[0][vertex]
         cell = np.empty(streams.size, dtype=np.uint64)
         edge = cell.view(np.intp)
+        step = np.empty_like(sums)
         for j, word in enumerate(words, start=1):
             if edge_bits:
                 np.right_shift(word, np.uint64(64 - edge_bits), out=cell)
             else:
                 np.minimum((to_unit(word) * degree).astype(np.intp), degree - 1, out=edge)
-            vertex = flat_neighbors[vertex * degree + edge]
-            sums += contrib[j][vertex]
+            # edge becomes the slot vertex * degree + edge of flat_neighbors;
+            # every index is in range, so "clip" only skips the bounds check
+            np.multiply(vertex, degree, out=vertex)
+            edge += vertex
+            np.take(flat_neighbors, edge, out=vertex, mode="clip")
+            np.take(contrib[j], vertex, out=step, mode="clip")
+            sums += step
         hits += int(np.count_nonzero(np.abs(sums - x0) <= radius))
     return from_hits(hits, samples, seed)
 

@@ -83,10 +83,11 @@ class _InverseCdf:
     cumulative stationary law, both without their last entry.  From row y the
     uniform u picks the number of c with cum[y, c] <= u: the inverse CDF by
     counting, which also clamps to the last state when a row's total rounds
-    below 1.  Cell j of a row covers the doubles u = (word >> 11) 2^-53 whose
-    top `bits` bits are j; the table holds the state that every such u picks,
-    or -1 when a cut of the row falls inside the cell, and only those lanes
-    count exactly.
+    below 1.  Cell j of a row covers the doubles u of rngstreams.uniforms()
+    whose top `bits` <= 14 bits are j, which are the top bits of step_words'
+    word; the table holds the state that every such u picks, or -1 when a cut
+    of the row falls inside the cell, and only those lanes take u through
+    to_unit and count exactly.
     """
 
     def __init__(self, chain: MarkovChain):

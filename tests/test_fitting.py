@@ -22,7 +22,7 @@ from smallball.fitting import (
     esseen_formulas,
 )
 from smallball.quadrature import adaptive_simpson, alias_safe_depth
-from smallball.transfer import exact_sum_distribution
+from smallball.transfer import char_fn_values, exact_sum_distribution, sign_contributions
 
 # the transfer-sweep reference over [-eps, eps] costs ~15 s per eps on both
 # Esseen families, so eps = 1, the value the fit and criterion 12 use, is
@@ -61,6 +61,28 @@ def test_refit_reproduces_committed_constant(name, committed):
     assert float(fitted["value"]).hex() == float(doc["value"]).hex()
     assert fitted["family"] == doc["family"]
     assert json.loads(json.dumps(fitted["grid"])) == doc["grid"]
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5, 6])
+def test_abs_charfn_is_the_sweep_modulus_bit_for_bit(n_states):
+    # |xi| is swept once per distinct value; every batch must still get the
+    # bits of the sweep over the whole batch, the lone point included
+    rng = np.random.default_rng(100 + n_states)
+    for n_steps in (1, 7, 30):
+        chain = fam.random_reversible_chain(rng, n_states)
+        signs = make_sign_system(rng.choice([-1, 1], size=(n_steps, n_states)),
+                                 chain.stationary)
+        weights = make_weight_system(rng.integers(1, 9, size=n_steps).astype(float))
+        contribs = sign_contributions(signs, weights)
+        modulus = abs_charfn(chain, signs, weights)
+        x = rng.uniform(-1.0, 1.0, 40)
+        batches = [np.concatenate([x, -x, [0.0, -0.0], x[:5], -x[3:9]]),
+                   np.concatenate([x[:6], -x[:6]]), x[:1], -x[:1], [0.0], [-0.0],
+                   [x[0], -x[0]], [x[1], x[1], -x[1]], [0.0, -0.0], [-0.0, 0.0, -0.0]]
+        for xis in batches:
+            xis = rng.permutation(np.asarray(xis, dtype=float))
+            want = np.abs(char_fn_values(chain, contribs, xis))
+            assert modulus(xis).tobytes() == want.tobytes()
 
 
 def _worst_fold_error(instances, eps):

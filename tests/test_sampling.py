@@ -79,8 +79,11 @@ def python_path(chain, seed, stream, n):
 
 
 def _words_at(grid: list) -> np.ndarray:
-    """Stream words whose uniforms are t * 2^-53, with junk in the 11 low bits."""
-    return (np.array(grid, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+    """step_words' words whose uniforms are t * 2^-53: the finalized words
+    t * 2^11 plus junk in the 11 low bits, taken back through the
+    finalizer's last xor-shift z ^= z >> 31 by its inverse."""
+    final = (np.array(grid, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+    return final ^ (final >> np.uint64(31)) ^ (final >> np.uint64(62))
 
 
 def _no_draws(*args, **kwargs):
