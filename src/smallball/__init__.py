@@ -9,9 +9,7 @@ inequality the bounds rest on.
 from .bounds import (
     BoundReport,
     FittedConstant,
-    binomial_negative_moment,
     binomial_negative_moments,
-    cosine_product_integral,
     cosine_product_integrals,
     esseen_bound,
     fit_constant,
@@ -38,9 +36,7 @@ from .chains import (
 from .oracles import (
     HolderInstance,
     averaging_identity_reports,
-    check_averaging_identities,
     enumerate_paths,
-    holder_lhs_rhs,
     holder_sides,
     switching_stats,
 )
@@ -54,7 +50,6 @@ from .prg import (
 )
 from .sampling import (
     McEstimate,
-    first_coord_tail,
     first_coord_tails,
     sample_signs,
     smallball_mc,

@@ -8,8 +8,8 @@ criteria 3, 4, 9 and 12 run the sweeps of smallball.fitting
 committed constants, where the fitters run them at 1.0; criteria 6, 9 and 11
 check the proved bounds.C_COS, C_SIZE and C_COORD against closed forms and
 quadrature; criterion 10 and the CLI's tightness run tightness_sweep; criteria
-7 and 8 and the CLI's verify-claims run splitting_worst, identity_worsts and
-switching_grid.
+7 and 8 check the splitting inequality, the averaging identities and
+switching domination on the oracles of smallball.oracles.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .transfer import (
 MGG_SPECTRAL_CEILING = 0.884
 SPLITTING_TOL = 1e-9
 MAX_BATTERY_SECONDS = 600.0
-# Holder instances and identity input sets of criterion 7 and verify-claims
+# Holder instances and identity input sets of criterion 7
 HOLDER_COUNT = 500
 IDENTITY_COUNT = 1000
 
@@ -119,31 +119,6 @@ def tightness_sweep(lams, ns) -> list[tuple[float, float, list, list]]:
     return [(lam, loglog_slope(ns, probs), probs,
              [p * math.sqrt((1.0 - lam) * n / (1.0 + lam)) for n, p in zip(ns, probs)])
             for lam, probs in zip(lams, zero_masses(lams, ns))]
-
-
-def splitting_worst(seed: int) -> float:
-    """Largest lhs - rhs of the splitting inequality over the Holder family."""
-    return max(lhs - rhs for lhs, rhs in oracles.holder_sides(
-        fam.holder_family(seed, HOLDER_COUNT)))
-
-
-def identity_worsts(seed: int) -> dict[str, float]:
-    """Largest violation of each averaging-operator identity over the inputs."""
-    worst = {"averaging_sandwich": 0.0, "l1_product": 0.0,
-             "diagonal_contraction": 0.0}
-    reports = oracles.averaging_identity_reports(
-        (inputs["mu"], inputs["us"], inputs["r_mats"], inputs["t_mats"])
-        for inputs in fam.identity_inputs(seed, IDENTITY_COUNT))
-    for rep in reports:
-        for name in worst:
-            worst[name] = max(worst[name], getattr(rep, name))
-    return worst
-
-
-def switching_grid(n_max: int) -> list:
-    """switching_stats for n in 2..n_max and lambda in 0, 0.1, ..., 1."""
-    return [oracles.switching_stats(n, lam10 / 10.0)
-            for n in range(2, n_max + 1) for lam10 in range(0, 11)]
 
 
 def criterion_1(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
@@ -243,19 +218,28 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7(seed: int = fam.DEFAULT_SEED) -> CriterionResult:
     def run():
-        worst_split = splitting_worst(seed)
-        worst = identity_worsts(seed + 1)
+        # largest lhs - rhs of the splitting inequality over the Holder family
+        sides = oracles.holder_sides(fam.holder_family(seed, HOLDER_COUNT))
+        worst_split = max(lhs - rhs for lhs, rhs in sides)
+        # largest violation of each averaging-operator identity over the inputs
+        reports = oracles.averaging_identity_reports(
+            (inputs["mu"], inputs["us"], inputs["r_mats"], inputs["t_mats"])
+            for inputs in fam.identity_inputs(seed + 1, IDENTITY_COUNT))
+        worst = {name: max(0.0, *(getattr(rep, name) for rep in reports))
+                 for name in ("averaging_sandwich", "l1_product", "diagonal_contraction")}
         ok = worst_split <= SPLITTING_TOL and max(worst.values()) <= oracles.IDENTITY_TOL
         return ok, {
-            "holder_instances": HOLDER_COUNT, "worst_lhs_minus_rhs": worst_split,
-            "identity_instances": IDENTITY_COUNT, "worst_violations": worst}, []
+            "holder_instances": len(sides), "worst_lhs_minus_rhs": worst_split,
+            "identity_instances": len(reports), "worst_violations": worst}, []
 
     return _timed(7, "alternating-product splitting and averaging identities hold", run)
 
 
 def criterion_8() -> CriterionResult:
     def run():
-        reps = switching_grid(oracles.SWITCHING_N_BUDGET)
+        # n in 2..SWITCHING_N_BUDGET and lambda in 0, 0.1, ..., 1
+        reps = [oracles.switching_stats(n, lam10 / 10.0)
+                for n in range(2, oracles.SWITCHING_N_BUDGET + 1) for lam10 in range(0, 11)]
         for rep in reps:
             if not (rep.dominates and rep.moment_chain_holds):
                 return False, {"n": rep.n, "lam": rep.lam,

@@ -176,22 +176,16 @@ def _cos_products(vss):
     return f
 
 
-def cosine_product_integral(vs) -> float:
-    """Integral over [-1,1] of prod_j |cos(2 pi xi v_j)| for |v_j| >= 1.
-
-    The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j).  One run
-    cuts the domain there, so no piece holds a full oscillation of any factor
-    and a shallow forced depth suffices.  This is the one-member case of
-    cosine_product_integrals.
-    """
-    value, = cosine_product_integrals([vs])
-    return value
-
-
 def cosine_product_integrals(vss) -> list[float]:
-    """cosine_product_integral of each vs in vss, in order, as the runs of one
+    """Integral over [-1,1] of prod_j |cos(2 pi xi v_j)| for |v_j| >= 1, for
+    each vs in vss, in order.
+
+    The integrand's kinks sit at the cosine zeros (2m+1)/(4 v_j).  Each run
+    cuts the domain there, so no piece holds a full oscillation of any factor
+    and a shallow forced depth suffices.  The runs are those of one
     integrate_family call, so each value is bit for bit that of vs alone.
-    Every vs is checked for |v_j| >= 1 before any work."""
+    Every vs is checked for |v_j| >= 1 before any work.
+    """
     vss = [np.asarray(vs, dtype=float) for vs in vss]
     for vs in vss:
         if vs.size and below_unit(np.min(np.abs(vs))):
@@ -224,15 +218,10 @@ def cosine_power_integral(k: int) -> float:
                           ) / math.sqrt(math.pi)
 
 
-def binomial_negative_moment(n: int, p: float, d: int) -> tuple[float, float]:
-    """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound d^d/(np)^d);
-    the one-member case of binomial_negative_moments."""
-    return binomial_negative_moments(n, [p], [d])[0][0]
-
-
 def binomial_negative_moments(n: int, ps, ds) -> list[list[tuple[float, float]]]:
-    """binomial_negative_moment(n, p, d) for each d in ds (one list each) and
-    each p in ps (one pair each), every value bit for bit the lone call's.
+    """(exact E[1/(X+1)^d] for X ~ Binomial(n, p), closed-form bound
+    d^d/(np)^d) for each d in ds (one list each) and each p in ps (one pair
+    each), every value bit for bit that of a call with p and d alone.
 
     The log terms of every p are one array.  Each d divides it by (i+1)^d at
     its own scalar exponent (scalar_powers says why), and each (p, d) sums in

@@ -2,9 +2,9 @@
 
 Subcommands cover the individual computations (spectral-gap, exact-dist,
 smallball, esseen, zp-average, prg-build, prg-test), experiment sweeps
-(tightness, run --config), constant fitting, and the verification suites
-(verify-claims, verify-all).  Exit codes: 0 pass, 1 bound or claim violation,
-2 usage/config error.
+(tightness, run --config), constant fitting, and the acceptance battery
+(verify-all).  Exit codes: 0 pass, 1 bound or criterion violation, 2
+usage/config error.
 
 SETTINGS gives each setting its flags, type and help; COMMANDS gives each
 subcommand or config kind its handler, help, flags and required settings.
@@ -15,8 +15,6 @@ defaults) and calls `run(config)`, which checks every setting by its type.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -25,7 +23,7 @@ from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from . import acceptance, oracles, prg
+from . import acceptance, prg
 from . import families as fam
 from .bounds import (
     REPORT_FIELDS,
@@ -58,7 +56,7 @@ from .transfer import (
 )
 
 EXPERIMENT_KINDS = ("smallball-exact", "smallball-mc", "diff-scaling", "prg",
-                    "tightness", "verify-claims", "fit-constants")
+                    "tightness", "fit-constants")
 GENERATORS = ("all-ones", "arange", "random-unit")
 
 
@@ -81,7 +79,6 @@ class ExperimentConfig:
     k: int = 4
     constants: str | None = None
     out: str | None = None
-    budget: int = 10**6
     eps: float = 1.0
     prime: int | None = None
     graph: str | None = None
@@ -121,7 +118,6 @@ SETTINGS = {
     "k": Setting(("--k",), int, "expander block size; 2^k vertices", 1),
     "constants": Setting(("--constants",), str, "fitted constants JSON to use"),
     "out": Setting(("--out",), str, "output file (verify-all: report directory)"),
-    "budget": Setting(("--budget",), int, "switching-count enumeration budget", 1),
     "eps": Setting(("--eps",), float, "Esseen smoothing width"),
     "prime": Setting(("--prime",), int, "modulus; default from the weights"),
     "graph": Setting(("--graph",), str, "graph JSON; default builds MGG for k"),
@@ -341,49 +337,6 @@ def _tightness(config: ExperimentConfig) -> int:
     return 0
 
 
-def _claim(instances: int, violation: float, passed: bool) -> dict:
-    return {"instances": instances, "max_violation": violation, "pass": passed}
-
-
-def _verify_claims(config: ExperimentConfig) -> int:
-    seed = config.seed
-    worst = acceptance.splitting_worst(seed)
-    report = {"splitting-inequality": _claim(acceptance.HOLDER_COUNT, worst,
-                                             worst <= acceptance.SPLITTING_TOL)}
-    for name, value in acceptance.identity_worsts(seed + 1).items():
-        report[name.replace("_", "-")] = _claim(acceptance.IDENTITY_COUNT, value,
-                                                value <= oracles.IDENTITY_TOL)
-
-    switching_cap = min(oracles.SWITCHING_N_BUDGET,
-                        max(4, int(math.log2(max(config.budget, 16))) + 1))
-    reps = acceptance.switching_grid(switching_cap)
-    margin = min(rep.worst_margin for rep in reps)
-    report["switching-domination"] = _claim(len(reps), max(0.0, -margin),
-                                            all(rep.dominates for rep in reps))
-
-    rng = np.random.default_rng(seed + 2)
-    draws = []
-    for _ in range(1000):
-        n_states = int(rng.integers(2, 9))
-        mu = rng.dirichlet(np.ones(n_states))
-        draws.append((mu, rng.normal(size=n_states)))
-    worst_chain = 0.0
-    for n_states in sorted({mu.size for mu, _ in draws}):
-        mus = np.array([mu for mu, _ in draws if mu.size == n_states])
-        vs = np.array([v for mu, v in draws if mu.size == n_states])
-        l1, l2, linf = (oracles.lp_norm(vs, mus, p) for p in (1, 2, np.inf))
-        worst_chain = max(worst_chain, *(l1 - l2).tolist(), *(l2 - linf).tolist())
-    report["norm-chain"] = _claim(1000, worst_chain, worst_chain <= 1e-10)
-
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        Path(config.out).write_text(text)
-        print(f"claim report written to {config.out}")
-    else:
-        print(text, end="")
-    return 0 if all(sub["pass"] for sub in report.values()) else 1
-
-
 def _fit_constants(config: ExperimentConfig) -> int:
     committed = load_constants(config.constants)
     fitted = {}
@@ -448,8 +401,6 @@ COMMANDS = {
                       _INSTANCE + _WINDOW + ("constants", "eps"), ("chain",)),
     "zp-average": Command(_zp_average, "averaged |char fn| over Z_p",
                           _INSTANCE + ("prime", "x0"), ("chain",)),
-    "verify-claims": Command(_verify_claims, "run the proof-oracle suite",
-                             ("config", "seed", "out", "budget")),
     "fit-constants": Command(_fit_constants, "re-derive every fitted constant",
                              ("config", "out")),
     "prg-build": Command(_prg_build, "build an expander graph file",

@@ -271,19 +271,13 @@ def extraction_indices(s) -> list[int]:
     return [i for i in range(1, len(s) + 2) if padded[i] == 0 and padded[i - 1] == 0]
 
 
-def holder_lhs_rhs(inst: HolderInstance) -> tuple[float, float]:
-    """Both sides of the splitting inequality, each evaluated from scratch.
+def holder_sides(instances) -> list[tuple[float, float]]:
+    """(lhs, rhs) of the splitting inequality for each instance, in order,
+    each side evaluated from scratch.
 
     The right-hand side extracts mean factors over extraction_indices; the
     interior indices it shares with t_indices are the only ones the switching
-    arguments downstream rely on.  This is the one-instance case of
-    holder_sides.
-    """
-    return holder_sides([inst])[0]
-
-
-def holder_sides(instances) -> list[tuple[float, float]]:
-    """holder_lhs_rhs of each instance, in order.
+    arguments downstream rely on.
 
     The instances that share N states, k matrices and the matrices' dtype run
     as one stack, so each side is bit for bit that of the instance alone:
@@ -353,19 +347,13 @@ class IdentityReport:
                    self.diagonal_contraction) <= IDENTITY_TOL
 
 
-def check_averaging_identities(mu, us, r_mats, t_mats) -> IdentityReport:
-    """Evaluate the three identities/inequalities directly on the given inputs.
+def averaging_identity_reports(members) -> list[IdentityReport]:
+    """The three identities/inequalities evaluated directly on each member
+    (mu, us, r_mats, t_mats), in order.
 
     us: k+1 vectors (entries of modulus <= 1; us[0] also drives the sandwich
     identity), r_mats: matrices for the L1 product bound, t_mats: k matrices
-    for the diagonal contraction.  This is the one-member case of
-    averaging_identity_reports.
-    """
-    return averaging_identity_reports([(mu, us, r_mats, t_mats)])[0]
-
-
-def averaging_identity_reports(members) -> list[IdentityReport]:
-    """check_averaging_identities of each member (mu, us, r_mats, t_mats), in order.
+    for the diagonal contraction.
 
     The members that share N and their numbers of us, r_mats and t_mats run
     as one stack, so each report is bit for bit that of the member alone (as

@@ -166,6 +166,9 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
 
     Each sample's sum is taken in step order, f_1 v_1 + f_2 v_2 + ..., from a
     (step, state) table of the products f_j(y) v_j, as the walk is sampled.
+    In dimension 1 a sum s counts where x0 - radius <= s <= x0 + radius, the
+    window smallball_exact sums, so no distance is squared and no end
+    overflows the count.
     """
     check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
@@ -178,6 +181,7 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
             f"center has {center.size} coordinates, weights have dimension "
             f"{weights.dimension}")
     center = np.broadcast_to(center, (weights.dimension,))
+    lo, hi = float(center[0]) - float(radius), float(center[0]) + float(radius)
     sampler = _InverseCdf(chain)
     # contrib[j, y] = f_j(y) v_j, a (steps, states, dimension) table
     contrib = signs.functions.astype(float)[:, :, None] * weights.weights[:, None, :]
@@ -189,8 +193,11 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
         for j, state in enumerate(sampler.states(streams, seed, signs.n_steps)):
             np.take(contrib[j], state, axis=0, out=step, mode="clip")
             sums += step
-        dist = np.linalg.norm(sums - center[None, :], axis=1)
-        hits += int(np.count_nonzero(dist <= radius))
+        if weights.dimension == 1:
+            inside = (sums[:, 0] >= lo) & (sums[:, 0] <= hi)
+        else:
+            inside = np.linalg.norm(sums - center[None, :], axis=1) <= radius
+        hits += int(np.count_nonzero(inside))
     return from_hits(hits, count, seed)
 
 
@@ -199,23 +206,17 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
 # ---------------------------------------------------------------------------
 
 
-def first_coord_tail(d: int, t: float) -> float:
-    """P[|v_1| >= t] for v uniform on the unit sphere in R^d.
+def first_coord_tails(pairs) -> list[float]:
+    """P[|v_1| >= t] for v uniform on the unit sphere in R^d, for each pair
+    (d, t), in order.
 
     The density of v_1 is proportional to (1-s^2)^((d-3)/2); substituting
     s = sin(theta) removes the d = 2 endpoint singularity, so the tail is a
-    ratio of two smooth quadratures of cos(theta)^(d-2).  This is the
-    one-member case of first_coord_tails.
-    """
-    tail, = first_coord_tails([(d, t)])
-    return tail
-
-
-def first_coord_tails(pairs) -> list[float]:
-    """first_coord_tail(d, t) of each pair (d, t), in order, from one
+    ratio of two smooth quadratures of cos(theta)^(d-2).  All come from one
     integrate_family run: one integral over [asin t, pi/2] per distinct
     (d, t) and one normaliser over [0, pi/2] per distinct d, each bit for bit
-    the lone run's.  Every pair is checked before any work."""
+    the lone run's.  Every pair is checked before any work.
+    """
     pairs = list(pairs)
     for d, t in pairs:
         if d < 1:

@@ -99,17 +99,6 @@ class SumDistribution:
         i = int(np.argmax(self.masses))
         return self.offset + i, float(self.masses[i])
 
-    def char_fn_modulus(self, xis) -> np.ndarray:
-        """|phi(xi)| = |sum_i masses[i] z^i| with z = exp(2 pi i xi), by Horner;
-        the one-law case of LawBlock.char_fn_modulus.
-
-        The offset contributes a unimodular factor z^offset, which drops out.
-        """
-        xis = np.asarray(xis, dtype=float)
-        flat = xis.ravel()
-        return LawBlock.of([self]).char_fn_modulus(
-            flat, np.zeros(flat.size, dtype=np.intp)).reshape(xis.shape)
-
 
 @dataclass(frozen=True)
 class LawBlock:
@@ -131,8 +120,9 @@ class LawBlock:
         return cls(masses=masses, lengths=lengths, nonzero=masses.any(axis=1).tolist())
 
     def char_fn_modulus(self, xis: np.ndarray, law: np.ndarray) -> np.ndarray:
-        """|phi| of law[k] at xis[k] (both 1-d), each bit for bit its own
-        Horner sweep.
+        """|phi| of law[k] at xis[k] (both 1-d): |phi(xi)| = |sum_i masses[i] z^i|
+        with z = exp(2 pi i xi), each point bit for bit its own Horner sweep.
+        The offset contributes a unimodular factor z^offset, which drops out.
 
         The points are sorted by the length of their law, longest first, so
         the laws still in their sweep at degree k are a prefix that grows as k
@@ -483,12 +473,16 @@ def exact_sum_distribution(chain: MarkovChain, signs: SignSystem,
 
 
 def smallball_exact(dist: SumDistribution, x0: float, radius: float) -> float:
-    """Mass of the closed window |s - x0| <= radius over the lattice law."""
+    """Mass of the closed window x0 - radius <= s <= x0 + radius over the
+    lattice law.  The ends are Python floats, clipped to the law's support
+    before they are rounded, so an end that overflows to +-inf still counts."""
     check_window(x0, radius)
-    lo = math.ceil(x0 - radius)
-    hi = math.floor(x0 + radius)
-    i0 = max(lo - dist.offset, 0)
-    i1 = min(hi - dist.offset, dist.masses.size - 1)
+    lo, hi = float(x0) - float(radius), float(x0) + float(radius)
+    last = dist.offset + dist.masses.size - 1
+    if lo > last or hi < dist.offset:
+        return 0.0
+    i0 = math.ceil(max(lo, dist.offset)) - dist.offset
+    i1 = math.floor(min(hi, last)) - dist.offset
     if i1 < i0:
         return 0.0
     return math.fsum(dist.masses[i0:i1 + 1].tolist())

@@ -12,10 +12,8 @@ from smallball.bounds import (
     QUAD_TOL,
     BoundReport,
     FittedConstant,
-    binomial_negative_moment,
     binomial_negative_moments,
     cosine_power_integral,
-    cosine_product_integral,
     cosine_product_integrals,
     esseen_bound,
     fit_constant,
@@ -79,15 +77,15 @@ class TestEsseenBound:
 
 class TestCosineProductIntegral:
     def test_single_factor_closed_form(self):
-        assert cosine_product_integral([1.0]) == pytest.approx(4 / math.pi,
-                                                               abs=1e-10)
+        assert cosine_product_integrals([[1.0]])[0] == pytest.approx(4 / math.pi,
+                                                                      abs=1e-10)
 
     def test_empty_product(self):
-        assert cosine_product_integral([]) == 2.0
+        assert cosine_product_integrals([[]])[0] == 2.0
 
     def test_large_power_within_committed_constant(self):
         k = 25
-        val = cosine_product_integral(np.ones(k))
+        val = cosine_product_integrals([np.ones(k)])[0]
         assert val <= C_COS / 5.0
 
     def test_closed_form_within_proved_constant_for_every_power(self):
@@ -107,11 +105,11 @@ class TestCosineProductIntegral:
                 scaled[j - 1], rel=1e-12)
 
     def test_nonincreasing_in_k(self):
-        vals = [cosine_product_integral(np.ones(k)) for k in range(1, 30)]
+        vals = [cosine_product_integrals([np.ones(k)])[0] for k in range(1, 30)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_sqrt_k_scaling_is_bounded(self):
-        vals = [cosine_product_integral(np.ones(k)) * math.sqrt(k)
+        vals = [cosine_product_integrals([np.ones(k)])[0] * math.sqrt(k)
                 for k in range(1, 101)]
         assert max(vals) < 1.6
 
@@ -120,31 +118,31 @@ class TestCosineProductIntegral:
         # dense midpoint rule as an independent cross-check
         xs = (np.arange(400000) + 0.5) / 200000 - 1.0
         ref = np.prod(np.abs(np.cos(2 * np.pi * np.outer(xs, v))), axis=1).mean() * 2
-        assert cosine_product_integral(v) == pytest.approx(ref, abs=1e-7)
+        assert cosine_product_integrals([v])[0] == pytest.approx(ref, abs=1e-7)
 
     def test_repeated_and_signed_weights_match_midpoint_rule(self):
         v = [1.0, -1.0, 2.5, 2.5, 2.5, -4.0]
         xs = (np.arange(400000) + 0.5) / 200000 - 1.0
         ref = np.prod(np.abs(np.cos(2 * np.pi * np.outer(xs, v))), axis=1).mean() * 2
-        assert cosine_product_integral(v) == pytest.approx(ref, abs=1e-7)
+        assert cosine_product_integrals([v])[0] == pytest.approx(ref, abs=1e-7)
 
     def test_thousands_of_zeros_in_one_run(self):
         # cos^2(2 pi xi v) averages 1/2 over [-1, 1] when 4v is an integer
-        assert cosine_product_integral([2000.0, 2000.0]) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_product_integrals([[2000.0, 2000.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_powers_within_quad_tol_of_closed_form(self):
         # integral of |cos(2 pi xi)|^k over [-1, 1] = 2 G((k+1)/2) / (sqrt(pi) G(k/2+1))
         for k in range(1, 101):
             expect = 2.0 * math.exp(math.lgamma((k + 1) / 2) - math.lgamma(k / 2 + 1)
                                     ) / math.sqrt(math.pi)
-            assert abs(cosine_product_integral(np.ones(k)) - expect) <= QUAD_TOL, k
+            assert abs(cosine_product_integrals([np.ones(k)])[0] - expect) <= QUAD_TOL, k
 
     def test_one_budget_bounds_a_run_with_forty_thousand_pieces(self):
         # 4 |v| + 1 starting pieces share one panel budget, so memory stays
         # bounded for any |v|: the run finishes within it or gives up
         tracemalloc.start()
         try:
-            val = cosine_product_integral([10000.0, 10000.0])
+            val = cosine_product_integrals([[10000.0, 10000.0]])[0]
         except QuadratureNonConvergence:
             val = None
         finally:
@@ -155,41 +153,41 @@ class TestCosineProductIntegral:
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
-            cosine_product_integral([1.0, 0.5])
+            cosine_product_integrals([[1.0, 0.5]])
 
 
 class TestBinomialNegativeMoment:
     def test_degenerate_single_trial(self):
-        exact, bound = binomial_negative_moment(1, 1.0, 1)
+        exact, bound = binomial_negative_moments(1, [1.0], [1])[0][0]
         assert exact == pytest.approx(0.5, abs=1e-15)
         assert bound == 1.0
 
     def test_two_trial_hand_sum(self):
-        exact, bound = binomial_negative_moment(2, 0.5, 1)
+        exact, bound = binomial_negative_moments(2, [0.5], [1])[0][0]
         assert exact == pytest.approx(7 / 12, abs=1e-14)
         assert bound == 1.0
 
     def test_exact_below_bound_at_scale(self):
-        exact, bound = binomial_negative_moment(50, 0.36, 2)
+        exact, bound = binomial_negative_moments(50, [0.36], [2])[0][0]
         assert bound == pytest.approx(4 / (50**2 * 0.36**2), rel=1e-12)
         assert exact <= bound
 
     def test_enumeration_oracle(self):
         # direct summation with math.comb as the independent route
         n, p, d = 12, 0.3, 2
-        exact, _ = binomial_negative_moment(n, p, d)
+        exact, _ = binomial_negative_moments(n, [p], [d])[0][0]
         byhand = sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) / (i + 1) ** d
                      for i in range(n + 1))
         assert exact == pytest.approx(byhand, rel=1e-12)
 
     def test_rejects_zero_probability(self):
         with pytest.raises(OutOfRange):
-            binomial_negative_moment(5, 0.0, 1)
+            binomial_negative_moments(5, [0.0], [1])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 50), st.integers(1, 10), st.integers(1, 3))
     def test_bound_always_dominates(self, n, p10, d):
-        exact, bound = binomial_negative_moment(n, p10 / 10.0, d)
+        exact, bound = binomial_negative_moments(n, [p10 / 10.0], [d])[0][0]
         assert exact <= bound * (1 + 1e-12)
 
 
@@ -286,7 +284,7 @@ def test_bound_report_round_trip(tmp_path):
 
 
 def negative_moment_alone(n, p, d):
-    """binomial_negative_moment as one (n, p, d) evaluated it before batches."""
+    """binomial_negative_moments of one (n, p, d) as it was evaluated before batches."""
     from scipy.special import gammaln, xlogy
 
     i = np.arange(n + 1)
@@ -297,7 +295,7 @@ def negative_moment_alone(n, p, d):
 
 
 def cosine_integral_alone(vs):
-    """cosine_product_integral as one adaptive_simpson run evaluated it."""
+    """cosine_product_integrals of one vs as one adaptive_simpson run evaluated it."""
     vs = np.asarray(vs, dtype=float)
     freqs, mults = np.unique(np.abs(vs), return_counts=True)
 
@@ -324,11 +322,11 @@ class TestBatchedFamilies:
                 for p, pair in zip(ps, row):
                     want = negative_moment_alone(n, p, d)
                     assert [x.hex() for x in pair] == [x.hex() for x in want], (n, p, d)
-                    assert binomial_negative_moment(n, p, d) == pair
+                    assert binomial_negative_moments(n, [p], [d]) == [[pair]]
 
     def test_negative_moments_check_every_member_first(self):
         with pytest.raises(OutOfRange) as lone:
-            binomial_negative_moment(5, 1.5, 2)
+            binomial_negative_moments(5, [1.5], [2])
         with pytest.raises(OutOfRange) as batch:
             binomial_negative_moments(5, [0.5, 1.5, 0.0], [1, 2])
         assert str(batch.value) == str(lone.value)
@@ -347,11 +345,11 @@ class TestBatchedFamilies:
         for vs, value in zip(mixed, got):
             if vs:
                 assert value.hex() == cosine_integral_alone(vs).hex()
-            assert cosine_product_integrals([vs]) == [value] == [cosine_product_integral(vs)]
+            assert cosine_product_integrals([vs]) == [value]
 
     def test_cosine_integrals_check_every_member_first(self):
         with pytest.raises(PreconditionViolated) as lone:
-            cosine_product_integral([1.0, 0.5])
+            cosine_product_integrals([[1.0, 0.5]])
         with pytest.raises(PreconditionViolated) as batch:
             cosine_product_integrals([[1.0], [1.0, 0.5], [0.25]])
         assert str(batch.value) == str(lone.value)

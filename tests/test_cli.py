@@ -19,6 +19,8 @@ from smallball.bounds import (
 )
 from smallball.cli import (
     COMMANDS,
+    CONFIG_FIELDS,
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     build_parser,
     load_config,
@@ -142,16 +144,6 @@ class TestSubcommands:
         slopes = {r["lambda"]: float(r["slope"]) for r in rows}
         assert all(-0.6 < s < -0.4 for s in slopes.values())
 
-    def test_verify_claims_schema(self, tmp_path):
-        out = str(tmp_path / "claims.json")
-        assert main(["verify-claims", "--seed", "3", "--out", out]) == 0
-        doc = json.loads(Path(out).read_text())
-        for claim in ("splitting-inequality", "averaging-sandwich", "l1-product",
-                      "diagonal-contraction", "switching-domination",
-                      "norm-chain"):
-            assert {"instances", "max_violation", "pass"} <= set(doc[claim])
-            assert doc[claim]["pass"] is True
-
 
 class TestConfigs:
     def test_missing_chain_file_is_config_error(self, tmp_path):
@@ -195,7 +187,7 @@ class TestConfigs:
         ["prg-test", "--k", "2", "--n", "8", "--x0", "inf"],
         ["prg-test", "--k", "2", "--weights", "{nan_weights}"],
         ["smallball", "--chain", "{chain}", "--weights", "{inf_weights}"],
-        ["run", "--config", "{budget_string}"],
+        ["run", "--config", "{dim_string}"],
         ["run", "--config", "{n_list_string}"],
         ["run", "--config", "{n_list_zero}"],
         ["run", "--config", "{k_string}"],
@@ -263,14 +255,14 @@ class TestConfigs:
                       ("seed_float", "seed", 3.0),
                       ("seed_null", "seed", None),
                       ("seed_bool", "seed", False))),
-                ("budget_string", {"kind": "verify-claims", "budget": "x"}),
+                ("dim_string", {"kind": "tightness", "dim": "x"}),
                 ("n_list_string", {"kind": "tightness", "n_list": ["a", 2]}),
                 ("n_list_zero", {"kind": "tightness", "n_list": [0, 2]}),
                 ("k_string", {"kind": "prg", "k": "4"}),
                 ("radius_string", {"kind": "smallball-exact", "chain": chain_file,
                                    "weights": weights_file, "radius": "1"}),
                 ("constants_int", {"kind": "fit-constants", "constants": 5}),
-                ("seed_negative", {"kind": "verify-claims", "seed": -1}),
+                ("seed_negative", {"kind": "tightness", "seed": -1}),
                 *((f"graph_{name}", {"k": 2, "degree": 1,
                                      "neighbors": [[1], [0], [3], [2]], **fix})
                   for name, fix in (
@@ -358,6 +350,20 @@ class TestConfigs:
                 load_config(path)
             assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["verify-claims"], ["verify-all", "--budget", "100"]])
+    def test_removed_subcommand_and_flag_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("doc", [{"kind": "verify-claims"},
+                                     {"kind": "tightness", "budget": 100}])
+    def test_removed_kind_and_field_are_config_errors(self, doc, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_kind_mismatch_with_subcommand(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text('{"kind": "tightness"}')
@@ -405,6 +411,17 @@ def test_readme_cli_block_parses():
         parser.parse_args(argv[1:])
         named.add(argv[1])
     assert named == {name for name, row in COMMANDS.items() if row.help}
+
+
+def test_readme_config_kinds_and_fields():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("- **Experiment config JSON**", 1)[1].split("\n## ", 1)[0]
+    kinds = re.search(r'\{"kind": (.*?),\s+\.\.\.\}', section, re.S).group(1)
+    assert re.findall(r'"([a-z-]+)"', kinds) == list(EXPERIMENT_KINDS)
+    table = section.split("| field |", 1)[1]
+    listed = [name for row in re.findall(r"^ *\| (`.*?) \|", table, re.M)
+              for name in re.findall(r"`(\w+)`", row)]
+    assert sorted(["kind", *listed]) == sorted(CONFIG_FIELDS)
 
 
 class TestDeterminismAndCorruption:
@@ -458,10 +475,3 @@ class TestPinnedReports:
         assert run(ExperimentConfig(kind="prg", k=4, out=out)) == 0
         assert self._digest(out) == (
             "ac239f131c5e42c5978b3e9a3ab0851c1797b1086ebd1d61ac6621addd5de1e7")
-
-    def test_verify_claims(self, tmp_path):
-        out = str(tmp_path / "c.json")
-        assert main(["verify-claims", "--seed", "3", "--budget", "100",
-                     "--out", out]) == 0
-        assert self._digest(out) == (
-            "35ff16535a9df44bb855c11291514d87dcbc1eb106c2fc7766b0c0f51ab398f3")

@@ -22,7 +22,12 @@ from smallball.fitting import (
     esseen_formulas,
 )
 from smallball.quadrature import adaptive_simpson, alias_safe_depth
-from smallball.transfer import char_fn_values, exact_sum_distribution, sign_contributions
+from smallball.transfer import (
+    LawBlock,
+    char_fn_values,
+    exact_sum_distribution,
+    sign_contributions,
+)
 
 # the transfer-sweep reference over [-eps, eps] costs ~15 s per eps on both
 # Esseen families, so eps = 1, the value the fit and criterion 12 use, is
@@ -194,15 +199,17 @@ def test_block_runs_equal_one_at_a_time_runs(eps, esseen_members):
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def _gauss_legendre_reference(modulus, eps, tol):
-    """Integral of an even modulus over [-eps, eps] by 20-point Gauss-Legendre
+def _gauss_legendre_reference(law, eps, tol):
+    """Integral of the law's |phi| over [-eps, eps] by 20-point Gauss-Legendre
     panels: a panel is kept once its two halves agree with it within tol times
     its share of [0, eps], and contributes the halves' sum."""
+    block = LawBlock.of([law])
 
     def rule(lo, hi):
         half = 0.5 * (hi - lo)
-        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
-        return half * (modulus(nodes.ravel()).reshape(lo.size, -1) @ GL_WEIGHTS)
+        nodes = ((0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES).ravel()
+        modulus = block.char_fn_modulus(nodes, np.zeros(nodes.size, dtype=np.intp))
+        return half * (modulus.reshape(lo.size, -1) @ GL_WEIGHTS)
 
     edges = np.linspace(0.0, eps, 65)
     lo, hi = edges[:-1], edges[1:]
@@ -225,8 +232,8 @@ def test_esseen_formula_within_quad_tol_of_gauss_legendre(eps, esseen_families):
     # neither the engine nor its |K15 - G7| estimate
     for inst in esseen_families:
         dist = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
-        coarse = _gauss_legendre_reference(dist.char_fn_modulus, eps, 1e-13)
-        ref = _gauss_legendre_reference(dist.char_fn_modulus, eps, 1e-14)
+        coarse = _gauss_legendre_reference(dist, eps, 1e-13)
+        ref = _gauss_legendre_reference(dist, eps, 1e-14)
         assert abs(coarse - ref) <= 1e-13, inst.instance_id
         got = esseen_formula(inst.chain, inst.signs, inst.weights, dist, inst.radius, eps)
         assert abs(got / (inst.radius + 1.0 / eps) - ref) <= QUAD_TOL, inst.instance_id

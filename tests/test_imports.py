@@ -1,8 +1,9 @@
 """No library module imports a name it never uses, the oracles stay
 independent of the transfer engine they check, importing the library or its
 CLI loads numpy but no scipy module, no module copies a budget or fixed
-tolerance at import, every `module.name` the README cites exists, and every
-committed fitted constant is read by a bound outside its fitter.
+tolerance at import, every `module.name` the README cites exists, every
+committed fitted constant is read by a bound outside its fitter, and every
+public name has a caller outside its home module.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -237,3 +238,55 @@ def test_constant_subscript_detector():
     source = ('c = constants["C_equal"].value\nd = {"C_diff": 1}\n'
               'e = table["n"]\nf = constants.get("C_prg")\n')
     assert constant_subscripts(source) == {"C_equal"}
+
+
+# exported names that no library module but their home, and no benchmark
+# workload, calls; each is kept on purpose
+PUBLIC_WITHOUT_CALLER = (
+    "enumerate_walks",  # the oracle of exact prg_smallball: every walk listed
+    "make_independent_chain",  # public constructor of the lambda = 0 chain
+    "sample_signs",  # the oracle of smallball_mc: the sign rows it sums
+)
+
+
+def exported_names(source: str) -> dict[str, str]:
+    """Home module of each name the package's __init__ imports from a module."""
+    return {alias.asname or alias.name: node.module
+            for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, as a bare name or an attribute, or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def exports_without_caller(exports: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Exported names that no source but their home module references."""
+    refs = {module: referenced_names(source) for module, source in sources.items()}
+    return sorted(name for name, home in exports.items()
+                  if not any(name in names for module, names in refs.items()
+                             if module != home))
+
+
+def test_every_export_has_a_caller_outside_its_home():
+    exports = exported_names((ROOT / "src" / "smallball" / "__init__.py").read_text())
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    sources["bench.workloads"] = (ROOT / "bench" / "workloads.py").read_text()
+    assert exports_without_caller(exports, sources) == sorted(PUBLIC_WITHOUT_CALLER)
+
+
+def test_export_caller_detector():
+    init = "from .a import f, g\nfrom .b import h, k\n"
+    sources = {"a": "def f():\n    return 1\n\ndef g():\n    return f()\n",
+               "b": "from .a import g\ndef h(): ...\ndef k(): ...\n",
+               "cli": "from . import b\nb.h()\n"}
+    assert exports_without_caller(exported_names(init), sources) == ["f", "k"]

@@ -27,11 +27,9 @@ from smallball.families import (
 from smallball.oracles import (
     HolderInstance,
     averaging_operator,
-    check_averaging_identities,
     enumerate_paths,
     exact_sums,
     extraction_indices,
-    holder_lhs_rhs,
     lp_norm,
     operator_norm_l2mu,
     switching_stats,
@@ -322,7 +320,7 @@ class TestHolder:
             inst = HolderInstance(mu=np.array([0.5, 0.5]), lam=lam,
                                   ts=(np.zeros((2, 2)),),
                                   us=(np.ones(2), np.ones(2)))
-            lhs, rhs = holder_lhs_rhs(inst)
+            lhs, rhs = oracles.holder_sides([inst])[0]
             assert lhs == pytest.approx(1.0 - lam, abs=1e-14)
             assert rhs == pytest.approx(1.0 - lam, abs=1e-14)
 
@@ -330,7 +328,7 @@ class TestHolder:
         inst = HolderInstance(mu=np.array([0.3, 0.7]), lam=1.0,
                               ts=(np.zeros((2, 2)), np.zeros((2, 2))),
                               us=(np.ones(2),) * 3)
-        lhs, rhs = holder_lhs_rhs(inst)
+        lhs, rhs = oracles.holder_sides([inst])[0]
         assert lhs == 0.0 and rhs == 0.0
 
     def test_printed_left_edge_convention_is_falsified(self):
@@ -339,7 +337,7 @@ class TestHolder:
         mu = np.array([0.5, 0.5])
         inst = HolderInstance(mu=mu, lam=0.0, ts=(np.zeros((2, 2)),),
                               us=(np.array([1.0, -1.0]), np.ones(2)))
-        lhs, rhs = holder_lhs_rhs(inst)
+        lhs, rhs = oracles.holder_sides([inst])[0]
         assert lhs == pytest.approx(1.0, abs=1e-14)  # ||u_1||_L1(mu) = 1
         assert rhs == pytest.approx(1.0, abs=1e-14)  # repaired rhs keeps pace
         printed = (1.0 - inst.lam) * abs(np.dot(inst.us[0], mu)) * abs(
@@ -348,7 +346,7 @@ class TestHolder:
 
     def test_family_has_no_violations(self):
         for inst in holder_family(777, 120):
-            lhs, rhs = holder_lhs_rhs(inst)
+            lhs, rhs = oracles.holder_sides([inst])[0]
             assert lhs <= rhs + 1e-9
 
     def test_rhs_equals_term_by_term_loop_bit_for_bit(self):
@@ -357,7 +355,7 @@ class TestHolder:
         instances = holder_family(20240513, 500)
         assert {inst.k for inst in instances} == set(range(1, 7))
         for inst in instances:
-            assert holder_lhs_rhs(inst)[1].hex() == holder_loop(inst)[1].hex()
+            assert oracles.holder_sides([inst])[0][1].hex() == holder_loop(inst)[1].hex()
 
     def test_u_norm_precondition(self):
         with pytest.raises(PreconditionViolated):
@@ -368,23 +366,23 @@ class TestHolder:
     def test_budget(self):
         k = 17
         with pytest.raises(BudgetExceeded):
-            holder_lhs_rhs(HolderInstance(
+            oracles.holder_sides([HolderInstance(
                 mu=np.array([0.5, 0.5]), lam=0.1,
-                ts=(np.zeros((2, 2)),) * k, us=(np.ones(2),) * (k + 1)))
+                ts=(np.zeros((2, 2)),) * k, us=(np.ones(2),) * (k + 1))])
 
 
 class TestAveragingIdentities:
     def test_idempotence_special_case(self):
         mu = np.array([0.2, 0.3, 0.5])
-        rep = check_averaging_identities(mu, [np.ones(3), np.ones(3)],
-                                         [np.eye(3)], [np.eye(3)])
+        rep, = oracles.averaging_identity_reports(
+            [(mu, [np.ones(3), np.ones(3)], [np.eye(3)], [np.eye(3)])])
         assert rep.averaging_sandwich <= 1e-14  # E_mu^2 = E_mu
         assert rep.passed
 
     def test_single_matrix_equality(self):
         mu = np.array([0.4, 0.6])
         r = np.array([[1.0, 2.0], [0.5, -1.0]])
-        rep = check_averaging_identities(mu, [np.ones(2), np.ones(2)], [r], [r])
+        rep, = oracles.averaging_identity_reports([(mu, [np.ones(2), np.ones(2)], [r], [r])])
         assert rep.l1_product <= 1e-14
 
     def test_passed_reads_the_tolerance_at_call_time(self, monkeypatch):
@@ -396,8 +394,8 @@ class TestAveragingIdentities:
 
     def test_random_inputs_hold(self):
         for inputs in identity_inputs(31337, 150):
-            rep = check_averaging_identities(inputs["mu"], inputs["us"],
-                                             inputs["r_mats"], inputs["t_mats"])
+            rep, = oracles.averaging_identity_reports(
+                [(inputs["mu"], inputs["us"], inputs["r_mats"], inputs["t_mats"])])
             assert rep.passed, rep
 
 
@@ -566,10 +564,9 @@ class TestBatchedOracles:
             itertools.product(range(2, 9), range(1, 7)))
         got = oracles.holder_sides(instances)
         assert _hex_pairs(got) == _hex_pairs(map(holder_loop, instances))
-        # a batch of one, and the one-instance function, give the same bits
+        # a batch of one gives the same bits
         for inst, pair in zip(instances[::37], got[::37]):
             assert _hex_pairs(oracles.holder_sides([inst])) == _hex_pairs([pair])
-            assert _hex_pairs([holder_lhs_rhs(inst)]) == _hex_pairs([pair])
 
     @pytest.mark.parametrize("seed", SHAPE_SEEDS)
     def test_identity_reports_equal_the_loop_bit_for_bit(self, seed):
@@ -583,7 +580,6 @@ class TestBatchedOracles:
         assert _hex_reports(got) == [tuple(x.hex() for x in w) for w in want]
         for m, rep in zip(members[::37], got[::37]):
             assert _hex_reports(oracles.averaging_identity_reports([m])) == _hex_reports([rep])
-            assert _hex_reports([check_averaging_identities(*m)]) == _hex_reports([rep])
 
     def test_identity_inputs_draw_the_per_vector_stream(self):
         # the stacked draws are the per-vector draws they replaced, bit for bit
@@ -628,12 +624,12 @@ class TestBatchedOracles:
         # a good member of b's shape first, so b's group is stacked before a's
         members.insert(0, identity_shape_inputs(rng)[b])
         with pytest.raises(PreconditionViolated) as lone:
-            check_averaging_identities(*members[a + 1])
+            oracles.averaging_identity_reports([members[a + 1]])
         with pytest.raises(PreconditionViolated) as batch:
             oracles.averaging_identity_reports(members)
         assert str(batch.value) == str(lone.value)
         with pytest.raises(PreconditionViolated) as other:
-            check_averaging_identities(*members[b + 1])
+            oracles.averaging_identity_reports([members[b + 1]])
         assert str(other.value) != str(lone.value)
 
     def test_breaches_are_found_before_any_work(self, monkeypatch):

@@ -18,7 +18,7 @@ from smallball.quadrature import (
     integrate_family,
     scalar_powers,
 )
-from smallball.sampling import first_coord_tail
+from smallball.sampling import first_coord_tails
 from smallball.transfer import exact_sum_distribution
 
 # sha256 of the comma-joined float.hex values of single-interval runs of the
@@ -168,7 +168,7 @@ def test_single_interval_runs_keep_their_bits():
         values.append(esseen_formula(inst.chain, inst.signs, inst.weights, dist,
                                      inst.radius))
     assert _digest(values) == ESSEEN_CRITERION_12_DIGEST
-    assert _digest(first_coord_tail(d, 0.3) for d in range(2, 65)) == COORD_TAIL_DIGEST
+    assert _digest(first_coord_tails([(d, 0.3)])[0] for d in range(2, 65)) == COORD_TAIL_DIGEST
 
 
 def test_alias_safe_depth_resolves_frequency():

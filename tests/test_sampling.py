@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -24,7 +25,6 @@ from smallball.rngstreams import uniforms
 from smallball.sampling import (
     CHUNK,
     coordinate_median,
-    first_coord_tail,
     first_coord_tails,
     sample_signs,
     smallball_mc,
@@ -240,6 +240,22 @@ class TestSmallballMc:
             smallball_mc(two_state_03, balanced_signs(two_state_03, 2),
                          ones_weights(2), x0, radius, 10, seed=0)
 
+    @pytest.mark.parametrize("x0, radius", [(1e200, 1e200), (1e308, 1e308),
+                                            (-1e308, 1e308),
+                                            (np.float64(1e308), np.float64(1e308))])
+    def test_windows_whose_ends_overflow(self, two_state_03, x0, radius):
+        # x0 + radius is 2e200 or +-inf, and so may x0 - radius: no end may be
+        # rounded to an integer unclipped, and no distance may be squared
+        signs, weights = balanced_signs(two_state_03, 4), ones_weights(4)
+        law = exact_sum_distribution(two_state_03, signs, weights)
+        covered = law.support() >= 0 if x0 > 0 else law.support() <= 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = smallball_exact(law, x0, radius)
+            est = smallball_mc(two_state_03, signs, weights, x0, radius, 20_000, seed=7)
+        assert exact == math.fsum(law.masses[covered].tolist())
+        assert est.ci_low <= exact <= est.ci_high
+
     def test_center_of_wrong_dimension_rejected_before_sampling(
             self, uniform_independent, monkeypatch):
         monkeypatch.setattr(sampling, "step_words", _no_draws)
@@ -389,23 +405,22 @@ def test_clopper_pearson_matches_beta_ppf_bit_for_bit():
 
 class TestFirstCoordTail:
     def test_dimension_three_is_uniform(self):
-        assert first_coord_tail(3, 0.5) == pytest.approx(0.5, abs=1e-10)
+        assert first_coord_tails([(3, 0.5)])[0] == pytest.approx(0.5, abs=1e-10)
         for t in (0.1, 0.25, 0.8):
-            assert first_coord_tail(3, t) == pytest.approx(1 - t, abs=1e-10)
+            assert first_coord_tails([(3, t)])[0] == pytest.approx(1 - t, abs=1e-10)
 
     def test_dimension_two_arcsine(self):
-        assert first_coord_tail(2, math.sqrt(2) / 2) == pytest.approx(0.5,
-                                                                      abs=1e-10)
+        assert first_coord_tails([(2, math.sqrt(2) / 2)])[0] == pytest.approx(0.5, abs=1e-10)
         for t in (0.2, 0.6, 0.9):
             expect = 1 - (2 / math.pi) * math.asin(t)
-            assert first_coord_tail(2, t) == pytest.approx(expect, abs=1e-10)
+            assert first_coord_tails([(2, t)])[0] == pytest.approx(expect, abs=1e-10)
 
     def test_against_incomplete_beta(self):
         # P[|v_1| <= t] is the regularized incomplete beta I_{t^2}(1/2, (d-1)/2)
         for d in (2, 4, 7, 16, 33):
             for t in (0.15, 0.4, 0.75):
                 expect = 1.0 - betainc(0.5, (d - 1) / 2.0, t * t)
-                assert first_coord_tail(d, t) == pytest.approx(expect, abs=1e-10)
+                assert first_coord_tails([(d, t)])[0] == pytest.approx(expect, abs=1e-10)
 
     def test_closed_form_up_to_dimension_64(self):
         # P[|v_1| >= t] = I_{1-t^2}((d-1)/2, 1/2); upper and total are each
@@ -416,31 +431,31 @@ class TestFirstCoordTail:
             allowed = 2e-12 / (beta((d - 1) / 2.0, 0.5) / 2.0)
             expect = betainc((d - 1) / 2.0, 0.5, 1.0 - ts * ts)
             for t, want in zip(ts.tolist(), expect.tolist()):
-                assert abs(first_coord_tail(d, t) - want) <= allowed, (d, t)
+                assert abs(first_coord_tails([(d, t)])[0] - want) <= allowed, (d, t)
 
     def test_endpoints(self):
-        assert first_coord_tail(5, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert first_coord_tail(5, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert first_coord_tails([(5, 0.0)])[0] == pytest.approx(1.0, abs=1e-12)
+        assert first_coord_tails([(5, 1.0)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_dimension_special_case(self):
-        assert first_coord_tail(1, 0.7) == 1.0
+        assert first_coord_tails([(1, 0.7)])[0] == 1.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(UnsupportedDimension):
-            first_coord_tail(0, 0.5)
+            first_coord_tails([(0, 0.5)])
         with pytest.raises(OutOfRange):
-            first_coord_tail(3, 1.5)
+            first_coord_tails([(3, 1.5)])
 
     def test_committed_constant_clears_half(self):
         c = bounds.C_COORD
         for d in (2, 3, 5, 9, 17, 33, 64):
-            assert first_coord_tail(d, 1.0 / (c * math.sqrt(d))) >= 0.5
+            assert first_coord_tails([(d, 1.0 / (c * math.sqrt(d)))])[0] >= 0.5
 
     def test_proved_constant_clears_half_past_the_criterion_grid(self):
         # the constant fitted on d = 2..64, 1.4678188662986078, left
         # P[|v_1| >= 1/(C sqrt(d))] below 1/2 from d = 65 on
         for d in (65, 128):
-            assert first_coord_tail(d, 1.0 / (bounds.C_COORD * math.sqrt(d))) >= 0.5
+            assert first_coord_tails([(d, 1.0 / (bounds.C_COORD * math.sqrt(d)))])[0] >= 0.5
 
     def test_median_ratio_rises_below_the_proved_constant(self):
         d = np.arange(2, 10**5 + 1)
@@ -473,7 +488,7 @@ def test_highdim_bound_dominates_mc_estimates(constants, two_state_03):
 
 
 def coord_tail_alone(d, t):
-    """first_coord_tail as two lone adaptive_simpson runs evaluated it."""
+    """first_coord_tails of one (d, t) as two lone adaptive_simpson runs evaluated it."""
     if d == 1:
         return 1.0
 
@@ -494,11 +509,11 @@ class TestFirstCoordTails:
         got = first_coord_tails(pairs)
         assert [x.hex() for x in got] == [coord_tail_alone(d, t).hex() for d, t in pairs]
         for (d, t), tail in zip(pairs[::9], got[::9]):
-            assert first_coord_tails([(d, t)]) == [tail] == [first_coord_tail(d, t)]
+            assert first_coord_tails([(d, t)]) == [tail]
 
     def test_every_pair_is_checked_first(self):
         with pytest.raises(OutOfRange) as lone:
-            first_coord_tail(3, 1.5)
+            first_coord_tails([(3, 1.5)])
         with pytest.raises(OutOfRange) as batch:
             first_coord_tails([(2, 0.5), (3, 1.5), (0, 0.5)])
         assert str(batch.value) == str(lone.value)

@@ -690,7 +690,8 @@ def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
     for inst in oracle_family(DEFAULT_SEED, 200):
         chain, signs, weights = inst["chain"], inst["signs"], inst["weights"]
         xis = inst["xis"]
-        got = exact_sum_distribution(chain, signs, weights).char_fn_modulus(xis)
+        law = exact_sum_distribution(chain, signs, weights)
+        got = LawBlock.of([law]).char_fn_modulus(xis, np.zeros(xis.size, dtype=np.intp))
         sweep = np.abs(char_fn_values(chain, sign_contributions(signs, weights), xis))
         paths = [abs(complex(v.re, v.im))
                  for v in map(enumerate_paths(chain, signs, weights).char_fn, xis)]
@@ -725,11 +726,9 @@ def test_block_horner_equals_per_law_horner_bit_for_bit():
         for i, law in enumerate(block):
             want = _horner_modulus(law.masses, xis[owner == i])
             assert np.array_equal(got[owner == i], want)
-            assert np.array_equal(law.char_fn_modulus(xis[owner == i]), want)
-    # the one-law method keeps the shape of its points
-    grid = rng.uniform(-1.0, 1.0, (3, 4))
-    assert np.array_equal(laws[7].char_fn_modulus(grid),
-                          _horner_modulus(laws[7].masses, grid))
+            alone = xis[owner == i]
+            assert np.array_equal(LawBlock.of([law]).char_fn_modulus(
+                alone, np.zeros(alone.size, dtype=np.intp)), want)
 
 
 def test_phase_table_rule_takes_integer_tables_only():
