@@ -1,8 +1,9 @@
 """Seeded, versioned instance families.
 
 Fitted constants record the family they were fitted over; the generators here
-are deterministic in their seed so failures replay and refits are idempotent.
-The version tag changes whenever a generator's output would change.
+are deterministic in their seed so failures replay and refits are idempotent,
+and the version tag changes whenever one's output would.  All random families
+but half_unit_family draw each quantity in one call, sliced per instance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .chains import (
 )
 from .oracles import HolderInstance
 
-FAMILY_VERSION = "v1"
+FAMILY_VERSION = "v2"
 DEFAULT_SEED = 20240513
 
 HALF_UNIT_BUCKETS = (0.0, 0.2, 0.5, 0.8)
@@ -56,18 +57,25 @@ class BoundInstance:
     radius: float
 
 
-def reversible_draw(rng, n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """(transition, stationary) of a random walk on a random symmetric weight
-    matrix, not yet validated; reversible by design."""
-    s = rng.uniform(0.05, 1.0, size=(n_states, n_states))
-    s = 0.5 * (s + s.T)
-    rowsums = s.sum(axis=1)
-    return s / rowsums[:, None], rowsums / rowsums.sum()
+def reversible_draws(rng, n_states) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(transition, stationary), not yet validated and reversible by design,
+    of a random walk on a random symmetric weight matrix per entry of
+    n_states: one uniform (members, N, N) draw per state count N, increasing."""
+    n_states, draws = np.asarray(n_states), {}
+    for n in np.unique(n_states).tolist():
+        members = np.flatnonzero(n_states == n).tolist()
+        s = rng.uniform(0.05, 1.0, size=(len(members), n, n))
+        s = 0.5 * (s + s.transpose(0, 2, 1))
+        rowsums = s.sum(axis=2)
+        draws_n = zip(s / rowsums[:, :, None], rowsums / rowsums.sum(axis=1, keepdims=True))
+        draws.update(zip(members, draws_n))
+    return [draws[i] for i in range(n_states.size)]
 
 
 def random_reversible_chain(rng, n_states: int) -> MarkovChain:
-    """The validated chain of one reversible_draw."""
-    return validate_chain(*reversible_draw(rng, n_states))
+    """The validated chain of a one-member reversible_draws: its (1, N, N)
+    draw takes the doubles an (N, N) one does."""
+    return validate_chain(*reversible_draws(rng, [n_states])[0])
 
 
 def paired_reversible_draw(rng, n_pairs: int, lam_target: float, wobble: float = 0.049):
@@ -91,10 +99,9 @@ def paired_reversible_draw(rng, n_pairs: int, lam_target: float, wobble: float =
     mu = 0.5 * (mu + mu[perm])
 
     rho = rng.uniform(0.0, min(wobble, 1.0 - lam_target))
-    e_mu = np.tile(mu, (n, 1))
     p = np.zeros((n, n))
     p[np.arange(n), perm] = 1.0
-    return (1.0 - lam_target - rho) * e_mu + lam_target * p + rho * a0, mu
+    return (1.0 - lam_target - rho) * mu + lam_target * p + rho * a0, mu  # E_mu: rows mu
 
 
 def pair_antisymmetric_functions(rng, n_pairs: int, n_steps: int) -> np.ndarray:
@@ -168,23 +175,22 @@ DIFF_FAMILY_DESC = (
 
 
 def esseen_family(seed: int, count: int) -> list[BoundInstance]:
-    """Random desk-scale integer instances for Esseen / Z_p domination checks."""
+    """Random desk-scale integer instances for Esseen / Z_p domination checks,
+    with the ranges of ESSEEN_FAMILY_DESC."""
     rng = np.random.default_rng(seed)
-    draws, rows = [], []
-    for _ in range(count):
-        n_states = int(rng.integers(2, 5))
-        draws.append(reversible_draw(rng, n_states))
-        n = int(rng.integers(4, 11))
-        functions = rng.choice([-1, 1], size=(n, n_states))
-        weights = make_weight_system(rng.integers(1, 9, size=n).astype(float))
-        rows.append((functions, weights, float(rng.integers(-3, 4)),
-                     float(rng.choice([0.0, 1.0, 2.0]))))
-    chains = validate_chains(draws)
-    return [BoundInstance(instance_id=f"esseen-{i:03d}", chain=chain,
-                          signs=make_sign_system(functions, chain.stationary),
-                          weights=weights, lam=lam, x0=x0, radius=radius)
-            for i, (chain, lam, (functions, weights, x0, radius))
-            in enumerate(zip(chains, spectral_lambdas(chains), rows))]
+    n_states = rng.integers(2, 5, size=count)
+    steps = rng.integers(4, 11, size=count)
+    functions = rng.choice([-1, 1], size=(count, 10, 4))
+    weights = rng.integers(1, 9, size=(count, 10)).astype(float)
+    x0s = rng.integers(-3, 4, size=count).astype(float)
+    radii = rng.integers(0, 3, size=count).astype(float)
+    chains = validate_chains(reversible_draws(rng, n_states))
+    rows = zip(chains, spectral_lambdas(chains), steps.tolist(), x0s.tolist(), radii.tolist())
+    return [BoundInstance(
+                instance_id=f"esseen-{i:03d}", chain=chain, lam=lam, x0=x0, radius=radius,
+                signs=make_sign_system(functions[i, :n, :chain.n_states], chain.stationary),
+                weights=make_weight_system(weights[i, :n]))
+            for i, (chain, lam, n, x0, radius) in enumerate(rows)]
 
 
 ESSEEN_SEED = 20240701
@@ -198,59 +204,54 @@ ESSEEN_FAMILY_DESC = (
 
 
 def oracle_family(seed: int, count: int) -> list[dict]:
-    """Small instances where full path enumeration is affordable."""
+    """Small instances where full path enumeration is affordable: N in 2..4
+    states, n in 2..8 steps, weights 1..5, two frequencies in [-2, 2)."""
     rng = np.random.default_rng(seed)
-    draws, rows = [], []
-    for _ in range(count):
-        n_states = int(rng.integers(2, 5))
-        draws.append(reversible_draw(rng, n_states))
-        n = int(rng.integers(2, 9))
-        functions = rng.choice([-1, 1], size=(n, n_states))
-        weights = make_weight_system(rng.integers(1, 6, size=n).astype(float))
-        rows.append((functions, weights, rng.uniform(-2.0, 2.0, size=2)))
+    n_states = rng.integers(2, 5, size=count)
+    steps = rng.integers(2, 9, size=count)
+    functions = rng.choice([-1, 1], size=(count, 8, 4))
+    weights = rng.integers(1, 6, size=(count, 8)).astype(float)
+    xis = rng.uniform(-2.0, 2.0, size=(count, 2))
+    chains = validate_chains(reversible_draws(rng, n_states))
     return [{"instance_id": f"oracle-{i:03d}", "chain": chain,
-             "signs": make_sign_system(functions, chain.stationary),
-             "weights": weights, "xis": xis}
-            for i, (chain, (functions, weights, xis))
-            in enumerate(zip(validate_chains(draws), rows))]
+             "signs": make_sign_system(functions[i, :n, :chain.n_states], chain.stationary),
+             "weights": make_weight_system(weights[i, :n]), "xis": xis[i]}
+            for i, (chain, n) in enumerate(zip(chains, steps.tolist()))]
 
 
 def holder_family(seed: int, count: int) -> list[HolderInstance]:
-    """Splitting-inequality instances: chain-derived T_j and random bounded diagonals."""
+    """Splitting-inequality instances on N in 2..6 states, k in 1..6: T_j =
+    A - (1 - lambda) E_mu and k + 1 random diagonals of unit phases, scaled by
+    a uniform [0.5, 1) factor with probability 0.3."""
     rng = np.random.default_rng(seed)
-    draws, rows = [], []
-    for _ in range(count):
-        n_states = int(rng.integers(2, 7))
-        draws.append(reversible_draw(rng, n_states))
-        k = int(rng.integers(1, 7))
-        us = []
-        for _ in range(k + 1):
-            scale = rng.uniform(0.5, 1.0) if rng.random() < 0.3 else 1.0
-            us.append(scale * np.exp(2j * np.pi * rng.uniform(size=n_states)))
-        rows.append((k, tuple(us)))
-    chains = validate_chains(draws)
-    out = []
-    for chain, lam, (k, us) in zip(chains, spectral_lambdas(chains), rows):
-        t = chain.transition - (1.0 - lam) * np.tile(chain.stationary, (chain.n_states, 1))
-        out.append(HolderInstance(mu=chain.stationary, lam=lam, ts=(t,) * k, us=us))
-    return out
+    n_states = rng.integers(2, 7, size=count)
+    ks = rng.integers(1, 7, size=count)
+    scales = np.where(rng.random((count, 7)) < 0.3, rng.uniform(0.5, 1.0, size=(count, 7)), 1.0)
+    us = scales[:, :, None] * np.exp(2j * np.pi * rng.random((count, 7, 6)))
+    chains = validate_chains(reversible_draws(rng, n_states))
+    return [HolderInstance(mu=chain.stationary, lam=lam,
+                           ts=(chain.transition - (1.0 - lam) * chain.stationary,) * k,
+                           us=tuple(us[i, :k + 1, :chain.n_states]))
+            for i, (chain, lam, k) in enumerate(zip(chains, spectral_lambdas(chains), ks.tolist()))]
 
 
 def identity_inputs(seed: int, count: int) -> list[dict]:
-    """Random (mu, u, R, T) tuples for the averaging-operator identities: us a
-    (k+1, N) array, r_mats and t_mats (k, N, N) arrays."""
+    """Random (mu, u, R, T) tuples for the averaging-operator identities, N in
+    2..8 and k in 1..5: us a (k+1, N) array of unit phases times moduli
+    uniform on [0.5, 1), r_mats and t_mats (k, N, N) normal arrays.  Laws,
+    us and matrices are one stack per state count N, increasing."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n_states = int(rng.integers(2, 9))
-        mu = rng.dirichlet(np.ones(n_states))
-        k = int(rng.integers(1, 6))
-        # each u's phases, then its moduli: uniform(0.5, 1) is 0.5 + 0.5 x
-        # for the same draw x, so the stream is the per-vector draws'
-        x = rng.random((k + 1, 2, n_states))
-        us = np.exp(2j * np.pi * x[:, 0]) * (0.5 + 0.5 * x[:, 1])
-        r_mats, t_mats = rng.normal(size=(2, k, n_states, n_states))
-        out.append({"mu": mu, "us": us, "r_mats": r_mats, "t_mats": t_mats})
+    n_states = rng.integers(2, 9, size=count)
+    ks = rng.integers(1, 6, size=count).tolist()
+    out = [None] * count
+    for n in np.unique(n_states).tolist():
+        members = np.flatnonzero(n_states == n).tolist()
+        mus = rng.dirichlet(np.ones(n), size=len(members))
+        x = rng.random((len(members), 6, 2, n))
+        us = np.exp(2j * np.pi * x[:, :, 0]) * (0.5 + 0.5 * x[:, :, 1])
+        mats = rng.normal(size=(len(members), 2, 5, n, n))
+        for i, mu, u, (r, t) in zip(members, mus, us, mats):
+            out[i] = {"mu": mu, "us": u[:ks[i] + 1], "r_mats": r[:ks[i]], "t_mats": t[:ks[i]]}
     return out
 
 

@@ -27,7 +27,7 @@ from .bounds import BoundReport, FittedConstant, fit_constant, theorem_bound
 from .chains import WeightSystem
 from .errors import OutOfRange, QuadratureNonConvergence
 from .prg import ExpanderGraph, PrgSpec, build_mgg_expander, prg_smallball
-from .quadrature import KRONROD_NODES, adaptive_simpson, alias_safe_depth, integrate_family
+from .quadrature import KRONROD_NODES, alias_safe_depth, integrate_family
 from .transfer import (
     LawBlock,
     SumDistribution,
@@ -66,14 +66,13 @@ def abs_charfn(chain, signs, weights):
 # states, but the sweep's fixed cost per step is larger.  Timed on folded
 # integrals the law is the cheaper |phi| up to 3-50 masses per step and state
 # (the fewer, the fewer points per wave); past this many the sweep is used.
-# The Esseen families have at most 6.25.
+# The Esseen families have at most 5.875.
 LAW_MASSES_PER_SWEEP_CELL = 10
 
 
-# Laws per quadrature run of esseen_formulas.  On the fit's 400 laws a block
-# of 50 took 0.27 s where one law per run took 0.44 s and one block of all 400
-# 0.32 s, with 12 MiB more transient memory than blocks of 50
-# (2-core Xeon, numpy 2.4.6).
+# Laws per quadrature run of esseen_formulas.  On the fit's 400 stride-folded
+# laws a block of 50 took 0.07 s, as did one block of all 400 with 6 MiB more
+# transient memory, and one law per run 0.33 s (2-core Xeon, numpy 2.4.6).
 ESSEEN_BLOCK = 50
 
 
@@ -81,16 +80,18 @@ def esseen_formula(chain, signs, weights: WeightSystem, dist: SumDistribution,
                    radius: float, eps: float = 1.0) -> float:
     """(R + 1/eps) * integral of |phi| over [-eps, eps]; the d=1 kernel.
 
-    phi is the characteristic function of the integer-valued sum, whose exact
-    law is dist; |phi| is evaluated from dist, or by the transfer sweep when the
-    law has many masses per step and state.  On the integer lattice |phi| is
-    even and 1-periodic, so the integral folds exactly onto [0, eps], and onto
-    the half-period [0, 1/2] when eps >= 1/2 is a power of two.  Only those
-    folds map the dyadic panels of one run over [-eps, eps] onto themselves,
-    so the folded run keeps that run's nodes and per-panel error budget and
-    gives its value up to rounding; when that run's starting panels straddle a
-    fold point (small eps max |v|), it is that run started finer until none does.
-    This is the one-member case of esseen_formulas.
+    phi is the characteristic function of the integer-valued sum with exact
+    law dist, evaluated from dist, or by the transfer sweep for laws with many
+    masses per step and state.  |phi| is even and 1-periodic, so the integral
+    folds exactly onto [0, eps], and onto [0, 1/2] for eps >= 1/2 a power of
+    two; there a law of stride g (gcd of its masses' offsets, 1 for one point)
+    has |phi(xi)| = |P(exp(2 pi i eta))| with P(w) = sum_i masses[g i] w^i and
+    eta = g xi, so the run integrates masses[::g] over eta in [0, 1/2], from
+    the depth of max |v| / g (transfer-sweep members keep g = 1).  Each fold
+    keeps the tolerance of the run over [-eps, eps]; the dyadic folds (g a
+    power of two) map that run's panels onto their own, so give its value up
+    to rounding unless they start finer (small eps max |v|).  This is the
+    one-member case of esseen_formulas.
     """
     return esseen_formulas([(chain, signs, weights, dist, radius)], eps)[0]
 
@@ -105,42 +106,42 @@ def esseen_formulas(members, eps: float = 1.0) -> list[float]:
     transfer sweep keeps its own run.  The first member, in order, whose
     integral does not converge raises its error.
     """
-    runs, by_law, integrals = [], [], [None] * len(members)
+    runs, coefficients, integrals = [], {}, [None] * len(members)
     mantissa, exponent = math.frexp(eps)
-    for chain, signs, weights, dist, radius in members:
+    half_period = mantissa == 0.5 and eps >= 0.5
+    # fold factor, end and depth offset of the run; 4 eps = 2^(exponent + 1) half-periods
+    fold, end, levels = (4.0 * eps, 0.5, exponent + 1) if half_period else (2.0, eps, 1)
+    for i, (chain, signs, weights, dist, radius) in enumerate(members):
         if not (0.0 < eps < math.inf and 0.0 <= radius < math.inf):
             raise OutOfRange(
                 f"need finite eps > 0 and R >= 0, got eps = {eps!r}, R = {radius!r}")
-        depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()))
-        if mantissa == 0.5 and eps >= 0.5:
-            # 4 eps = 2^(exponent + 1) half-periods
-            runs.append((4.0 * eps, (0.0, 0.5, bounds.QUAD_TOL / (4.0 * eps),
-                                     depth - exponent - 1, ())))
+        by_law = dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states
+        stride = 1
+        if by_law and half_period:  # gcd 0 is a one-point law's
+            stride = int(np.gcd.reduce(np.flatnonzero(dist.masses))) or 1
+        depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()) / stride)
+        runs.append((0.0, end, bounds.QUAD_TOL / fold, depth - levels, ()))
+        if by_law:
+            coefficients[i] = dist.masses[::stride]
         else:
-            runs.append((2.0, (0.0, eps, bounds.QUAD_TOL / 2.0, depth - 1, ())))
-    for i, (chain, signs, weights, dist, _) in enumerate(members):
-        if dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states:
-            by_law.append(i)
-            continue
-        try:
-            integrals[i] = adaptive_simpson(abs_charfn(chain, signs, weights), *runs[i][1])
-        except QuadratureNonConvergence as exc:
-            integrals[i] = exc
+            sweep = abs_charfn(chain, signs, weights)
+            integrals[i], = integrate_family(lambda x, owner: sweep(x), [runs[i]])
+    by_law = list(coefficients)
     for begin in range(0, len(by_law), ESSEEN_BLOCK):
         block = by_law[begin:begin + ESSEEN_BLOCK]
-        laws = LawBlock.of([members[i][3] for i in block])
+        laws = LawBlock.of([coefficients[i] for i in block])
 
         def modulus(x, owner, laws=laws):
             return laws.char_fn_modulus(x, np.repeat(owner, KRONROD_NODES.size))
 
-        values = integrate_family(modulus, [runs[i][1] for i in block])
+        values = integrate_family(modulus, [runs[i] for i in block])
         for i, value in zip(block, values):
             integrals[i] = value
     for integral in integrals:
         if isinstance(integral, QuadratureNonConvergence):
             raise integral
     return [(member[4] + 1.0 / eps) * (fold * integral)
-            for member, (fold, _), integral in zip(members, runs, integrals)]
+            for member, integral in zip(members, integrals)]
 
 
 # theorem_bound with every constant 1.0 is the bound formula stripped of its

@@ -213,9 +213,8 @@ def block_contributions(spec: PrgSpec, scalars: np.ndarray) -> np.ndarray:
     return (labels @ block_w.T).T.copy()
 
 
-def _window_hits(spec: PrgSpec, scalars: np.ndarray, x0: float,
-                 radius: float) -> int:
-    """Number of walks in D whose signed sum lies in |sum - x0| <= radius.
+def _window_hits(spec: PrgSpec, scalars: np.ndarray, lo: float, hi: float) -> int:
+    """Number of walks in D whose signed sum lies in [lo, hi].
 
     Sweeps the distinct (vertex, partial sum) states block by block, each
     carrying the number of walks that reach it.  Every walk's sum is the same
@@ -244,9 +243,7 @@ def _window_hits(spec: PrgSpec, scalars: np.ndarray, x0: float,
         successors = contrib[j][neighbors[vertices]]
         successors += sums.reshape(-1, 1)
         sums = successors
-    sums -= x0
-    np.abs(sums, out=sums)
-    return int(counts @ np.count_nonzero(sums <= radius, axis=1))
+    return int(counts @ np.count_nonzero((sums >= lo) & (sums <= hi), axis=1))
 
 
 def induced_chain(spec: PrgSpec) -> MarkovChain:
@@ -273,17 +270,18 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
 def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
                   mode: str = "exact", samples: int = 100_000, seed: int = 0,
                   allow_zero_padding: bool = False):
-    """P[|sum - x0| <= radius] under the uniform walk measure on D.
-
-    Exact mode counts the walks of D (with multiplicity) in the window by a
-    sweep over distinct (vertex, partial sum) states, without listing walks;
-    sampled mode draws walks from counter streams and returns an McEstimate.
+    """P[x0 - radius <= sum <= x0 + radius], the ends taken as smallball_exact
+    takes them, under the uniform walk measure on D.  Exact mode counts the
+    walks of D (with multiplicity) in the window by a sweep over distinct
+    (vertex, partial sum) states, without listing walks; sampled mode draws
+    walks from counter streams and returns an McEstimate.
     x0, radius and the weights must be finite.  Zero weights are rejected
     unless allow_zero_padding is set (the CLI's pad-to-multiple convenience);
     the v_i >= 1 hypothesis then applies to the nonzero entries.
     """
     w = _check_unit_weights(scalars, spec.n, allow_zero_padding)
     check_window(x0, radius)
+    lo, hi = float(x0) - float(radius), float(x0) + float(radius)
     if mode == "exact":
         if spec.size > ENUM_BUDGET:
             raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {ENUM_BUDGET}")
@@ -291,7 +289,7 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
             # int64 walk counts wrap at 2^63, whatever ENUM_BUDGET is
             raise BudgetExceeded(
                 f"|D| = {spec.size} reaches 2^63, where int64 walk counts wrap")
-        return _window_hits(spec, w, x0, radius) / spec.size
+        return _window_hits(spec, w, lo, hi) / spec.size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
@@ -325,7 +323,7 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
             np.take(flat_neighbors, edge, out=vertex, mode="clip")
             np.take(contrib[j], vertex, out=step, mode="clip")
             sums += step
-        hits += int(np.count_nonzero(np.abs(sums - x0) <= radius))
+        hits += int(np.count_nonzero((sums >= lo) & (sums <= hi)))
     return from_hits(hits, samples, seed)
 
 

@@ -102,9 +102,9 @@ class SumDistribution:
 
 @dataclass(frozen=True)
 class LawBlock:
-    """The masses of several lattice laws, for one Horner sweep over all of
-    their evaluation points; masses[k, i] is law i's mass at its offset + k
-    (0 past its last)."""
+    """The coefficients of several lattice laws' polynomials (masses, or every
+    g-th mass on a lattice of stride g), for one Horner sweep over all their
+    evaluation points; masses[k, i] is law i's of degree k (0 past its last)."""
 
     masses: np.ndarray
     lengths: np.ndarray
@@ -112,11 +112,11 @@ class LawBlock:
     nonzero: list
 
     @classmethod
-    def of(cls, laws) -> "LawBlock":
-        lengths = np.array([law.masses.size for law in laws])
+    def of(cls, coefficients) -> "LawBlock":
+        lengths = np.array([c.size for c in coefficients])
         masses = np.zeros((int(lengths.max()), lengths.size))
-        for i, law in enumerate(laws):
-            masses[:law.masses.size, i] = law.masses
+        for i, c in enumerate(coefficients):
+            masses[:c.size, i] = c
         return cls(masses=masses, lengths=lengths, nonzero=masses.any(axis=1).tolist())
 
     def char_fn_modulus(self, xis: np.ndarray, law: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,24 @@ def test_random_reversible_chains_validate(seed, n_states):
     np.testing.assert_allclose(rebuilt.stationary, chain.stationary, atol=1e-9)
 
 
+# sha256 of random_reversible_chain(default_rng(20240513), N) for N = 16 and 4,
+# each chain's transition and stationary bytes followed by the next four
+# doubles of its generator, recorded when the chain drew its (N, N) weights
+# alone; the large-n benchmark draws its instances through it
+REVERSIBLE_CHAIN_STREAM_DIGEST = "950792d19d35dcd97c7f56751aeba7846079bd6856a1111f0421f33adca762dd"
+
+
+def test_random_reversible_chain_keeps_its_stream():
+    h = hashlib.sha256()
+    for n_states in (16, 4):
+        rng = np.random.default_rng(20240513)
+        chain = random_reversible_chain(rng, n_states)
+        h.update(chain.transition.tobytes())
+        h.update(chain.stationary.tobytes())
+        h.update(rng.random(4).tobytes())
+    assert h.hexdigest() == REVERSIBLE_CHAIN_STREAM_DIGEST
+
+
 class TestChainFile:
     def test_round_trip(self, tmp_path):
         doc = ('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
@@ -334,6 +354,55 @@ def test_stacked_chain_checks_equal_lone_calls(family, monkeypatch):
         assert chains == got
         assert [lam.hex() for lam in lams] == [spectral_lambda(c).hex() for c in chains]
         assert [lam.hex() for lam in lams] == [lambda_loop(c).hex() for c in chains]
+
+
+def _values(arrays):
+    return set(np.concatenate([np.ravel(a) for a in arrays]).tolist())
+
+
+@pytest.mark.parametrize("seed", [fam.ESSEEN_SEED, fam.ESSEEN_EXTRA_SEED])
+def test_esseen_family_covers_its_ranges(seed):
+    instances = fam.esseen_family(seed, fam.ESSEEN_COUNT)
+    assert {inst.chain.n_states for inst in instances} == {2, 3, 4}
+    assert {inst.signs.n_steps for inst in instances} == set(range(4, 11))
+    assert all(inst.weights.n_weights == inst.signs.n_steps for inst in instances)
+    assert _values(inst.weights.scalars for inst in instances) == set(map(float, range(1, 9)))
+    assert {inst.x0 for inst in instances} == set(map(float, range(-3, 4)))
+    assert {inst.radius for inst in instances} == {0.0, 1.0, 2.0}
+    assert _values(inst.signs.functions for inst in instances) == {-1, 1}
+
+
+def test_oracle_family_covers_its_ranges():
+    instances = fam.oracle_family(fam.DEFAULT_SEED, 200)
+    assert {inst["chain"].n_states for inst in instances} == {2, 3, 4}
+    assert {inst["signs"].n_steps for inst in instances} == set(range(2, 9))
+    assert all(inst["weights"].n_weights == inst["signs"].n_steps for inst in instances)
+    assert _values(inst["weights"].scalars for inst in instances) == set(map(float, range(1, 6)))
+    xis = np.array([inst["xis"] for inst in instances])
+    assert xis.shape == (200, 2) and -2.0 <= xis.min() and xis.max() < 2.0
+
+
+def test_holder_family_covers_its_ranges():
+    instances = fam.holder_family(fam.DEFAULT_SEED, 500)
+    assert {inst.mu.size for inst in instances} == set(range(2, 7))
+    assert {inst.k for inst in instances} == set(range(1, 7))
+    moduli = np.concatenate([np.abs(np.ravel(inst.us)) for inst in instances])
+    # |exp(2 pi i theta)| is 1 up to rounding
+    scaled = moduli[np.abs(moduli - 1.0) > 1e-15]
+    assert scaled.size and 0.5 <= scaled.min() and scaled.max() < 1.0
+    assert all(u.size == inst.mu.size for inst in instances for u in inst.us)
+
+
+def test_identity_inputs_cover_their_ranges():
+    inputs = fam.identity_inputs(fam.DEFAULT_SEED + 1, 1000)
+    assert {d["mu"].size for d in inputs} == set(range(2, 9))
+    assert {len(d["t_mats"]) for d in inputs} == set(range(1, 6))
+    for d in inputs:
+        n, k = d["mu"].size, len(d["t_mats"])
+        assert d["us"].shape == (k + 1, n)
+        assert d["r_mats"].shape == d["t_mats"].shape == (k, n, n)
+    moduli = np.concatenate([np.abs(d["us"]).ravel() for d in inputs])
+    assert 0.5 <= moduli.min() and moduli.max() < 1.0
 
 
 def test_stacked_chains_may_leave_their_stationary_law_to_be_solved():

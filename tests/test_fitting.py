@@ -21,9 +21,15 @@ from smallball.fitting import (
     esseen_formula,
     esseen_formulas,
 )
-from smallball.quadrature import adaptive_simpson, alias_safe_depth
+from smallball.quadrature import (
+    KRONROD_NODES,
+    adaptive_simpson,
+    alias_safe_depth,
+    integrate_family,
+)
 from smallball.transfer import (
     LawBlock,
+    SumDistribution,
     char_fn_values,
     exact_sum_distribution,
     sign_contributions,
@@ -132,26 +138,33 @@ def test_folded_sweep_integrand_for_large_weights(eps):
     assert _worst_fold_error(_large_weight_instances(), eps) <= 1e-12
 
 
+def _stride(masses):
+    """gcd of the offsets of a law's nonzero masses; 0 for a one-point law."""
+    return int(np.gcd.reduce(np.flatnonzero(masses)))
+
+
 def _one_at_a_time(chain, signs, weights, dist, radius, eps):
     """esseen_formula as it was before blocks: one adaptive_simpson run per
-    member, over the per-law Horner sweep or the transfer sweep."""
+    member, over the per-law Horner sweep of the masses (every g-th on the
+    half-period) or the transfer sweep."""
+    by_law = dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states
+    mantissa, exponent = math.frexp(eps)
+    half_period = mantissa == 0.5 and eps >= 0.5
+    stride = (_stride(dist.masses) or 1) if by_law and half_period else 1
+    masses = dist.masses[::stride]
 
     def horner(xis):
         z = np.exp(2j * np.pi * np.asarray(xis, dtype=float))
-        acc = np.full(z.shape, dist.masses[-1], dtype=complex)
-        for m in dist.masses[-2::-1].tolist():
+        acc = np.full(z.shape, masses[-1], dtype=complex)
+        for m in masses[-2::-1].tolist():
             acc *= z
             if m:
                 acc += m
         return np.abs(acc)
 
-    if dist.masses.size <= LAW_MASSES_PER_SWEEP_CELL * weights.n_weights * chain.n_states:
-        modulus = horner
-    else:
-        modulus = abs_charfn(chain, signs, weights)
-    depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()))
-    mantissa, exponent = math.frexp(eps)
-    if mantissa == 0.5 and eps >= 0.5:
+    modulus = horner if by_law else abs_charfn(chain, signs, weights)
+    depth = alias_safe_depth(2.0 * eps, float(np.abs(weights.scalars).max()) / stride)
+    if half_period:
         integral = 4.0 * eps * adaptive_simpson(modulus, 0.0, 0.5, tol=QUAD_TOL / (4.0 * eps),
                                                 min_depth=depth - exponent - 1)
     else:
@@ -160,32 +173,52 @@ def _one_at_a_time(chain, signs, weights, dist, radius, eps):
     return (radius + 1.0 / eps) * integral
 
 
+def _member(chain, signs, weights, radius):
+    return chain, signs, weights, exact_sum_distribution(chain, signs, weights), radius
+
+
+def _stride_pair(inst):
+    """Two members that mix a block's strides by construction: inst with its
+    weights doubled, whose law has twice the stride of inst's, and inst's law
+    convolved with a fair coin on {0, 1}, whose stride is 1 (which no sum of
+    +-1 signs times integer weights has: its sums share one parity)."""
+    law = exact_sum_distribution(inst.chain, inst.signs, inst.weights)
+    coin = SumDistribution(offset=law.offset, masses=np.convolve(law.masses, [0.5, 0.5]),
+                           span=(law.span[0], law.span[1] + 1))
+    return [_member(inst.chain, inst.signs, make_weight_system(2.0 * inst.weights.scalars),
+                    inst.radius),
+            (inst.chain, inst.signs, inst.weights, coin, inst.radius)]
+
+
 @pytest.fixture(scope="module")
 def esseen_members(esseen_families):
-    """Both Esseen families and their laws, with a transfer-sweep member first
-    and one inside the third block."""
-    members = [(inst.chain, inst.signs, inst.weights,
-                exact_sum_distribution(inst.chain, inst.signs, inst.weights), inst.radius)
-               for inst in esseen_families]
-    for at, (chain, signs, weights, radius) in zip((0, 130), _large_weight_instances()):
-        members.insert(at, (chain, signs, weights,
-                            exact_sum_distribution(chain, signs, weights), radius))
+    """Both Esseen families and their laws, each block of ESSEEN_BLOCK laws
+    opening with a _stride_pair, with a transfer-sweep member first and one
+    inside the third block."""
+    members = []
+    for at, inst in enumerate(esseen_families):
+        if at % (ESSEEN_BLOCK - 2) == 0:
+            members += _stride_pair(inst)
+        members.append(_member(inst.chain, inst.signs, inst.weights, inst.radius))
+    for at, instance in zip((0, 130), _large_weight_instances()):
+        members.insert(at, _member(*instance))
     return members
 
 
-def test_esseen_members_mix_strides_lengths_and_evaluators(esseen_members):
-    def stride(masses):
-        return int(np.gcd.reduce(np.flatnonzero(masses)))
+def _by_law(members):
+    return [m for m in members
+            if m[3].masses.size <= LAW_MASSES_PER_SWEEP_CELL * m[2].n_weights * m[0].n_states]
 
-    by_law = [m for m in esseen_members
-              if m[3].masses.size <= LAW_MASSES_PER_SWEEP_CELL * m[2].n_weights * m[0].n_states]
+
+def test_esseen_members_mix_strides_lengths_and_evaluators(esseen_members):
+    by_law = _by_law(esseen_members)
     assert len(esseen_members) - len(by_law) == 2
     lengths = [m[3].masses.size for m in by_law]
-    assert min(lengths) == 1 and max(lengths) == 135
+    assert min(lengths) == 1 and max(lengths) == 209
     for begin in range(0, len(by_law), ESSEEN_BLOCK):
-        strides = {stride(m[3].masses) for m in by_law[begin:begin + ESSEEN_BLOCK]}
+        strides = {_stride(m[3].masses) for m in by_law[begin:begin + ESSEEN_BLOCK]}
         assert {2, 4} <= strides and len(strides) >= 3
-    assert {0, 2, 4, 8, 16} <= {stride(m[3].masses) for m in by_law}
+    assert {0, 1, 2, 4, 6, 8, 16} <= {_stride(m[3].masses) for m in by_law}
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.3, 0.5, 1.0, 1.7, 2.0])
@@ -196,6 +229,32 @@ def test_block_runs_equal_one_at_a_time_runs(eps, esseen_members):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def _unfolded(members, eps):
+    """Integral of |phi| over [-eps, eps] for dyadic eps >= 1/2 as it was
+    before the stride fold: every mass of each law over the half-period
+    [0, 1/2], started at the depth of max |v|, in one run."""
+    _, exponent = math.frexp(eps)
+    runs = [(0.0, 0.5, QUAD_TOL / (4.0 * eps),
+             alias_safe_depth(2.0 * eps, float(np.abs(m[2].scalars).max())) - exponent - 1, ())
+            for m in members]
+    laws = LawBlock.of([m[3].masses for m in members])
+    values = integrate_family(
+        lambda x, owner: laws.char_fn_modulus(x, np.repeat(owner, KRONROD_NODES.size)), runs)
+    return [4.0 * eps * value for value in values]
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+def test_stride_fold_agrees_with_the_unfolded_run(eps, esseen_members):
+    # each run is within QUAD_TOL of the integral (for g a power of two the
+    # two runs share their panels unless a forced depth is clamped)
+    got = esseen_formulas(esseen_members, eps)
+    want = _unfolded(esseen_members, eps)
+    deviations = [abs(value / (m[4] + 1.0 / eps) - ref)
+                  for m, value, ref in zip(esseen_members, got, want)]
+    assert max(deviations) <= 2.0 * QUAD_TOL
+    assert {0, 1, 2, 4, 6, 16} <= {_stride(m[3].masses) for m in _by_law(esseen_members)}
+
+
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
@@ -203,7 +262,7 @@ def _gauss_legendre_reference(law, eps, tol):
     """Integral of the law's |phi| over [-eps, eps] by 20-point Gauss-Legendre
     panels: a panel is kept once its two halves agree with it within tol times
     its share of [0, eps], and contributes the halves' sum."""
-    block = LawBlock.of([law])
+    block = LawBlock.of([law.masses])
 
     def rule(lo, hi):
         half = 0.5 * (hi - lo)

@@ -173,7 +173,7 @@ class TestBruteForce:
         assert (paths.char_fn(0.3).re, paths.char_fn(0.3).im) == (1.0, 0.0)
 
 
-ORACLE_FAMILY_DIGEST = "d9b47633eb6cffe814328dbc6dc0c3cbfa04d04162de5183866ddab26d04ae31"
+ORACLE_FAMILY_DIGEST = "cd5adf9fda2d880ff8b00c5132735fbd9ab611807dd6271812dd5003786f703e"
 
 
 def _reference_paths(chain, signs, weights):
@@ -581,22 +581,29 @@ class TestBatchedOracles:
         for m, rep in zip(members[::37], got[::37]):
             assert _hex_reports(oracles.averaging_identity_reports([m])) == _hex_reports([rep])
 
-    def test_identity_inputs_draw_the_per_vector_stream(self):
-        # the stacked draws are the per-vector draws they replaced, bit for bit
+    def test_identity_inputs_draw_the_stacked_stream(self):
+        # N and k for the whole family, then for each state count, in
+        # increasing N, one stack each of laws, phases and moduli, and
+        # matrices; every instance reads the first k + 1 vectors and k matrices
+        count = 200
         for seed in SHAPE_SEEDS:
+            got = identity_inputs(seed, count)
             rng = np.random.default_rng(seed)
-            for inputs in identity_inputs(seed, 200):
-                n = int(rng.integers(2, 9))
-                mu = rng.dirichlet(np.ones(n))
-                k = int(rng.integers(1, 6))
-                us = [np.exp(2j * np.pi * rng.uniform(size=n)) * rng.uniform(0.5, 1.0, size=n)
-                      for _ in range(k + 1)]
-                r_mats = [rng.normal(size=(n, n)) for _ in range(k)]
-                t_mats = [rng.normal(size=(n, n)) for _ in range(k)]
-                assert inputs["mu"].tobytes() == mu.tobytes()
-                assert np.asarray(inputs["us"]).tobytes() == np.array(us).tobytes()
-                assert np.asarray(inputs["r_mats"]).tobytes() == np.array(r_mats).tobytes()
-                assert np.asarray(inputs["t_mats"]).tobytes() == np.array(t_mats).tobytes()
+            ns = rng.integers(2, 9, size=count).tolist()
+            ks = rng.integers(1, 6, size=count).tolist()
+            for n in sorted(set(ns)):
+                members = [i for i in range(count) if ns[i] == n]
+                mus = rng.dirichlet(np.ones(n), size=len(members))
+                x = rng.random((len(members), 6, 2, n))
+                mats = rng.normal(size=(len(members), 2, 5, n, n))
+                for b, i in enumerate(members):
+                    k = ks[i]
+                    us = [np.exp(2j * np.pi * x[b, j, 0]) * (0.5 + 0.5 * x[b, j, 1])
+                          for j in range(k + 1)]
+                    assert got[i]["mu"].tobytes() == mus[b].tobytes()
+                    assert np.asarray(got[i]["us"]).tobytes() == np.array(us).tobytes()
+                    assert np.asarray(got[i]["r_mats"]).tobytes() == mats[b, 0, :k].tobytes()
+                    assert np.asarray(got[i]["t_mats"]).tobytes() == mats[b, 1, :k].tobytes()
 
     @pytest.mark.parametrize("p", [1, 2, 3, 2.5, np.inf])
     def test_stacked_lp_norms_equal_one_vector_norms_bit_for_bit(self, p):

@@ -219,8 +219,9 @@ class TestPrgSmallball:
     def test_exact_equals_hits_over_enumerated_walks(self, k, blocks, kind):
         # each walk from the generator is summed on its own, block by block in
         # the order the exact sweep adds (contrib[vertex, j] onto the partial
-        # sum), so float weights must give the same hits too; window edges are
-        # put exactly on walk sums
+        # sum), so float weights must give the same hits too; windows are
+        # centred on walk sums and reach to others, and a sum s counts where
+        # x0 - radius <= s <= x0 + radius
         graph = build_mgg_expander(k)
         spec = PrgSpec(graph=graph, n=k * blocks)
         rng = np.random.default_rng(k * 10 + blocks)
@@ -242,10 +243,23 @@ class TestPrgSmallball:
         sums = np.array(sums)
         a, b = sums[0], sums[sums.size // 2]
         for x0, radius in ((0.0, 1.0), (a, 0.0), (a, abs(b - a)), (b, abs(sums[-1] - b))):
-            hits = int(np.count_nonzero(np.abs(sums - x0) <= radius))
+            hits = int(np.count_nonzero((sums >= x0 - radius) & (sums <= x0 + radius)))
             assert hits > 0
             assert prg_smallball(spec, w, x0, radius,
                                  allow_zero_padding=kind == "zero-padded") == hits / spec.size
+
+    @pytest.mark.parametrize("x0, radius", [(1e200, 1e200), (-1e200, 1e200),
+                                            (1e308, 1e308), (-1e308, 1e308)])
+    def test_windows_far_from_the_sums(self, x0, radius):
+        # |s - x0| rounds to radius for every small sum s, so a distance test
+        # would count all of them; the window [x0 - radius, x0 + radius] holds
+        # the sums of x0's sign (an end may overflow to +-inf)
+        spec = PrgSpec(graph=build_mgg_expander(2), n=4)
+        want = prg_smallball(spec, np.ones(4), 4.0 if x0 > 0 else -4.0, 4.0)
+        assert want == 0.625
+        assert prg_smallball(spec, np.ones(4), x0, radius) == want
+        est = prg_smallball(spec, np.ones(4), x0, radius, mode="sampled", samples=20_000)
+        assert est.ci_low <= want <= est.ci_high
 
     def test_walk_counts_stop_short_of_int64_overflow(self, monkeypatch):
         # |D| = 4 * 8^(n/2 - 1) at k = 2; whatever the budget, exact mode

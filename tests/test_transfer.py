@@ -691,7 +691,7 @@ def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
         chain, signs, weights = inst["chain"], inst["signs"], inst["weights"]
         xis = inst["xis"]
         law = exact_sum_distribution(chain, signs, weights)
-        got = LawBlock.of([law]).char_fn_modulus(xis, np.zeros(xis.size, dtype=np.intp))
+        got = LawBlock.of([law.masses]).char_fn_modulus(xis, np.zeros(xis.size, dtype=np.intp))
         sweep = np.abs(char_fn_values(chain, sign_contributions(signs, weights), xis))
         paths = [abs(complex(v.re, v.im))
                  for v in map(enumerate_paths(chain, signs, weights).char_fn, xis)]
@@ -722,12 +722,12 @@ def test_block_horner_equals_per_law_horner_bit_for_bit():
         block = laws[begin:begin + 50]
         xis = rng.uniform(-2.0, 2.0, 6000)
         owner = rng.integers(0, len(block), xis.size)
-        got = LawBlock.of(block).char_fn_modulus(xis, owner)
+        got = LawBlock.of([law.masses for law in block]).char_fn_modulus(xis, owner)
         for i, law in enumerate(block):
             want = _horner_modulus(law.masses, xis[owner == i])
             assert np.array_equal(got[owner == i], want)
             alone = xis[owner == i]
-            assert np.array_equal(LawBlock.of([law]).char_fn_modulus(
+            assert np.array_equal(LawBlock.of([law.masses]).char_fn_modulus(
                 alone, np.zeros(alone.size, dtype=np.intp)), want)
 
 
