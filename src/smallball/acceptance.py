@@ -47,10 +47,11 @@ from .fitting import (
     walk_reports,
 )
 from .prg import build_mgg_expander, certify_lambda, size_bound_exponent
-from .sampling import coordinate_median, first_coord_tails
+from .sampling import first_coord_tails
 from .transfer import (
     char_fn,
     distributions_from_contributions,
+    dp_cells,
     fold_mod,
     find_prime,
     mod_p_point_probability,
@@ -101,6 +102,8 @@ def loglog_slope(ns, probs) -> float:
 def zero_masses(lams, ns) -> list[list[float]]:
     """P(sum = 0) on the two-state chain with all-ones weights, one list per
     lambda with one entry per n; every law from one DP call."""
+    for n in ns:  # 2n (2n + 1) cells each, counted before any O(n) array
+        dp_cells(2, n, 2 * n + 1)
     members = []
     for lam in lams:
         chain = make_two_state_chain(lam)
@@ -287,15 +290,13 @@ def criterion_11() -> CriterionResult:
     def run():
         ds = fam.COORD_D_RANGE
         floors = [1.0 / (bounds.C_COORD * math.sqrt(d)) for d in ds]
-        medians = coordinate_median(np.array(ds)).tolist()
-        t3 = 1.0 / (bounds.C_COORD * math.sqrt(3))
-        tails = first_coord_tails([*zip(ds, floors), *zip(ds, medians), (3, t3)])
-        worst_tail = min(1.0, *tails[:len(ds)])
-        median_dev = max(0.0, *(abs(tail - 0.5) for tail in tails[len(ds):-1]))
-        d3_dev = abs(tails[-1] - (1.0 - t3))
-        ok = worst_tail >= 0.5 and d3_dev <= 1e-10 and median_dev <= 1e-10
+        tails = first_coord_tails(zip(ds, floors))
+        worst_tail = min(1.0, *tails)
+        closed = max(abs(a - oracles.coordinate_tail(d, t)) for d, t, a in zip(ds, floors, tails))
+        d3_dev = abs(tails[1] - (1.0 - floors[1]))  # ds[1] = 3, whose tail is 1 - t
+        ok = worst_tail >= 0.5 and d3_dev <= 1e-10 and closed <= 1e-10
         return ok, {"worst_tail": worst_tail, "d3_deviation": d3_dev,
-                    "median_deviation": median_dev, "constant": bounds.C_COORD}, []
+                    "closed_form_deviation": closed, "constant": bounds.C_COORD}, []
 
     return _timed(11, "random unit vector coordinate tail clears one half", run)
 

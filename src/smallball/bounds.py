@@ -223,28 +223,24 @@ def binomial_negative_moments(n: int, ps, ds) -> list[list[tuple[float, float]]]
     d^d/(np)^d) for each d in ds (one list each) and each p in ps (one pair
     each), every value bit for bit that of a call with p and d alone.
 
-    The log terms of every p are one array.  Each d divides it by (i+1)^d at
-    its own scalar exponent (scalar_powers says why), and each (p, d) sums in
-    one math.fsum.  Every d, then every p, is checked before any work.
+    The masses comb(n, i) p^i (1-p)^(n-i) of every p are one array (n <= 1029:
+    float(comb(1030, 515)) overflows).  Each d divides it by (i+1)^d at its
+    own scalar exponent (scalar_powers says why), and each (p, d) sums in one
+    math.fsum.  Every d, then every p, is checked before any work.
     """
-    from scipy.special import gammaln, xlogy
-
     ps, ds = list(ps), list(ds)
     for d in ds:
-        if n < 1 or d < 1:
-            raise OutOfRange(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+        if not (1 <= n <= 1029 and d >= 1):
+            raise OutOfRange(f"need 1 <= n <= 1029 and d >= 1, got n = {n}, d = {d}")
     for p in ps:
         if not 0.0 < p <= 1.0:
             raise OutOfRange(f"success probability must lie in (0, 1], got {p!r}")
     i = np.arange(n + 1)
     p_col = np.array(ps, dtype=float)[:, None]
-    masses = np.exp(gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-                    + xlogy(i, p_col) + xlogy(n - i, 1.0 - p_col))
-    out = []
-    for d in ds:
-        terms = (masses / (i + 1.0) ** d).tolist()
-        out.append([(math.fsum(row), d**d / (n**d * p**d)) for row, p in zip(terms, ps)])
-    return out
+    combs = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    masses = combs * p_col**i * (1.0 - p_col) ** (n - i)
+    return [[(math.fsum(row), d**d / (n**d * p**d))
+             for row, p in zip((masses / (i + 1.0) ** d).tolist(), ps)] for d in ds]
 
 
 # ---------------------------------------------------------------------------

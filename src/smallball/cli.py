@@ -48,6 +48,7 @@ from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
 from .sampling import McEstimate, smallball_mc
 from .transfer import (
+    dp_cells,
     exact_sum_distribution,
     find_prime,
     mod_p_point_probability,
@@ -184,11 +185,16 @@ def _load_weights(config: ExperimentConfig):
     return make_weight_system(v)
 
 
-def _load_instance(config: ExperimentConfig):
-    """(chain, signs, weights) from the config's chain file and weights."""
+def _load_instance(config: ExperimentConfig, dp: bool = True):
+    """(chain, signs, weights) from the config's chain file and weights; for the
+    DP, parity signs on generated weights of sum W span -W..W (0..W on one state)."""
+    chain, signs = load_chain_file(config.chain)
+    if dp and signs is None and config.weights is None and config.n is not None:
+        total = {"all-ones": config.n, "arange": config.n * (config.n + 1) // 2}
+        if config.generator in total:
+            dp_cells(chain.n_states, config.n, min(chain.n_states, 2) * total[config.generator] + 1)
     weights = _load_weights(config)
     n = weights.n_weights
-    chain, signs = load_chain_file(config.chain)
     if signs is None:
         signs = repeated_signs(parity_labels(chain.n_states), n, chain.stationary)
     elif signs.n_steps < n:
@@ -220,7 +226,7 @@ def _exact_dist(config: ExperimentConfig) -> int:
 
 
 def _smallball(config: ExperimentConfig) -> int:
-    chain, signs, weights = _load_instance(config)
+    chain, signs, weights = _load_instance(config, dp=config.kind == "smallball-exact")
     if config.kind == "smallball-exact":
         dist = exact_sum_distribution(chain, signs, weights)
         prob = smallball_exact(dist, config.x0, config.radius)
@@ -254,7 +260,7 @@ def _esseen(config: ExperimentConfig) -> int:
 
 
 def _zp_average(config: ExperimentConfig) -> int:
-    chain, signs, weights = _load_instance(config)
+    chain, signs, weights = _load_instance(config, dp=False)
     p = config.prime if config.prime is not None else find_prime(weights)
     avg = zp_fourier_average(chain, signs, weights, p)
     point = mod_p_point_probability(chain, signs, weights, p, config.x0)

@@ -89,6 +89,7 @@ def _shape_groups(keys) -> list[list[int]]:
 HALF_BITS = 26  # fewer than 2^26 halves below 2^27 sum exactly in a float
 # below this many values a list for math.fsum costs less than the array passes
 FSUM_MAX_SIZE = 1024
+SUM_SLICE = 1 << 13  # values per pass of exact_sums: its transients' size
 
 
 def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
@@ -97,33 +98,34 @@ def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
     groups (broadcast against x) gives each value's group; None puts all of
     them in group 0.  frexp writes every finite x as M 2^(e-53) with an
     integer |M| < 2^53, and M = hi 2^26 + lo with |hi| < 2^27, |lo| < 2^26.
-    Per-(exponent, group) bincounts of fewer than 2^26 halves stay below
-    2^53, so they are exact; Python ints add the buckets, and one
-    int-to-float division rounds the total correctly.  Non-finite input, 2^26
-    or more values, sums that might overflow (fsum decides whether it
+    Per-(exponent, group) sums of fewer than 2^26 halves stay below 2^53, so
+    bincounts over slices of about SUM_SLICE values (along x's leading axis)
+    and their int64 totals are exact; Python ints add the buckets, and one
+    int-to-float division rounds the total correctly.  Non-finite input,
+    2^26 or more values, sums that might overflow (fsum decides whether it
     raises) and exact zeros (fsum decides their sign) go to math.fsum, as do
     arrays too small to gain from the passes.
     """
     x = np.asarray(x, dtype=float)
-    groups = np.zeros((), dtype=np.int64) if groups is None else np.asarray(groups)
+    groups = np.broadcast_to(0 if groups is None else groups, x.shape)
     if (x.size <= FSUM_MAX_SIZE or x.size >= 1 << HALF_BITS
             or not np.isfinite(x).all()):
         return _fsums(x, groups, n_groups)
-    mant, e = np.frexp(x)
-    low, high = int(e.min()), int(e.max())
+    step = max(SUM_SLICE * len(x) // x.size, 1)
+    cuts = range(0, len(x), step)
+    spans = np.array([(e.min(), e.max()) for e in (np.frexp(x[a:a + step])[1] for a in cuts)])
+    low, high = int(spans.min()), int(spans.max())
     if high + x.size.bit_length() > 1023:
         return _fsums(x, groups, n_groups)
-    lo, hi = np.modf(mant * 2.0**(53 - HALF_BITS))  # lo: a multiple of 2^-26
-    keys = e.astype(np.intp)
-    keys -= low
-    keys *= n_groups
-    keys += groups
-    keys = keys.ravel()
     size = (high - low + 1) * n_groups
-    his = np.bincount(keys, weights=hi.ravel(), minlength=size)
-    los = np.bincount(keys, weights=lo.ravel(), minlength=size) * 2.0**HALF_BITS
-    his = his.astype(np.int64).reshape(-1, n_groups).T.tolist()
-    los = los.astype(np.int64).reshape(-1, n_groups).T.tolist()
+    his, los = np.zeros((2, size), dtype=np.int64)
+    for a in cuts:
+        mant, e = np.frexp(x[a:a + step].ravel())
+        lo, hi = np.modf(mant * 2.0**(53 - HALF_BITS))  # lo: a multiple of 2^-26
+        keys = (e.astype(np.intp) - low) * n_groups + groups[a:a + step].ravel()
+        his += np.bincount(keys, weights=hi, minlength=size).astype(np.int64)
+        los += np.bincount(keys, weights=lo * 2.0**HALF_BITS, minlength=size).astype(np.int64)
+    his, los = (s.reshape(-1, n_groups).T.tolist() for s in (his, los))
     scale = low - 53
     out = []
     for g in range(n_groups):
@@ -132,10 +134,8 @@ def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
             acc = (acc << 1) + (h << HALF_BITS) + l
         if acc == 0:
             out.append(_fsums(x, groups, n_groups, only=g)[0])
-        elif scale >= 0:
-            out.append(float(acc << scale))
-        else:
-            out.append(acc / (1 << -scale))
+        else:  # one correctly rounded int-to-float division
+            out.append((acc << max(scale, 0)) / (1 << max(-scale, 0)))
     return out
 
 
@@ -143,6 +143,20 @@ def _fsums(x, groups, n_groups, only=None) -> list[float]:
     x, groups = np.broadcast_arrays(x, groups)
     picks = range(n_groups) if only is None else (only,)
     return [math.fsum(x[groups == g].tolist()) for g in picks]
+
+
+def coordinate_tail(d: int, t: float) -> float:
+    """P[|v_1| >= t] for v uniform on the unit sphere in R^d, d >= 2: J_m(asin t)
+    / J_m(0), J_m(a) the integral of cos^m over [a, pi/2], m = d - 2.  By parts
+    m J_m(a) = c^(m-1) t + (m-1) J_(m-2)(a) at sin a = t, cos a = c, a sum from
+    J_0(a) = pi/2 - a or J_1(a) = 1 - t."""
+    if not (d >= 2 and 0.0 <= t <= 1.0):
+        raise PreconditionViolated(f"need d >= 2 and 0 <= t <= 1, got d = {d}, t = {t!r}")
+    tail, full = (1.0 - t, 1.0) if d % 2 else (1.0 - 2.0 * math.asin(t) / math.pi, math.pi / 2.0)
+    for m in range(2 + d % 2, d - 1, 2):
+        tail -= t * (1.0 - t * t) ** ((m - 1) / 2) / ((m - 1) * full)
+        full *= (m - 1) / m
+    return tail
 
 
 # ---------------------------------------------------------------------------

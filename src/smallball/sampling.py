@@ -168,7 +168,7 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     (step, state) table of the products f_j(y) v_j, as the walk is sampled.
     In dimension 1 a sum s counts where x0 - radius <= s <= x0 + radius, the
     window smallball_exact sums, so no distance is squared and no end
-    overflows the count.
+    overflows the count; in d >= 2 hypot takes each distance, squaring none.
     """
     check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
@@ -195,8 +195,9 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
             sums += step
         if weights.dimension == 1:
             inside = (sums[:, 0] >= lo) & (sums[:, 0] <= hi)
-        else:
-            inside = np.linalg.norm(sums - center[None, :], axis=1) <= radius
+        else:  # a distance past the largest float is past every radius
+            with np.errstate(over="ignore"):
+                inside = np.hypot.reduce(sums - center, axis=1) <= radius
         hits += int(np.count_nonzero(inside))
     return from_hits(hits, count, seed)
 
@@ -245,10 +246,3 @@ def first_coord_tails(pairs) -> list[float]:
     return [1.0 if d == 1 else min(1.0, values[index[d, t]] / values[index[d, None]])
             for d, t in pairs]
 
-
-def coordinate_median(d):
-    """Median of |v_1| for a uniform unit vector in R^d, d >= 2 (elementwise
-    over an array of d): v_1^2 ~ Beta(1/2, (d-1)/2)."""
-    from scipy.special import betaincinv
-
-    return np.sqrt(betaincinv(0.5, (np.asarray(d) - 1) / 2.0, 0.5))

@@ -254,6 +254,14 @@ def _integer_table(contribs: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def dp_cells(n_states: int, n: int, points: int) -> int:
+    """Cells of a DP of n steps, n_states states, `points` lattice points."""
+    cells = n_states * n * points
+    if cells > DP_BUDGET:
+        raise BudgetExceeded(f"DP needs {cells} cells, budget is {DP_BUDGET}")
+    return cells
+
+
 def distribution_from_contributions(chain: MarkovChain, contribs,
                                     exact: bool = False) -> SumDistribution:
     """Forward DP over (step, state, partial sum) for integer contributions.
@@ -323,13 +331,14 @@ def distributions_from_contributions(members, exact: bool = False) -> list[SumDi
         moving = table.reshape(len(keep), -1).any(axis=1).tolist()
         for k, b in enumerate(keep):
             i = idx[b]
-            cells = n_states * n * (ghi[k] - glo[k] + 1)
-            if cells > DP_BUDGET:
-                errors[i] = BudgetExceeded(f"DP needs {cells} cells, budget is {DP_BUDGET}")
-            elif exact and cells * n_states * n > RATIONAL_BUDGET:
-                errors[i] = BudgetExceeded(
-                    f"rational DP needs {cells} cells x {n_states} states x {n} steps "
-                    f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}")
+            try:
+                cells = dp_cells(n_states, n, ghi[k] - glo[k] + 1)
+                if exact and cells * n_states * n > RATIONAL_BUDGET:
+                    raise BudgetExceeded(
+                        f"rational DP needs {cells} cells x {n_states} states x {n} steps "
+                        f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}")
+            except BudgetExceeded as exc:
+                errors[i] = exc
             else:
                 sweeps.setdefault(i if exact else (shape, moving[k]), []).append(
                     (i, shifts[k], int(pmin[k, -1]), int(pmax[k, -1]), int(g[k]), moving[k]))

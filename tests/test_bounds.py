@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ class TestBinomialNegativeMoment:
                      for i in range(n + 1))
         assert exact == pytest.approx(byhand, rel=1e-12)
 
+    def test_exact_rational_oracle(self):
+        # E[1/(X+1)^d] in Fractions of the float p, every fifth n of the
+        # criterion grid
+        for n in range(1, 51, 5):
+            ps = [p10 / 10.0 for p10 in range(1, 11)]
+            for d, row in zip((1, 2, 3), binomial_negative_moments(n, ps, (1, 2, 3))):
+                for p, (exact, _) in zip(ps, row):
+                    q = Fraction(p)
+                    want = sum(math.comb(n, i) * q**i * (1 - q) ** (n - i) / (i + 1) ** d
+                               for i in range(n + 1))
+                    assert abs(Fraction(exact) - want) <= Fraction(1e-13) * want, (n, p, d)
+
+    def test_rejects_n_past_the_float_binomial(self):
+        assert binomial_negative_moments(1029, [0.5], [1])[0][0][0] > 0.0
+        with pytest.raises(OutOfRange, match="n = 1030"):
+            binomial_negative_moments(1030, [0.5], [1])
+
     def test_rejects_zero_probability(self):
         with pytest.raises(OutOfRange):
             binomial_negative_moments(5, [0.0], [1])
@@ -284,14 +302,12 @@ def test_bound_report_round_trip(tmp_path):
 
 
 def negative_moment_alone(n, p, d):
-    """binomial_negative_moments of one (n, p, d) as it was evaluated before batches."""
-    from scipy.special import gammaln, xlogy
-
+    """binomial_negative_moments of one (n, p, d), its masses comb(n, i)
+    p^i (1-p)^(n-i) one array as a lone call takes them."""
     i = np.arange(n + 1)
-    log_terms = (gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-                 + xlogy(i, p) + xlogy(n - i, 1.0 - p))
-    return (math.fsum((np.exp(log_terms) / (i + 1.0) ** d).tolist()),
-            d**d / (n**d * p**d))
+    combs = np.array([math.comb(n, k) for k in i.tolist()], dtype=float)
+    masses = combs * p**i * (1.0 - p) ** (n - i)
+    return (math.fsum((masses / (i + 1.0) ** d).tolist()), d**d / (n**d * p**d))
 
 
 def cosine_integral_alone(vs):

@@ -114,6 +114,33 @@ class TestSubcommands:
         assert run.returncode == 2
         assert "beyond the budget" in run.stderr
 
+    @pytest.mark.parametrize("argv, cells", [
+        (["exact-dist", "--generator", "all-ones", "--n", "300000000"],
+         2 * 300000000 * 600000001),
+        (["smallball", "--generator", "arange", "--n", "100000000"],
+         2 * 100000000 * (100000000 * 100000001 + 1)),
+        (["esseen", "--generator", "all-ones", "--n", "300000000"],
+         2 * 300000000 * 600000001),
+        (["tightness", "--n-list", "100000000", "--lambdas", "0.5"],
+         2 * 100000000 * 200000001),
+    ])
+    def test_oversize_dp_refused_before_allocating(self, argv, cells, chain_file, tmp_path):
+        # in a child whose address space is capped at 1 GiB, so a refusal
+        # that came after the GiB-sized O(n) arrays fails here rather than
+        # taking the host's memory
+        probe = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from smallball.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        if argv[0] != "tightness":
+            argv = argv + ["--chain", chain_file]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (
+            2, f"error: DP needs {cells} cells, budget is 1000000000\n")
+
     def test_prg_build_and_test(self, tmp_path, capsys):
         graph = str(tmp_path / "g.json")
         assert main(["prg-build", "--k", "4", "--out", graph]) == 0

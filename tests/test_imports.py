@@ -175,17 +175,37 @@ print(json.dumps(loaded))
 """
 
 
+def run_probe(probe: str, *args) -> str:
+    """stdout of `probe` run in a fresh interpreter on the library's source."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True).stdout
+
+
 def test_import_loads_no_scipy(tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
                      '"stationary": [0.5, 0.5]}')
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(chain)], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(run.stdout) == {"import smallball": [],
-                                      "import smallball.cli": [],
-                                      "spectral-gap exit 0": []}
+    assert json.loads(run_probe(IMPORT_PROBE, str(chain))) == {
+        "import smallball": [], "import smallball.cli": [], "spectral-gap exit 0": []}
+
+
+# criteria 1-12 and every fitter, what the battery-refit benchmark runs
+BATTERY_PROBE = """
+import json, sys
+from smallball import acceptance, fitting
+from smallball.families import DEFAULT_SEED
+
+acceptance.run_criteria(DEFAULT_SEED)
+for fitter in fitting.FITTERS.values():
+    fitter()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_battery_and_fitters_load_no_scipy():
+    assert json.loads(run_probe(BATTERY_PROBE)) == []
 
 
 MODULES = {p.stem for p in SOURCES}

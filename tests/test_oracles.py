@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from conftest import balanced_signs, ones_weights
 from smallball import oracles
@@ -27,6 +29,7 @@ from smallball.families import (
 from smallball.oracles import (
     HolderInstance,
     averaging_operator,
+    coordinate_tail,
     enumerate_paths,
     exact_sums,
     extraction_indices,
@@ -271,6 +274,60 @@ class TestExactSum:
         assert math.isinf(exact_sums(np.array([1.0, np.inf] * 600))[0])
         with pytest.raises(ValueError):
             exact_sums(np.array([np.inf, -np.inf] * 600))  # as fsum raises
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(3 * oracles.SUM_SLICE // 2, 3 * oracles.SUM_SLICE),
+           st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_slices_match_fsum(self, size, seed, cancel, re_im):
+        # 1.5 to 3 slices of mixed exponents with exact zeros, and cancelling
+        # pairs: a quarter of the values, or all of them, so that a sum may
+        # be an exact zero; one group, or the RE_IM groups of char_fn
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=size) * np.ldexp(1.0, rng.integers(-300, 301, size=size))
+        x[rng.random(size) < 0.1] = 0.0
+        pairs = size // 2 if cancel else size // 4
+        x[:pairs] = -x[pairs:2 * pairs]
+        if re_im:
+            x = rng.permutation(x[:size // 2 * 2].reshape(-1, 2))
+            want = [math.fsum(x[:, g].tolist()).hex() for g in range(2)]
+            assert [v.hex() for v in exact_sums(x, oracles.RE_IM, 2)] == want
+        else:
+            _assert_fsum(rng.permutation(x))
+
+    def test_transients_stay_below_a_mebibyte(self):
+        # 2^17 values (1 MiB) in 16 slices: the finiteness mask is 128 KiB
+        # and every other array one slice's
+        for x in (np.random.default_rng(3).normal(size=1 << 17),
+                  np.random.default_rng(4).normal(size=(1 << 16, 2))):
+            groups = (None, 1) if x.ndim == 1 else (oracles.RE_IM, 2)
+            tracemalloc.start()
+            try:
+                exact_sums(x, *groups)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, x.shape
+
+
+class TestCoordinateTail:
+    def test_matches_the_incomplete_beta(self):
+        # P[|v_1| >= t] = I_{1-t^2}((d-1)/2, 1/2), scipy's betainc as the oracle
+        ts = np.linspace(0.0, 1.0, 41)
+        for d in range(2, 65):
+            want = betainc((d - 1) / 2.0, 0.5, 1.0 - ts * ts)
+            got = np.array([coordinate_tail(d, t) for t in ts.tolist()])
+            assert np.abs(got - want).max() <= 1e-14, d
+
+    def test_dimensions_two_and_three_by_hand(self):
+        for t in (0.0, 0.3, 0.9, 1.0):
+            assert coordinate_tail(2, t) == pytest.approx(1.0 - 2.0 * math.asin(t) / math.pi,
+                                                          abs=1e-15)
+            assert coordinate_tail(3, t) == 1.0 - t
+
+    @pytest.mark.parametrize("d,t", [(1, 0.5), (3, -0.1), (3, 1.5)])
+    def test_rejects_bad_input(self, d, t):
+        with pytest.raises(PreconditionViolated):
+            coordinate_tail(d, t)
 
 
 def t_indices_prose(s) -> list[int]:

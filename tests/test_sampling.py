@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import beta, betainc
+from scipy.special import beta, betainc, betaincinv
 
 from conftest import balanced_signs, ones_weights, serialize
 from smallball import bounds, sampling
@@ -24,7 +24,6 @@ from smallball.quadrature import adaptive_simpson
 from smallball.rngstreams import uniforms
 from smallball.sampling import (
     CHUNK,
-    coordinate_median,
     first_coord_tails,
     sample_signs,
     smallball_mc,
@@ -37,6 +36,12 @@ PINNED_COUNT = CHUNK + 3
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def coordinate_median(d):
+    """Median of |v_1| for a uniform unit vector in R^d, d >= 2 (elementwise
+    over an array of d): v_1^2 ~ Beta(1/2, (d-1)/2)."""
+    return np.sqrt(betaincinv(0.5, (np.asarray(d) - 1) / 2.0, 0.5))
 
 
 def pinned_instance(n_states, kind, n=24):
@@ -374,6 +379,24 @@ class TestSmallballMc:
         est2 = smallball_mc(uniform_independent, signs, w, [0.0, 0.0], 1.0,
                             4000, seed=8)
         assert est2.estimate == 0.0
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_ball_distances_neither_overflow_nor_underflow(self, uniform_independent,
+                                                           scale):
+        # the corners (+-s, +-s) of test_multidimensional_ball, whose squared
+        # distances 2 s^2 overflow at s = 1e155 and underflow at s = 1e-170
+        w = make_weight_system([[scale, 0.0], [0.0, scale]])
+        signs = balanced_signs(uniform_independent, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fractions = [smallball_mc(uniform_independent, signs, w, [0.0, 0.0],
+                                      r * scale, 4000, seed=8).estimate for r in (1.5, 1.4)]
+            # from (s, 0) the corners with first coordinate s lie at distance
+            # s, on the sphere, and the others at sqrt(5) s
+            half = smallball_mc(uniform_independent, signs, w, [scale, 0.0], scale,
+                                4000, seed=8)
+        assert fractions == [1.0, 0.0]
+        assert 0.0 < half.estimate < 1.0 and half.covers(0.5)
 
 
 def stats_interval(hits, total, level=sampling.CI_LEVEL):
