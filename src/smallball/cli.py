@@ -46,7 +46,7 @@ from .chains import (
 )
 from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
-from .sampling import McEstimate, smallball_mc
+from .sampling import McEstimate, mc_steps, smallball_mc
 from .transfer import (
     dp_cells,
     exact_sum_distribution,
@@ -186,13 +186,22 @@ def _load_weights(config: ExperimentConfig):
 
 
 def _load_instance(config: ExperimentConfig, dp: bool = True):
-    """(chain, signs, weights) from the config's chain file and weights; for the
-    DP, parity signs on generated weights of sum W span -W..W (0..W on one state)."""
+    """(chain, signs, weights) from the config's chain file and weights.
+
+    Generated weights are counted from n before any O(n) array is built: a
+    Monte Carlo run's samples x steps, or the DP's cells, where parity signs
+    on weights of sum W span -W..W (0..W on one state)."""
     chain, signs = load_chain_file(config.chain)
-    if dp and signs is None and config.weights is None and config.n is not None:
-        total = {"all-ones": config.n, "arange": config.n * (config.n + 1) // 2}
-        if config.generator in total:
-            dp_cells(chain.n_states, config.n, min(chain.n_states, 2) * total[config.generator] + 1)
+    if config.weights is None and config.n is not None:
+        n = config.n
+        if config.kind == "smallball-mc":
+            mc_steps(config.samples, n)
+        elif dp and signs is None:
+            # random-unit weights are +-1 in dimension 1, never integers in higher ones
+            total = {"all-ones": n, "arange": n * (n + 1) // 2,
+                     "random-unit": n if config.dim == 1 else None}[config.generator]
+            if total is not None:
+                dp_cells(chain.n_states, n, min(chain.n_states, 2) * total + 1)
     weights = _load_weights(config)
     n = weights.n_weights
     if signs is None:
@@ -226,7 +235,7 @@ def _exact_dist(config: ExperimentConfig) -> int:
 
 
 def _smallball(config: ExperimentConfig) -> int:
-    chain, signs, weights = _load_instance(config, dp=config.kind == "smallball-exact")
+    chain, signs, weights = _load_instance(config)
     if config.kind == "smallball-exact":
         dist = exact_sum_distribution(chain, signs, weights)
         prob = smallball_exact(dist, config.x0, config.radius)
@@ -283,6 +292,8 @@ def _prg_test(config: ExperimentConfig) -> int:
     graph = prg.load_graph(config.graph) if config.graph else prg.build_mgg_expander(config.k)
     if graph.k != config.k:
         raise ConfigError(f"--k {config.k} differs from k = {graph.k} in {config.graph}")
+    if config.mode == "sampled" and config.weights is None and config.n is not None:
+        mc_steps(config.samples, -(-config.n // graph.k))  # blocks after any padding
     w = _load_weights(config).scalars
     if config.pad_to_multiple and len(w) % graph.k:
         if below_unit(w.min()):

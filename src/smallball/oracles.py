@@ -100,38 +100,52 @@ def exact_sums(x, groups=None, n_groups: int = 1) -> list[float]:
     integer |M| < 2^53, and M = hi 2^26 + lo with |hi| < 2^27, |lo| < 2^26.
     Per-(exponent, group) sums of fewer than 2^26 halves stay below 2^53, so
     bincounts over slices of about SUM_SLICE values (along x's leading axis)
-    and their int64 totals are exact; Python ints add the buckets, and one
-    int-to-float division rounds the total correctly.  Non-finite input,
-    2^26 or more values, sums that might overflow (fsum decides whether it
-    raises) and exact zeros (fsum decides their sign) go to math.fsum, as do
-    arrays too small to gain from the passes.
+    and their int64 totals are exact.  Buckets count exponents down from the
+    largest magnitude's (or 0, the zeros' frexp exponent), so one max and
+    one min bound them before any pass, and the bucket arrays grow only as
+    deep as the smallest exponent present.  Python ints add the non-empty
+    buckets, and one int-to-float division rounds the total correctly.
+    Non-finite input, 2^26 or more values, sums that might overflow (fsum
+    decides whether it raises) and exact zeros (fsum decides their sign) go
+    to math.fsum, as do arrays too small to gain from the passes.
     """
     x = np.asarray(x, dtype=float)
     groups = np.broadcast_to(0 if groups is None else groups, x.shape)
-    if (x.size <= FSUM_MAX_SIZE or x.size >= 1 << HALF_BITS
-            or not np.isfinite(x).all()):
+    if x.size <= FSUM_MAX_SIZE or x.size >= 1 << HALF_BITS:
+        return _fsums(x, groups, n_groups)
+    biggest = max(float(x.max()), -float(x.min()))  # NaN or inf if any value is
+    if not math.isfinite(biggest):
+        return _fsums(x, groups, n_groups)
+    top = max(math.frexp(biggest)[1], 0)
+    if top + x.size.bit_length() > 1023:
         return _fsums(x, groups, n_groups)
     step = max(SUM_SLICE * len(x) // x.size, 1)
-    cuts = range(0, len(x), step)
-    spans = np.array([(e.min(), e.max()) for e in (np.frexp(x[a:a + step])[1] for a in cuts)])
-    low, high = int(spans.min()), int(spans.max())
-    if high + x.size.bit_length() > 1023:
-        return _fsums(x, groups, n_groups)
-    size = (high - low + 1) * n_groups
-    his, los = np.zeros((2, size), dtype=np.int64)
-    for a in cuts:
-        mant, e = np.frexp(x[a:a + step].ravel())
-        lo, hi = np.modf(mant * 2.0**(53 - HALF_BITS))  # lo: a multiple of 2^-26
-        keys = (e.astype(np.intp) - low) * n_groups + groups[a:a + step].ravel()
-        his += np.bincount(keys, weights=hi, minlength=size).astype(np.int64)
-        los += np.bincount(keys, weights=lo * 2.0**HALF_BITS, minlength=size).astype(np.int64)
-    his, los = (s.reshape(-1, n_groups).T.tolist() for s in (his, los))
-    scale = low - 53
+    his, los = np.zeros((2, 0), dtype=np.int64)
+    for a in range(0, len(x), step):
+        mant, e = np.frexp(x[a:a + step])
+        keys = np.subtract(top, e, dtype=np.intp)  # depth below top
+        keys *= n_groups
+        keys += groups[a:a + step]
+        mant *= 2.0**(53 - HALF_BITS)
+        hi = np.trunc(mant)
+        mant -= hi
+        mant *= 2.0**HALF_BITS  # lo, an integer
+        h = np.bincount(keys.ravel(), weights=hi.ravel())
+        if h.size > his.size:  # grow by whole rows of n_groups buckets
+            grow = -(-h.size // n_groups) * n_groups - his.size
+            his, los = (np.concatenate([s, np.zeros(grow, np.int64)]) for s in (his, los))
+        his[:h.size] += h.astype(np.int64)
+        los[:h.size] += np.bincount(keys.ravel(), weights=mant.ravel(),
+                                    minlength=h.size).astype(np.int64)
+    depth = his.size // n_groups  # row d holds exponent top - d
+    his, los = (s.reshape(depth, n_groups).T for s in (his, los))
+    scale = top - depth + 1 - 53
     out = []
     for g in range(n_groups):
+        rows = np.flatnonzero(his[g] | los[g])
         acc = 0
-        for h, l in zip(reversed(his[g]), reversed(los[g])):
-            acc = (acc << 1) + (h << HALF_BITS) + l
+        for d, h, l in zip(rows.tolist(), his[g, rows].tolist(), los[g, rows].tolist()):
+            acc += ((h << HALF_BITS) + l) << (depth - 1 - d)
         if acc == 0:
             out.append(_fsums(x, groups, n_groups, only=g)[0])
         else:  # one correctly rounded int-to-float division

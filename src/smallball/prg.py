@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,16 @@ from .errors import (
     TooLarge,
 )
 from .rngstreams import step_words, to_unit
-from .sampling import CHUNK, from_hits
+from .sampling import CHUNK, from_hits, mc_steps
 
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
 MAX_VERTICES = 2**20  # build_mgg_expander's cap: k = 20 peaks at ~475 MiB, 4x per k + 2
 DENSE_CERTIFY = 2**10
+# certify_lambda's Lanczos stops once the largest-|Ritz| value's residual
+# beta_m |s_m| is at most LANCZOS_TOL, tested every LANCZOS_CHECK steps
+LANCZOS_TOL = 1e-13
+LANCZOS_CHECK = 8
 # |D| bound of exact mode and of enumerate_walks
 ENUM_BUDGET = 10**8
 
@@ -131,9 +136,9 @@ def build_mgg_expander(k: int) -> ExpanderGraph:
 def certify_lambda(graph: ExpanderGraph) -> float:
     """Second-largest absolute eigenvalue of the normalized adjacency matrix.
 
-    Dense eigendecomposition for small graphs, deflated Lanczos above; stores
-    the value on the graph.  Graphs beyond the budget must keep a literature
-    bound flagged uncertified.
+    Dense eigendecomposition up to DENSE_CERTIFY vertices, _lanczos_lambda
+    above; stores the value on the graph.  Graphs beyond the budget must keep
+    a literature bound flagged uncertified.
     """
     nv = graph.n_vertices
     if nv > CERTIFY_BUDGET:
@@ -143,25 +148,77 @@ def certify_lambda(graph: ExpanderGraph) -> float:
         m = graph.normalized_adjacency()
         lam = float(np.max(np.abs(np.linalg.eigvalsh(m - 1.0 / nv))))
     else:
-        import scipy.sparse
-        import scipy.sparse.linalg
-
-        counts = scipy.sparse.coo_matrix(
-            (np.full(nv * graph.degree, 1.0 / graph.degree),
-             (np.repeat(np.arange(nv), graph.degree), graph.neighbors.ravel())),
-            shape=(nv, nv)).tocsr()
-
-        def matvec(v):
-            return counts @ v - np.mean(v)
-
-        op = scipy.sparse.linalg.LinearOperator((nv, nv), matvec=matvec,
-                                                rmatvec=matvec, dtype=float)
-        v0 = np.sin(1.0 + np.arange(nv))  # deterministic start vector
-        vals = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0,
-                                         return_eigenvectors=False)
-        lam = float(np.abs(vals[0]))
+        lam = _lanczos_lambda(graph)
     graph.certified_lambda = lam
     return lam
+
+
+def _lanczos_lambda(graph: ExpanderGraph) -> float:
+    """Largest |eigenvalue| of P - J/nv, P the normalized adjacency, by plain
+    Lanczos from the start vector sin(1 + i).
+
+    Without reorthogonalisation the extreme Ritz values still converge
+    (Paige 1980), so only three vectors are kept.  The matvec reads the
+    neighbour table, (1/degree) sum_e v[neighbors[:, e]] - mean(v).  Every
+    LANCZOS_CHECK steps, and once beta_m <= LANCZOS_TOL, the eigvalsh of the
+    m x m tridiagonal T gives the largest-|Ritz| value theta, and the run
+    stops when its residual beta_m |s_m| is at most LANCZOS_TOL.  Dots and
+    norms are numpy pairwise sums, eigvalsh calls no BLAS product on a
+    tridiagonal input and s_m is a Python float loop, so neither theta's bits
+    nor the stopping step depend on the BLAS thread count.  m is at most the
+    vertex count, where exact Lanczos has ended (the start vector keeps its
+    constant component, an eigenvector of its own), and at most
+    DENSE_CERTIFY, so T is never larger than the dense branch's matrix; a
+    run that has not converged by then raises BudgetExceeded.
+    """
+    nv, add = graph.n_vertices, np.add.reduce
+    columns = np.ascontiguousarray(graph.neighbors.T)  # row e: each vertex's e-th neighbour
+    steps = min(nv, DENSE_CERTIFY)
+    q_prev, q = np.zeros(nv), np.sin(1.0 + np.arange(nv))
+    q /= np.sqrt(add(q * q))
+    alphas, betas, beta = [], [], 0.0
+    for m in range(1, steps + 1):
+        w = add(q[columns], axis=0) / graph.degree
+        w -= add(q) / nv
+        w -= beta * q_prev
+        alphas.append(float(add(w * q)))
+        w -= alphas[-1] * q
+        beta = float(np.sqrt(add(w * w)))
+        if beta <= LANCZOS_TOL or m % LANCZOS_CHECK == 0 or m == steps:
+            ritz = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta = float(ritz[0] if -ritz[0] > ritz[-1] else ritz[-1])
+            if beta * _last_entry(alphas, betas, theta) <= LANCZOS_TOL:
+                return abs(theta)
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    raise BudgetExceeded(
+        f"Lanczos did not reach residual {LANCZOS_TOL} within {steps} steps")
+
+
+def _last_entry(diagonal: list, off: list, theta: float) -> float:
+    """|s_m|, the last entry of the unit eigenvector of the symmetric
+    tridiagonal T = (diagonal, off) for its extreme eigenvalue theta.
+
+    The twisted factorization of T - theta I (Dhillon 1997): pivots run down
+    from the top and up from the bottom, meet at the index r of least
+    |gamma_r|, where the eigenvector is largest, and z_r = 1 fixes the other
+    entries; an exact zero pivot is taken as the least normal float.
+    """
+    tiny, m = sys.float_info.min, len(diagonal)
+    shifted = [a - theta for a in diagonal]
+    down, up = shifted[:], shifted[:]
+    for i in range(1, m):
+        down[i] -= off[i - 1] ** 2 / (down[i - 1] or tiny)
+    for i in range(m - 2, -1, -1):
+        up[i] -= off[i] ** 2 / (up[i + 1] or tiny)
+    r = min(range(m), key=lambda i: abs(down[i] + up[i] - shifted[i]))
+    z = [0.0] * m
+    z[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        z[i] = -off[i] * z[i + 1] / (down[i] or tiny)
+    for i in range(r + 1, m):
+        z[i] = -off[i - 1] * z[i - 1] / (up[i] or tiny)
+    return abs(z[-1]) / math.sqrt(math.fsum(v * v for v in z))
 
 
 @dataclass(frozen=True)
@@ -274,7 +331,8 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     takes them, under the uniform walk measure on D.  Exact mode counts the
     walks of D (with multiplicity) in the window by a sweep over distinct
     (vertex, partial sum) states, without listing walks; sampled mode draws
-    walks from counter streams and returns an McEstimate.
+    walks from counter streams and returns an McEstimate; its samples x
+    blocks steps must fit sampling.MC_STEP_BUDGET.
     x0, radius and the weights must be finite.  Zero weights are rejected
     unless allow_zero_padding is set (the CLI's pad-to-multiple convenience);
     the v_i >= 1 hypothesis then applies to the nonzero entries.
@@ -292,7 +350,7 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
         return _window_hits(spec, w, lo, hi) / spec.size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
-
+    mc_steps(samples, spec.blocks)
     contrib = block_contributions(spec, w)
     k, degree = spec.graph.k, spec.graph.degree
     flat_neighbors = spec.graph.neighbors.ravel().astype(np.intp, copy=False)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .chains import MarkovChain, SignSystem, WeightSystem, check_window
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     OutOfRange,
     QuadratureNonConvergence,
@@ -27,6 +28,7 @@ CHUNK = 1 << 14
 # bytes of one chain's inverse-CDF cell table
 CELL_TABLE_BUDGET = 1 << 18
 CI_LEVEL = 0.99
+MC_STEP_BUDGET = 10**9  # samples x steps of one Monte Carlo run
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,14 @@ def from_hits(hits: int, total: int, seed: int) -> McEstimate:
     est = hits / total
     return McEstimate(estimate=est, samples=total, ci_low=min(lo, est),
                       ci_high=max(hi, est), seed=seed)
+
+
+def mc_steps(samples: int, steps: int) -> int:
+    """Steps of a Monte Carlo run of `samples` walks of `steps` steps each."""
+    total = samples * steps
+    if total > MC_STEP_BUDGET:
+        raise BudgetExceeded(f"MC needs {total} steps, budget is {MC_STEP_BUDGET}")
+    return total
 
 
 def _cell_bits(rows: int) -> int:
@@ -169,11 +179,13 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     In dimension 1 a sum s counts where x0 - radius <= s <= x0 + radius, the
     window smallball_exact sums, so no distance is squared and no end
     overflows the count; in d >= 2 hypot takes each distance, squaring none.
+    count x n steps must fit MC_STEP_BUDGET.
     """
     check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
         raise DimensionMismatch(
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights")
+    mc_steps(count, signs.n_steps)
     chain.check_states(signs.functions.shape[1])
     center = np.atleast_1d(np.asarray(x0, dtype=float))
     if center.size not in (1, weights.dimension):

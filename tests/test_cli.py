@@ -114,7 +114,7 @@ class TestSubcommands:
         assert run.returncode == 2
         assert "beyond the budget" in run.stderr
 
-    @pytest.mark.parametrize("argv, cells", [
+    @pytest.mark.parametrize("argv, refusal", [
         (["exact-dist", "--generator", "all-ones", "--n", "300000000"],
          2 * 300000000 * 600000001),
         (["smallball", "--generator", "arange", "--n", "100000000"],
@@ -123,11 +123,19 @@ class TestSubcommands:
          2 * 300000000 * 600000001),
         (["tightness", "--n-list", "100000000", "--lambdas", "0.5"],
          2 * 100000000 * 200000001),
+        # +-1 weights in dimension 1, before any of them is drawn
+        (["exact-dist", "--generator", "random-unit", "--n", "100000000"],
+         2 * 100000000 * 200000001),
+        pytest.param(["smallball", "--mode", "mc", "--n", "1000", "--samples", "100000000"],
+                     "MC needs 100000000000 steps, budget is 1000000000", id="mc-long-run"),
+        pytest.param(["smallball", "--mode", "mc", "--generator", "all-ones",
+                      "--n", "300000000", "--samples", "10"],
+                     "MC needs 3000000000 steps, budget is 1000000000", id="mc-long-walks"),
     ])
-    def test_oversize_dp_refused_before_allocating(self, argv, cells, chain_file, tmp_path):
+    def test_oversize_dp_refused_before_allocating(self, argv, refusal, chain_file, tmp_path):
         # in a child whose address space is capped at 1 GiB, so a refusal
         # that came after the GiB-sized O(n) arrays fails here rather than
-        # taking the host's memory
+        # taking the host's memory; an int is the DP's cell count
         probe = ("import resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                  "from smallball.cli import main\n"
@@ -138,8 +146,9 @@ class TestSubcommands:
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path,
                              env=env, capture_output=True, text=True, timeout=60)
-        assert (run.returncode, run.stderr) == (
-            2, f"error: DP needs {cells} cells, budget is 1000000000\n")
+        if not isinstance(refusal, str):
+            refusal = f"DP needs {refusal} cells, budget is 1000000000"
+        assert (run.returncode, run.stderr) == (2, f"error: {refusal}\n")
 
     def test_prg_build_and_test(self, tmp_path, capsys):
         graph = str(tmp_path / "g.json")

@@ -208,6 +208,20 @@ def test_battery_and_fitters_load_no_scipy():
     assert json.loads(run_probe(BATTERY_PROBE)) == []
 
 
+# the Lanczos branch of certify_lambda, which large-n and prg-build --k 14 run
+CERTIFY_PROBE = """
+import json, sys
+from smallball import prg
+
+prg.certify_lambda(prg.build_mgg_expander(14))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_certify_loads_no_scipy():
+    assert json.loads(run_probe(CERTIFY_PROBE)) == []
+
+
 MODULES = {p.stem for p in SOURCES}
 
 

@@ -295,8 +295,8 @@ class TestExactSum:
             _assert_fsum(rng.permutation(x))
 
     def test_transients_stay_below_a_mebibyte(self):
-        # 2^17 values (1 MiB) in 16 slices: the finiteness mask is 128 KiB
-        # and every other array one slice's
+        # 2^17 values (1 MiB) in 16 slices: every transient array is one
+        # slice's
         for x in (np.random.default_rng(3).normal(size=1 << 17),
                   np.random.default_rng(4).normal(size=(1 << 16, 2))):
             groups = (None, 1) if x.ndim == 1 else (oracles.RE_IM, 2)

@@ -1,16 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import serialize
-from smallball import prg
+from smallball import prg, sampling
 from smallball.bounds import C_SIZE
 from smallball.chains import spectral_lambda
+from smallball.cli import main
 from smallball.errors import (
     BudgetExceeded,
     ConfigError,
@@ -40,6 +45,8 @@ from smallball.prg import (
 from smallball.rngstreams import uniforms
 from smallball.sampling import CHUNK
 from smallball.transfer import distribution_from_contributions, smallball_exact
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBuild:
@@ -163,6 +170,69 @@ class TestCertify:
         g = ExpanderGraph(k=2, degree=2, neighbors=nbrs)
         with pytest.raises(NotReversible):
             certify_lambda(g)
+
+    @pytest.mark.parametrize("k", range(2, 11, 2))
+    def test_lanczos_matches_dense_eigvalsh(self, k):
+        g = build_mgg_expander(k)
+        dense = np.abs(np.linalg.eigvalsh(g.normalized_adjacency() - 1.0 / g.n_vertices))
+        assert abs(prg._lanczos_lambda(g) - dense.max()) <= 1e-12
+
+    def test_lanczos_matches_dense_eigvalsh_off_mgg(self):
+        # three random permutations and their inverses on 2^9 vertices, the
+        # disconnected pair of 2-cycles (lambda = 1), and the swap of two
+        # vertices, whose start vector needs both steps (lambda = 1)
+        perms = [np.random.default_rng(9).permutation(512) for _ in range(3)]
+        nbrs = np.stack([p for s in perms for p in (s, np.argsort(s))], axis=1)
+        for g in (ExpanderGraph(k=9, degree=6, neighbors=nbrs),
+                  ExpanderGraph(k=2, degree=2, neighbors=np.array([[1, 1], [0, 0], [3, 3], [2, 2]])),
+                  ExpanderGraph(k=1, degree=1, neighbors=np.array([[1], [0]]))):
+            validate_expander(g)
+            dense = np.abs(np.linalg.eigvalsh(g.normalized_adjacency() - 1.0 / g.n_vertices))
+            assert abs(prg._lanczos_lambda(g) - dense.max()) <= 1e-12
+
+    @pytest.mark.parametrize("k", [12, 14])
+    def test_lanczos_matches_arpack(self, k):
+        # scipy's eigsh on a CSR matrix of the same operator is the oracle
+        import scipy.sparse
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        g = build_mgg_expander(k)
+        nv = g.n_vertices
+        counts = scipy.sparse.coo_matrix(
+            (np.full(nv * g.degree, 1.0 / g.degree),
+             (np.repeat(np.arange(nv), g.degree), g.neighbors.ravel())),
+            shape=(nv, nv)).tocsr()
+        op = LinearOperator((nv, nv), matvec=lambda v: counts @ v - np.mean(v),
+                            dtype=float)
+        arpack = eigsh(op, k=1, which="LM", v0=np.sin(1.0 + np.arange(nv)),
+                       return_eigenvectors=False)
+        assert abs(certify_lambda(g) - abs(arpack[0])) <= 1e-12
+
+    def test_lanczos_bits_do_not_depend_on_blas_threads(self):
+        probe = ("from smallball import prg\n"
+                 "print(prg.certify_lambda(prg.build_mgg_expander(14)).hex())\n")
+        values = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(filter(
+                           None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+            values.add(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+        assert len(values) == 1
+
+    def test_lanczos_refuses_past_its_step_cap(self, monkeypatch, tmp_path):
+        # k = 14 converges in 136 steps; capped at 64 it must refuse, and the
+        # CLI exits 2
+        monkeypatch.setattr(prg, "DENSE_CERTIFY", 64)
+        g = build_mgg_expander(14)
+        with pytest.raises(BudgetExceeded, match="within 64 steps"):
+            certify_lambda(g)
+        assert g.certified_lambda is None
+        assert main(["prg-build", "--k", "14", "--out", str(tmp_path / "g.json")]) == 2
+        # below DENSE_CERTIFY the cap is the vertex count
+        monkeypatch.setattr(prg, "LANCZOS_TOL", -1.0)
+        with pytest.raises(BudgetExceeded, match="within 16 steps"):
+            prg._lanczos_lambda(build_mgg_expander(4))
 
 
 class TestWalks:
@@ -309,6 +379,15 @@ class TestPrgSmallball:
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)
         prob = prg_smallball(spec, np.ones(4), 0.0, 1.0)
         assert prob <= constants["C_prg"].value / 2.0
+
+    def test_sampled_walks_fit_the_steps_budget(self, monkeypatch):
+        # 4 blocks: 100 walks fill a budget of 400 steps, 101 exceed it
+        spec = PrgSpec(graph=build_mgg_expander(2), n=8)
+        monkeypatch.setattr(sampling, "MC_STEP_BUDGET", 400)
+        est = prg_smallball(spec, np.ones(8), 0.0, 1.0, mode="sampled", samples=100)
+        assert est.samples == 100
+        with pytest.raises(BudgetExceeded, match="MC needs 404 steps, budget is 400"):
+            prg_smallball(spec, np.ones(8), 0.0, 1.0, mode="sampled", samples=101)
 
     def test_sampled_mode_covers_exact(self):
         spec = PrgSpec(graph=build_mgg_expander(2), n=4)

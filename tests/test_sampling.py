@@ -18,7 +18,12 @@ from smallball.chains import (
     make_two_state_chain,
     make_weight_system,
 )
-from smallball.errors import DimensionMismatch, OutOfRange, UnsupportedDimension
+from smallball.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    OutOfRange,
+    UnsupportedDimension,
+)
 from smallball.families import random_reversible_chain
 from smallball.quadrature import adaptive_simpson
 from smallball.rngstreams import uniforms
@@ -260,6 +265,22 @@ class TestSmallballMc:
             est = smallball_mc(two_state_03, signs, weights, x0, radius, 20_000, seed=7)
         assert exact == math.fsum(law.masses[covered].tolist())
         assert est.ci_low <= exact <= est.ci_high
+
+    def test_steps_budget_refused_before_sampling(self, two_state_03, monkeypatch):
+        # 4 steps: 250 samples fill a budget of 1000 steps, 251 exceed it
+        monkeypatch.setattr(sampling, "MC_STEP_BUDGET", 1000)
+        args = (two_state_03, balanced_signs(two_state_03, 4), ones_weights(4), 0.0, 1.0)
+        assert smallball_mc(*args, 250, seed=0).samples == 250
+        monkeypatch.setattr(sampling, "step_words", _no_draws)
+        with pytest.raises(BudgetExceeded, match="MC needs 1004 steps, budget is 1000"):
+            smallball_mc(*args, 251, seed=0)
+
+    def test_steps_budget_admits_the_runs_on_record(self):
+        # large-n's Monte Carlo (1e5 samples of 256 steps) and sampled walks
+        # (1e6 walks of 32 blocks), and the CLI's default 100,000 samples up
+        # to n = 10,000
+        for samples, steps in ((100_000, 256), (1_000_000, 32), (100_000, 10_000)):
+            assert sampling.mc_steps(samples, steps) == samples * steps
 
     def test_center_of_wrong_dimension_rejected_before_sampling(
             self, uniform_independent, monkeypatch):
