@@ -46,7 +46,7 @@ from .chains import (
 )
 from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
-from .sampling import McEstimate, mc_steps, smallball_mc
+from .sampling import McEstimate, mc_steps, mc_tables, smallball_mc
 from .transfer import (
     dp_cells,
     exact_sum_distribution,
@@ -189,13 +189,15 @@ def _load_instance(config: ExperimentConfig, dp: bool = True):
     """(chain, signs, weights) from the config's chain file and weights.
 
     Generated weights are counted from n before any O(n) array is built: a
-    Monte Carlo run's samples x steps, or the DP's cells, where parity signs
-    on weights of sum W span -W..W (0..W on one state)."""
+    Monte Carlo run's samples x steps and table bytes, or the DP's cells,
+    where parity signs on weights of sum W span -W..W (0..W on one state)."""
     chain, signs = load_chain_file(config.chain)
     if config.weights is None and config.n is not None:
         n = config.n
         if config.kind == "smallball-mc":
             mc_steps(config.samples, n)
+            mc_tables(n, chain.n_states,
+                      config.dim if config.generator == "random-unit" else 1)
         elif dp and signs is None:
             # random-unit weights are +-1 in dimension 1, never integers in higher ones
             total = {"all-ones": n, "arange": n * (n + 1) // 2,
@@ -292,8 +294,12 @@ def _prg_test(config: ExperimentConfig) -> int:
     graph = prg.load_graph(config.graph) if config.graph else prg.build_mgg_expander(config.k)
     if graph.k != config.k:
         raise ConfigError(f"--k {config.k} differs from k = {graph.k} in {config.graph}")
-    if config.mode == "sampled" and config.weights is None and config.n is not None:
-        mc_steps(config.samples, -(-config.n // graph.k))  # blocks after any padding
+    if config.weights is None and config.n is not None:
+        blocks = -(-config.n // graph.k)  # after any padding
+        if config.mode == "sampled":
+            mc_steps(config.samples, blocks)
+        else:
+            prg.walk_count(graph.n_vertices, graph.degree, blocks)
     w = _load_weights(config).scalars
     if config.pad_to_multiple and len(w) % graph.k:
         if below_unit(w.min()):

@@ -324,6 +324,22 @@ def _check_unit_weights(scalars: np.ndarray, n: int,
     return w
 
 
+def walk_count(n_vertices: int, degree: int, blocks: int) -> int:
+    """|D| = n_vertices degree^(blocks-1), the walks exact prg_smallball
+    counts, if it is within ENUM_BUDGET and below 2^63, where int64 walk
+    counts wrap (whatever ENUM_BUDGET is); a count of 2^63 or more is refused
+    from its bit length, before it is formed."""
+    bits = n_vertices.bit_length() - 1 + (blocks - 1) * (degree.bit_length() - 1)
+    if bits >= 63:
+        raise BudgetExceeded(f"|D| >= 2^{bits} reaches 2^63, where int64 walk counts wrap")
+    size = n_vertices * degree ** (blocks - 1)
+    if size > ENUM_BUDGET:
+        raise BudgetExceeded(f"|D| = {size} exceeds the budget {ENUM_BUDGET}")
+    if size.bit_length() > 63:
+        raise BudgetExceeded(f"|D| = {size} reaches 2^63, where int64 walk counts wrap")
+    return size
+
+
 def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
                   mode: str = "exact", samples: int = 100_000, seed: int = 0,
                   allow_zero_padding: bool = False):
@@ -341,13 +357,8 @@ def prg_smallball(spec: PrgSpec, scalars, x0: float, radius: float,
     check_window(x0, radius)
     lo, hi = float(x0) - float(radius), float(x0) + float(radius)
     if mode == "exact":
-        if spec.size > ENUM_BUDGET:
-            raise BudgetExceeded(f"|D| = {spec.size} exceeds the budget {ENUM_BUDGET}")
-        if spec.size.bit_length() > 63:
-            # int64 walk counts wrap at 2^63, whatever ENUM_BUDGET is
-            raise BudgetExceeded(
-                f"|D| = {spec.size} reaches 2^63, where int64 walk counts wrap")
-        return _window_hits(spec, w, lo, hi) / spec.size
+        size = walk_count(spec.graph.n_vertices, spec.graph.degree, spec.blocks)
+        return _window_hits(spec, w, lo, hi) / size
     if mode != "sampled":
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
     mc_steps(samples, spec.blocks)

@@ -29,6 +29,8 @@ CHUNK = 1 << 14
 CELL_TABLE_BUDGET = 1 << 18
 CI_LEVEL = 0.99
 MC_STEP_BUDGET = 10**9  # samples x steps of one Monte Carlo run
+# bytes of one Monte Carlo run's weight, sign and contribution tables
+MC_TABLE_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,136 @@ class McEstimate:
         return self.ci_low <= p <= self.ci_high
 
 
-def _clopper_pearson(hits: int, total: int):
-    # betaincinv(a, b, q) is the Boost routine behind scipy.stats.beta.ppf(q, a, b),
-    # bit for bit, without the 0.5 s import of scipy.stats
-    from scipy.special import betaincinv
+# Clopper-Pearson ends from binomial tails, each the pmf at k (Loader 2000:
+# Stirling remainders and deviance terms, free of cancellation) times the
+# ratio of the tail to it (Gauss's continued fraction in the odds)
 
-    alpha = 1.0 - CI_LEVEL
-    lo = 0.0 if hits == 0 else float(betaincinv(hits, total - hits + 1, alpha / 2.0))
-    hi = 1.0 if hits == total else float(betaincinv(hits + 1, total - hits, 1.0 - alpha / 2.0))
+_LN_2PI = 1.8378770664093454835606594728112
+# log(n!) - log(sqrt(2 pi n) (n/e)^n) at n = 0..15; Stirling's series beyond
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+# the standard normal quantile at 1 - (1 - CI_LEVEL)/2; it sets only the Newton start
+_Z = 2.5758293035489004
+
+
+def _stirlerr(n: int) -> float:
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    if n > 500:
+        return (1 / 12 - 1 / 360 / nn) / n
+    if n > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
+    if n > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, by its series in (x-m)/(x+m) where x is near m."""
+    d = x - m
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = d / (x + m)
+    s, term, v2, j = d * v, 2.0 * x * v, v * v, 1
+    while True:
+        term *= v2
+        nxt = s + term / (2 * j + 1)
+        if nxt == s:
+            return s
+        s, j = nxt, j + 1
+
+
+def _log_pmf(k: int, n: int, p: float, q: float) -> float:
+    """log P[Bin(n, p) = k] for 0 < k < n, with q = 1 - p."""
+    lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+          - _bd0(k, n * p) - _bd0(n - k, n * q))
+    return lc - 0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / n))
+
+
+def _tail_ratio(m: int, c: int, rho: float) -> float:
+    """sum_{j=0}^{m} prod_{i<j} rho (m-i)/(c+1+i), i.e. 2F1(-m, 1; c+1; -rho),
+    by Gauss's continued fraction (modified Lentz), for rho m < c + 1.
+
+    P[X >= k] = pmf(k) _tail_ratio(n-k, k, p/q) and P[X <= k] =
+    pmf(k) _tail_ratio(k, n-k, q/p); only the odds enter, so neither p
+    near 0 nor p near 1 is ever taken from 1 - the other.  About 50 steps
+    at most, even at n = 1e9.
+    """
+    d = 1.0 / (1.0 - m * rho / (c + 1))
+    f, lentz, i = d, 1.0, 0
+    while i < m:
+        i += 1
+        e = i * (c + m + i) * rho / ((c + 2 * i - 1) * (c + 2 * i))
+        d = 1.0 / (1.0 + e * d)
+        lentz = 1.0 + e / lentz
+        delta = lentz * d
+        if i < m:  # the fraction ends after m pairs
+            e = -(m - i) * (c + i) * rho / ((c + 2 * i) * (c + 2 * i + 1))
+            d = 1.0 / (1.0 + e * d)
+            lentz = 1.0 + e / lentz
+            delta *= lentz * d
+        f *= delta
+        if abs(delta - 1.0) <= 2.0**-53:
+            break
+    return f
+
+
+def _cp_end(k: int, n: int, upper: bool, log_target: float) -> float:
+    """The p in (0, 1) with log P[Bin(n, p) >= k] (upper) or log P[Bin(n, p) <= k]
+    equal to log_target, for 0 < k < n; the tail is the small one, p < k/n
+    or p > k/n.
+
+    Newton steps in theta = log(p/q) from the Wilson score end with
+    continuity correction: the log tail is concave in theta, so after one
+    step the iterates approach the root from one side (2-5 steps).  p and q
+    are carried apart, each to a few ulps, and a step never reaches k/n.
+    """
+    x = k - 0.5 if upper else k + 0.5
+    z2 = _Z * _Z
+    centre = (x + z2 / 2.0) / (n + z2)
+    half = _Z * math.sqrt(x * (n - x) / n + z2 / 4.0) / (n + z2)
+    p = centre - half if upper else centre + half
+    q = 1.0 - p
+    for _ in range(100):
+        if upper:
+            ratio = _tail_ratio(n - k, k, p / q)
+            slope = k * q / ratio
+        else:
+            ratio = _tail_ratio(k, n - k, q / p)
+            slope = -(n - k) * p / ratio
+        step = (log_target - _log_pmf(k, n, p, q) - math.log(ratio)) / slope
+        # half the way to k/n at most, where theta = log(k/(n-k))
+        room = math.log(k * q / ((n - k) * p))
+        step = min(step, room / 2.0) if upper else max(step, room / 2.0)
+        grow = math.expm1(step)
+        scale = 1.0 + p * grow
+        p, q = p * (1.0 + grow) / scale, q / scale
+        if abs(step) <= 2.0**-46:
+            break
+    return p if p <= 0.5 else 1.0 - q
+
+
+def _clopper_pearson(hits: int, total: int):
+    """Exact binomial (Clopper-Pearson) ends at CI_LEVEL: P[Bin(total, lo) >=
+    hits] = P[Bin(total, hi) <= hits] = (1 - CI_LEVEL)/2, with lo = 0 at no
+    hits and hi = 1 at all; each end within 1e-14 min(p, 1-p) + 2 ulp(p)."""
+    log_half = math.log((1.0 - CI_LEVEL) / 2.0)
+    if hits == 0:
+        lo = 0.0
+    elif hits == total:
+        lo = math.exp(log_half / total)
+    else:
+        lo = _cp_end(hits, total, True, log_half)
+    if hits == total:
+        hi = 1.0
+    elif hits == 0:
+        hi = -math.expm1(log_half / total)
+    else:
+        hi = _cp_end(hits, total, False, log_half)
     return lo, hi
 
 
@@ -77,6 +201,16 @@ def mc_steps(samples: int, steps: int) -> int:
     total = samples * steps
     if total > MC_STEP_BUDGET:
         raise BudgetExceeded(f"MC needs {total} steps, budget is {MC_STEP_BUDGET}")
+    return total
+
+
+def mc_tables(n: int, n_states: int, dimension: int) -> int:
+    """Bytes of the O(n) tables of a Monte Carlo run of n steps: the weights
+    (n, dimension), the signs (n, states) and the contributions f_j(y) v_j
+    (n, states, dimension), 8 bytes an entry; they must fit MC_TABLE_BUDGET."""
+    total = 8 * n * (dimension + n_states + n_states * dimension)
+    if total > MC_TABLE_BUDGET:
+        raise BudgetExceeded(f"MC tables need {total} bytes, budget is {MC_TABLE_BUDGET}")
     return total
 
 
@@ -179,7 +313,8 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
     In dimension 1 a sum s counts where x0 - radius <= s <= x0 + radius, the
     window smallball_exact sums, so no distance is squared and no end
     overflows the count; in d >= 2 hypot takes each distance, squaring none.
-    count x n steps must fit MC_STEP_BUDGET.
+    count x n steps must fit MC_STEP_BUDGET, and the O(n) tables
+    MC_TABLE_BUDGET.
     """
     check_window(x0, radius)
     if signs.n_steps != weights.n_weights:
@@ -187,6 +322,7 @@ def smallball_mc(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
             f"{signs.n_steps} sign functions vs {weights.n_weights} weights")
     mc_steps(count, signs.n_steps)
     chain.check_states(signs.functions.shape[1])
+    mc_tables(signs.n_steps, chain.n_states, weights.dimension)
     center = np.atleast_1d(np.asarray(x0, dtype=float))
     if center.size not in (1, weights.dimension):
         raise DimensionMismatch(

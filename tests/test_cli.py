@@ -131,6 +131,14 @@ class TestSubcommands:
         pytest.param(["smallball", "--mode", "mc", "--generator", "all-ones",
                       "--n", "300000000", "--samples", "10"],
                      "MC needs 3000000000 steps, budget is 1000000000", id="mc-long-walks"),
+        # 1e9 steps fit MC_STEP_BUDGET; 8 bytes x 1e8 x (1 + 2 + 2) of tables do not
+        pytest.param(["smallball", "--mode", "mc", "--n", "100000000", "--samples", "10"],
+                     "MC tables need 4000000000 bytes, budget is 268435456",
+                     id="mc-short-run-long-walks"),
+        # |D| = 4 x 8^(1.5e8 - 1) at k = 2, refused from n before any weight is made
+        pytest.param(["prg-test", "--mode", "exact", "--k", "2", "--n", "300000000"],
+                     "|D| >= 2^449999999 reaches 2^63, where int64 walk counts wrap",
+                     id="prg-exact-long-walks"),
     ])
     def test_oversize_dp_refused_before_allocating(self, argv, refusal, chain_file, tmp_path):
         # in a child whose address space is capped at 1 GiB, so a refusal
@@ -140,7 +148,7 @@ class TestSubcommands:
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                  "from smallball.cli import main\n"
                  "sys.exit(main(sys.argv[1:]))\n")
-        if argv[0] != "tightness":
+        if argv[0] not in ("tightness", "prg-test"):
             argv = argv + ["--chain", chain_file]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

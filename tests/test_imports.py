@@ -1,6 +1,7 @@
 """No library module imports a name it never uses, the oracles stay
-independent of the transfer engine they check, importing the library or its
-CLI loads numpy but no scipy module, no module copies a budget or fixed
+independent of the transfer engine they check, no library module imports scipy,
+importing the library or running its CLI (Monte Carlo included) loads numpy
+but no scipy module, no module copies a budget or fixed
 tolerance at import, every `module.name` the README cites exists, every
 committed fitted constant is read by a bound outside its fitter, and every
 public name has a caller outside its home module.
@@ -88,10 +89,10 @@ def test_transfer_detector_flags_every_route():
                                         "sign_contributions"}
 
 
-def top_level_scipy_imports(source: str) -> list[str]:
-    """Module-level statements that import scipy; function bodies may."""
+def scipy_imports(source: str) -> list[str]:
+    """Statements anywhere in a module, function bodies included, that import scipy."""
     found = []
-    for node in ast.parse(source).body:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -103,16 +104,18 @@ def top_level_scipy_imports(source: str) -> list[str]:
     return found
 
 
+# function bodies included: since the Monte Carlo intervals stopped calling
+# scipy, no library path imports it, at module level or on first use
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    assert top_level_scipy_imports(path.read_text()) == []
+    assert scipy_imports(path.read_text()) == []
 
 
-def test_scipy_detector_flags_only_module_level_imports():
+def test_scipy_detector_flags_imports_in_function_bodies():
     source = ("import scipy.sparse\nfrom scipy.stats import beta\nimport numpy\n"
               "def f():\n    from scipy.optimize import brentq\n    import scipy.linalg\n")
-    assert top_level_scipy_imports(source) == ["line 1: scipy.sparse",
-                                               "line 2: scipy.stats"]
+    assert scipy_imports(source) == ["line 1: scipy.sparse", "line 2: scipy.stats",
+                                     "line 5: scipy.optimize", "line 6: scipy.linalg"]
 
 
 def readme_constants(text: str) -> set[tuple[str, str]]:
@@ -156,7 +159,7 @@ def test_constant_copy_detector():
 
 
 # each step runs in one fresh interpreter and reports the scipy modules
-# loaded after it; spectral-gap needs no scipy
+# loaded after it; no subcommand needs scipy, Monte Carlo intervals included
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 
@@ -168,9 +171,15 @@ import smallball
 loaded["import smallball"] = scipy_modules()
 import smallball.cli
 loaded["import smallball.cli"] = scipy_modules()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = smallball.cli.main(["spectral-gap", "--chain", sys.argv[1]])
-loaded[f"spectral-gap exit {code}"] = scipy_modules()
+for label, argv in (
+        ("spectral-gap", ["spectral-gap", "--chain", sys.argv[1]]),
+        ("smallball --mode mc", ["smallball", "--mode", "mc", "--chain", sys.argv[1],
+                                 "--n", "8", "--samples", "1000"]),
+        ("prg-test --mode sampled", ["prg-test", "--mode", "sampled", "--k", "2",
+                                     "--n", "8", "--samples", "1000"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = smallball.cli.main(argv)
+    loaded[f"{label} exit {code}"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -188,7 +197,9 @@ def test_import_loads_no_scipy(tmp_path):
     chain.write_text('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
                      '"stationary": [0.5, 0.5]}')
     assert json.loads(run_probe(IMPORT_PROBE, str(chain))) == {
-        "import smallball": [], "import smallball.cli": [], "spectral-gap exit 0": []}
+        "import smallball": [], "import smallball.cli": [],
+        "spectral-gap exit 0": [],
+        "smallball --mode mc exit 0": [], "prg-test --mode sampled exit 0": []}
 
 
 # criteria 1-12 and every fitter, what the battery-refit benchmark runs
