@@ -59,10 +59,7 @@ from .transfer import (
     SumDistribution,
     char_fn,
     exact_sum_distribution,
-    find_prime,
-    mod_p_point_probability,
     smallball_exact,
-    zp_fourier_average,
 )
 
 __version__ = "0.1.0"

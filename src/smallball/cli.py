@@ -1,7 +1,7 @@
 """Command-line entry point wiring all modules together.
 
 Subcommands cover the individual computations (spectral-gap, exact-dist,
-smallball, esseen, zp-average, prg-build, prg-test), experiment sweeps
+smallball, esseen, prg-build, prg-test), experiment sweeps
 (tightness, run --config), constant fitting, and the acceptance battery
 (verify-all).  Exit codes: 0 pass, 1 bound or criterion violation, 2
 usage/config error.
@@ -47,14 +47,7 @@ from .chains import (
 from .errors import ConfigError, SmallballError
 from .fitting import FITTERS, esseen_formula, point_mass_reports, walk_reports
 from .sampling import McEstimate, mc_steps, mc_tables, smallball_mc
-from .transfer import (
-    dp_cells,
-    exact_sum_distribution,
-    find_prime,
-    mod_p_point_probability,
-    smallball_exact,
-    zp_fourier_average,
-)
+from .transfer import dp_cells, exact_sum_distribution, smallball_exact
 
 EXPERIMENT_KINDS = ("smallball-exact", "smallball-mc", "diff-scaling", "prg",
                     "tightness", "fit-constants")
@@ -81,13 +74,12 @@ class ExperimentConfig:
     constants: str | None = None
     out: str | None = None
     eps: float = 1.0
-    prime: int | None = None
     graph: str | None = None
     mode: str = "exact"
     pad_to_multiple: bool = False
 
 
-COMMAND_LINE_ONLY = ("eps", "prime", "graph", "mode", "pad_to_multiple")
+COMMAND_LINE_ONLY = ("eps", "graph", "mode", "pad_to_multiple")
 CONFIG_FIELDS = [f.name for f in fields(ExperimentConfig)
                  if f.name not in COMMAND_LINE_ONLY]
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -120,7 +112,6 @@ SETTINGS = {
     "constants": Setting(("--constants",), str, "fitted constants JSON to use"),
     "out": Setting(("--out",), str, "output file (verify-all: report directory)"),
     "eps": Setting(("--eps",), float, "Esseen smoothing width"),
-    "prime": Setting(("--prime",), int, "modulus; default from the weights"),
     "graph": Setting(("--graph",), str, "graph JSON; default builds MGG for k"),
     "mode": Setting(("--mode",), ("exact", "sampled"), "count or sample walks"),
     "pad_to_multiple": Setting(("--pad-to-multiple",), bool,
@@ -185,7 +176,7 @@ def _load_weights(config: ExperimentConfig):
     return make_weight_system(v)
 
 
-def _load_instance(config: ExperimentConfig, dp: bool = True):
+def _load_instance(config: ExperimentConfig):
     """(chain, signs, weights) from the config's chain file and weights.
 
     Generated weights are counted from n before any O(n) array is built: a
@@ -198,7 +189,7 @@ def _load_instance(config: ExperimentConfig, dp: bool = True):
             mc_steps(config.samples, n)
             mc_tables(n, chain.n_states,
                       config.dim if config.generator == "random-unit" else 1)
-        elif dp and signs is None:
+        elif signs is None:
             # random-unit weights are +-1 in dimension 1, never integers in higher ones
             total = {"all-ones": n, "arange": n * (n + 1) // 2,
                      "random-unit": n if config.dim == 1 else None}[config.generator]
@@ -268,15 +259,6 @@ def _esseen(config: ExperimentConfig) -> int:
         chain, signs, weights, dist, config.radius, config.eps)
     print(f"prob {prob!r}  bound {bound!r}  ratio {prob / bound!r}")
     return 0 if prob <= bound else 1
-
-
-def _zp_average(config: ExperimentConfig) -> int:
-    chain, signs, weights = _load_instance(config, dp=False)
-    p = config.prime if config.prime is not None else find_prime(weights)
-    avg = zp_fourier_average(chain, signs, weights, p)
-    point = mod_p_point_probability(chain, signs, weights, p, config.x0)
-    print(f"p {p}  average {avg!r}  P[sum = {int(config.x0)} mod p] <= {point!r}")
-    return 0
 
 
 def _prg_build(config: ExperimentConfig) -> int:
@@ -422,8 +404,6 @@ COMMANDS = {
                          ("chain",), ("smallball-exact", "smallball-mc")),
     "esseen": Command(_esseen, "window probability vs its Fourier bound",
                       _INSTANCE + _WINDOW + ("constants", "eps"), ("chain",)),
-    "zp-average": Command(_zp_average, "averaged |char fn| over Z_p",
-                          _INSTANCE + ("prime", "x0"), ("chain",)),
     "fit-constants": Command(_fit_constants, "re-derive every fitted constant",
                              ("config", "out")),
     "prg-build": Command(_prg_build, "build an expander graph file",

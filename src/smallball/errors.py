@@ -45,10 +45,6 @@ class NonIntegerWeights(SmallballError):
     pass
 
 
-class NotPrime(SmallballError):
-    pass
-
-
 class QuadratureNonConvergence(SmallballError):
     pass
 

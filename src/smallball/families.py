@@ -175,8 +175,8 @@ DIFF_FAMILY_DESC = (
 
 
 def esseen_family(seed: int, count: int) -> list[BoundInstance]:
-    """Random desk-scale integer instances for Esseen / Z_p domination checks,
-    with the ranges of ESSEEN_FAMILY_DESC."""
+    """Random desk-scale integer instances for Esseen window checks, with the
+    ranges of ESSEEN_FAMILY_DESC."""
     rng = np.random.default_rng(seed)
     n_states = rng.integers(2, 5, size=count)
     steps = rng.integers(4, 11, size=count)

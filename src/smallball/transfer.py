@@ -22,10 +22,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDistribution,
     NonIntegerWeights,
-    NotPrime,
     OutOfRange,
-    PreconditionViolated,
-    SmallballError,
 )
 
 DP_BUDGET = 10**9  # cells = n_states * n_steps * lattice size
@@ -496,82 +493,3 @@ def smallball_exact(dist: SumDistribution, x0: float, radius: float) -> float:
         return 0.0
     return math.fsum(dist.masses[i0:i1 + 1].tolist())
 
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def find_prime(weights: WeightSystem) -> int:
-    """Smallest prime strictly greater than 2 int(max |v|), for any scalar weights.
-
-    Fixing this choice makes the Z_p averages reproducible and keeps any
-    single weight from wrapping around the modulus.  A start above DP_BUDGET
-    is refused before any trial division: the Z_p functions would need at
-    least that many (point, step, state) cells at the prime.
-    """
-    candidate = max(2, 2 * int(np.abs(weights.scalars).max()) + 1)
-    if candidate > DP_BUDGET:
-        raise BudgetExceeded(
-            f"the prime search starts at {candidate}, beyond the budget {DP_BUDGET}")
-    while not _is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
-def zp_fourier_average(chain: MarkovChain, signs: SignSystem,
-                       weights: WeightSystem, p: int) -> float:
-    """(1/p) sum over xi in Z_p of |E[exp(2 pi i xi S / p)]|."""
-    vals = _zp_char_fn(chain, signs, weights, p)
-    return math.fsum(np.abs(vals).tolist()) / p
-
-
-def mod_p_point_probability(chain: MarkovChain, signs: SignSystem,
-                            weights: WeightSystem, p: int, x0: int) -> float:
-    """Pr[S = x0 mod p] by exact Fourier inversion over Z_p; x0 must be integral."""
-    if not (math.isfinite(x0) and x0 == int(x0)):
-        raise OutOfRange(f"x0 must be a finite integer, got {x0!r}")
-    vals = _zp_char_fn(chain, signs, weights, p)
-    twist = np.exp(-2j * np.pi * np.arange(p) * (int(x0) % p) / p)
-    terms = twist * vals
-    prob = math.fsum(terms.real.tolist()) / p
-    drift = abs(math.fsum(terms.imag.tolist()) / p)
-    if drift > 1e-10:
-        raise SmallballError(f"inversion left imaginary residue {drift!r}")
-    return max(prob, 0.0)
-
-
-def fold_mod(dist: SumDistribution, p: int) -> np.ndarray:
-    """Exact residue-class masses of a lattice law; independent inversion oracle."""
-    buckets = [[] for _ in range(p)]
-    for i, m in enumerate(dist.masses.tolist()):
-        buckets[(dist.offset + i) % p].append(m)
-    return np.array([math.fsum(b) for b in buckets])
-
-
-def _zp_char_fn(chain: MarkovChain, signs: SignSystem, weights: WeightSystem,
-                p: int) -> np.ndarray:
-    """E[exp(2 pi i xi S / p)] for xi = 0..p-1: p a prime no smaller than any
-    |v_j|, and every contribution an integer, as in the DP.  The p n N
-    (point, step, state) cells count against DP_BUDGET before p is tested."""
-    cells = int(p) * signs.n_steps * chain.n_states
-    if cells > DP_BUDGET:
-        raise BudgetExceeded(f"Z_p sweep needs {cells} cells, budget is {DP_BUDGET}")
-    if not _is_prime(int(p)):
-        raise NotPrime(f"{p} is not prime")
-    contribs = sign_contributions(signs, weights)
-    largest = np.abs(_integer_table(contribs)).max(initial=0)
-    if p < largest:
-        raise PreconditionViolated(
-            f"prime {p} is smaller than the largest weight magnitude {largest}")
-    return char_fn_values(chain, contribs, np.arange(p) / p)

@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from smallball import acceptance, bounds, oracles, prg
+from smallball import acceptance, bounds, fitting, oracles, prg
 from smallball.bounds import load_constants, write_bound_reports
 from smallball.chains import (
     make_two_state_chain,
@@ -106,14 +106,24 @@ def test_criterion_11_coordinate_tail():
     _report(result)
 
 
-def test_criterion_12_esseen_and_mod_p(committed):
+def test_criterion_12_esseen(committed):
     result = acceptance.criterion_12(committed)
     _report(result)
 
 
+def test_criterion_12_reads_no_transfer_sweep(committed, monkeypatch):
+    # every Esseen family member is integrated from its law, never through
+    # char_fn_values, which criterion 1 checks against path enumeration
+    def forbidden(*args):
+        raise AssertionError("criterion 12 ran a transfer sweep")
+
+    monkeypatch.setattr(fitting, "abs_charfn", forbidden)
+    _report(acceptance.criterion_12(committed))
+
+
 # sha256 of the rendered criteria 1-12 and of each bound report verify-all
 # writes beside it; any change to a byte of them fails here
-REPORT_DIGEST = "4225c2e753f25623dee426aa779ecfa3d94e6164044d03b38df9419a385e353b"
+REPORT_DIGEST = "59b46932135ca15eb8467425a5dfdce8db22924b95eaa15d0ac64039f8a4ea5e"
 BOUND_REPORT_DIGESTS = {
     3: "4a3358dd01aaf471f45216463808c62733b0c39ef8bea92e3914d91c585593b1",
     4: "26484d45c59bbdd14547eec81c04faa8d88d1e0949cbec4e7e0e2bbe98489711",

@@ -94,26 +94,6 @@ class TestSubcommands:
         assert main(["esseen", "--chain", chain_file, "--weights", weights_file,
                      "--radius", "1"]) == 0
 
-    def test_zp_average(self, chain_file, capsys):
-        assert main(["zp-average", "--chain", chain_file, "--generator",
-                     "arange", "--n", "5", "--x0", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "average" in out
-
-    def test_zp_average_refuses_a_large_weight_at_once(self, chain_file, tmp_path):
-        # in a subprocess, so a prime search near 2e20 hits the timeout
-        # instead of hanging the suite
-        weights = tmp_path / "w.json"
-        weights.write_text("[1e20, 1, 1, 1]")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-m", "smallball.cli", "zp-average",
-                              "--chain", chain_file, "--weights", str(weights),
-                              "--x0", "0"],
-                             env=env, capture_output=True, text=True, timeout=60)
-        assert run.returncode == 2
-        assert "beyond the budget" in run.stderr
-
     @pytest.mark.parametrize("argv, refusal", [
         (["exact-dist", "--generator", "all-ones", "--n", "300000000"],
          2 * 300000000 * 600000001),
@@ -197,7 +177,6 @@ class TestConfigs:
 
     @pytest.mark.parametrize("argv", [
         ["spectral-gap", "--chain", "{missing}"],
-        ["zp-average", "--chain", "{missing}", "--generator", "arange", "--n", "5"],
         ["esseen", "--chain", "{chain}", "--weights", "{missing}"],
         ["run", "--config", "{missing}"],
         ["esseen", "--chain", "{chain}", "--weights", "{weights}", "--constants",
@@ -240,8 +219,6 @@ class TestConfigs:
         ["run", "--config", "{seed_negative}"],
         ["tightness", "--n-list", "0,64"],
         ["prg-test", "--k", "4", "--n", "0"],
-        ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "nan"],
-        ["zp-average", "--chain", "{chain}", "--weights", "{weights}", "--x0", "1.7"],
         ["prg-build", "--k", "40", "--out", "{out}"],
         # P(sum = 0) is 0 at odd n, which has no logarithm
         ["tightness", "--n-list", "3,5", "--lambdas", "0"],
@@ -266,9 +243,8 @@ class TestConfigs:
         ["spectral-gap", "--chain", "{chain_row_sum}"],
         ["exact-dist", "--chain", "{chain}", "--weights", "{half_weights}"],
         ["prg-test", "--k", "2", "--weights", "{short_weights}"],
-        # S mod p is not defined for a sum that is not an integer
-        ["zp-average", "--chain", "{chain}", "--weights", "{half_weights}", "--x0", "0"],
-        ["zp-average", "--chain", "{chain}", "--weights", "{mixed_weights}", "--x0", "0"],
+        # the lattice law is not defined for a sum that is not an integer
+        ["exact-dist", "--chain", "{chain}", "--weights", "{mixed_weights}"],
         # finite weights whose absolute sum overflows: a wrapped cell count
         # and an estimate of 0.0 with exit 0, each after numpy warnings
         ["exact-dist", "--chain", "{chain}", "--weights", "{overflow_weights}"],

@@ -3,8 +3,9 @@ independent of the transfer engine they check, no library module imports scipy,
 importing the library or running its CLI (Monte Carlo included) loads numpy
 but no scipy module, no module copies a budget or fixed
 tolerance at import, every `module.name` the README cites exists, every
-committed fitted constant is read by a bound outside its fitter, and every
-public name has a caller outside its home module.
+committed fitted constant is read by a bound outside its fitter, every
+public name has a caller outside its home module, and every error class is
+raised somewhere outside errors.py.
 
 The package's __init__.py is skipped by the unused-import check: its imports
 are the public re-exports.
@@ -335,3 +336,37 @@ def test_export_caller_detector():
                "b": "from .a import g\ndef h(): ...\ndef k(): ...\n",
                "cli": "from . import b\nb.h()\n"}
     assert exports_without_caller(exported_names(init), sources) == ["f", "k"]
+
+
+def error_classes(source: str) -> list[str]:
+    """Classes of a module that derive, directly or not, from SmallballError."""
+    found = {"SmallballError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in found for base in node.bases):
+            found.add(node.name)
+    return sorted(found - {"SmallballError"})
+
+
+def constructed_names(source: str) -> set[str]:
+    """Names a module calls, as a bare name or an attribute: `X(...)`, `m.X(...)`."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_class_is_raised():
+    errors = error_classes((ROOT / "src" / "smallball" / "errors.py").read_text())
+    assert len(errors) >= 15
+    built = set().union(*(constructed_names(p.read_text()) for p in SOURCES
+                          if p.name != "errors.py"))
+    assert sorted(set(errors) - built) == []
+
+
+def test_error_class_detectors():
+    errors = ("class SmallballError(Exception): ...\nclass A(SmallballError): ...\n"
+              "class B(A): ...\nclass C(ValueError): ...\n")
+    assert error_classes(errors) == ["A", "B"]
+    # catching B is not raising it
+    source = "from . import errors\ntry:\n    f()\nexcept B:\n    raise errors.A('x')\n"
+    assert constructed_names(source) == {"f", "A"}

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from smallball.errors import (
     BudgetExceeded,
     DimensionMismatch,
     NonIntegerWeights,
-    NotPrime,
     OutOfRange,
 )
 from smallball.families import (
@@ -44,12 +42,8 @@ from smallball.transfer import (
     char_fn_values,
     distribution_from_contributions,
     exact_sum_distribution,
-    find_prime,
-    fold_mod,
-    mod_p_point_probability,
     sign_contributions,
     smallball_exact,
-    zp_fourier_average,
 )
 
 
@@ -364,110 +358,6 @@ class TestSmallballExact:
                                       ones_weights(2))
         with pytest.raises(OutOfRange):
             smallball_exact(dist, x0, radius)
-
-
-class TestPrimesAndZp:
-    def test_find_prime_examples(self):
-        mk = lambda v: make_weight_system(v, "distinct-positive-integers")
-        assert find_prime(mk([1.0, 2.0, 3.0])) == 7
-        assert find_prime(mk([1.0])) == 3
-        assert find_prime(mk(np.arange(1.0, 11.0))) == 23
-
-    def test_find_prime_takes_any_weights(self):
-        # the rule reads max |v|, so repeated and negative weights have a prime too
-        assert find_prime(make_weight_system([-5.0, 1.0])) == 11
-        assert find_prime(make_weight_system([2.0, -2.0, 2.0])) == 5
-
-    def test_find_prime_refuses_a_start_above_the_budget(self, monkeypatch):
-        # the weight 1e20, whose trial division would run for hours, is
-        # checked in a subprocess with a timeout in test_cli.py
-        monkeypatch.setattr(transfer, "DP_BUDGET", 7)
-        assert find_prime(make_weight_system([2.0, 3.0])) == 7  # starts at 7
-        monkeypatch.setattr(transfer, "DP_BUDGET", 6)
-        with pytest.raises(BudgetExceeded, match="starts at 7"):
-            find_prime(make_weight_system([2.0, 3.0]))
-
-    def test_zp_cells_count_before_the_primality_test(self, uniform_independent,
-                                                      monkeypatch):
-        # p n N = 7 * 3 * 2 = 42 cells
-        signs = balanced_signs(uniform_independent, 3)
-        monkeypatch.setattr(transfer, "DP_BUDGET", 42)
-        zp_fourier_average(uniform_independent, signs, ones_weights(3), 7)
-        with pytest.raises(NotPrime):
-            mod_p_point_probability(uniform_independent, signs, ones_weights(3), 6, 0)
-        monkeypatch.setattr(transfer, "DP_BUDGET", 41)
-        # a composite p is refused by the budget, not tested
-        for p, cells in ((7, "42 cells"), (8, "48 cells")):
-            with pytest.raises(BudgetExceeded, match=cells):
-                zp_fourier_average(uniform_independent, signs, ones_weights(3), p)
-            with pytest.raises(BudgetExceeded, match=cells):
-                mod_p_point_probability(uniform_independent, signs, ones_weights(3), p, 0)
-
-    def test_three_term_average(self, uniform_independent):
-        signs = balanced_signs(uniform_independent, 1)
-        avg = zp_fourier_average(uniform_independent, signs, ones_weights(1), 3)
-        assert avg == pytest.approx((1 + 2 * abs(math.cos(2 * math.pi / 3))) / 3,
-                                    abs=1e-14)
-        assert avg == pytest.approx(2 / 3, abs=1e-14)
-
-    def test_empty_product_averages_to_one(self, uniform_independent):
-        signs = make_sign_system(np.zeros((0, 2)), [0.5, 0.5])
-        weights = make_weight_system(np.zeros((0, 1)))
-        assert zp_fourier_average(uniform_independent, signs, weights, 5) == 1.0
-
-    def test_not_prime_rejected(self, uniform_independent):
-        signs = balanced_signs(uniform_independent, 1)
-        with pytest.raises(NotPrime):
-            zp_fourier_average(uniform_independent, signs, ones_weights(1), 4)
-
-    def test_average_bounds_distinct_integer_instance(self):
-        for inst in diff_instances():
-            p = find_prime(inst.weights)
-            avg = zp_fourier_average(inst.chain, inst.signs, inst.weights, p)
-            _, max_prob = exact_sum_distribution(inst.chain, inst.signs,
-                                                 inst.weights).max_point_mass()
-            assert max_prob <= avg  # inversion dominates every point mass
-            # the zero frequency gives 1/p, each of the other p - 1 at most max |phi|;
-            # the upper side is met to rounding at lambda = 0, n = 9 and 36: 1e-15 slack
-            contribs = sign_contributions(inst.signs, inst.weights)
-            phi = np.abs(char_fn_values(inst.chain, contribs, np.arange(1, p) / p))
-            assert 1 / p - 1e-15 <= avg <= 1 / p + (p - 1) / p * phi.max() + 1e-15
-
-    def test_independent_average_is_cosine_product_average(self, uniform_independent):
-        n, p = 4, 11
-        signs = balanced_signs(uniform_independent, n)
-        v = np.array([1.0, 2.0, 3.0, 1.0])
-        avg = zp_fourier_average(uniform_independent, signs,
-                                 make_weight_system(v), p)
-        xs = np.arange(p)
-        byhand = np.mean([np.prod(np.abs(np.cos(2 * np.pi * x * v / p)))
-                          for x in xs])
-        assert avg == pytest.approx(byhand, abs=1e-13)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_point_prob_dominated_by_residue_class(self, seed):
-        chain, signs, weights = random_instance(seed, n_max=7)
-        rng = np.random.default_rng(seed + 1)
-        p = 11
-        x0 = int(rng.integers(-4, 5))
-        dist = exact_sum_distribution(chain, signs, weights)
-        residue = float(fold_mod(dist, p)[x0 % p])
-        assert dist.probability_at(x0) <= residue
-        inverted = mod_p_point_probability(chain, signs, weights, p, x0)
-        assert inverted == pytest.approx(residue, abs=1e-11)
-
-    def test_point_prob_needs_an_integral_x0(self, uniform_independent):
-        signs = balanced_signs(uniform_independent, 3)
-        weights = make_weight_system([1.0, 2.0, 3.0])
-
-        def point(x0):
-            return mod_p_point_probability(uniform_independent, signs, weights, 11, x0)
-
-        assert point(2.0) == point(2)
-        for x0 in (1.7, float("nan"), float("inf")):
-            with pytest.raises(OutOfRange, match="x0"):
-                point(x0)
 
 
 def test_contribution_table_shapes(two_state_03):
