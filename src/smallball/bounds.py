@@ -197,7 +197,7 @@ def cosine_product_integrals(vss) -> list[float]:
     runs = []
     for i in members:
         zeros = []
-        for v in np.unique(np.abs(vss[i])).tolist():
+        for v in sorted(set(np.abs(vss[i]).tolist())):
             m = np.arange(math.floor(-2.0 * v - 0.5), math.ceil(2.0 * v + 0.5) + 1)
             zeros.append((2 * m + 1) / (4.0 * v))
         runs.append((-1.0, 1.0, QUAD_TOL, 2, np.concatenate(zeros)))

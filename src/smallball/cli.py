@@ -179,12 +179,14 @@ def _load_weights(config: ExperimentConfig):
 def _load_instance(config: ExperimentConfig):
     """(chain, signs, weights) from the config's chain file and weights.
 
-    Generated weights are counted from n before any O(n) array is built: a
-    Monte Carlo run's samples x steps and table bytes, or the DP's cells,
-    where parity signs on weights of sum W span -W..W (0..W on one state)."""
+    Generated weights are counted from n before any O(n) array is built: the
+    chain file's own sign rows, a Monte Carlo run's samples x steps and table
+    bytes, or the DP's cells, where parity signs on weights of sum W span
+    -W..W (0..W on one state)."""
     chain, signs = load_chain_file(config.chain)
     if config.weights is None and config.n is not None:
         n = config.n
+        _check_sign_rows(signs, n)
         if config.kind == "smallball-mc":
             mc_steps(config.samples, n)
             mc_tables(n, chain.n_states,
@@ -199,10 +201,15 @@ def _load_instance(config: ExperimentConfig):
     n = weights.n_weights
     if signs is None:
         signs = repeated_signs(parity_labels(chain.n_states), n, chain.stationary)
-    elif signs.n_steps < n:
+    _check_sign_rows(signs, n)
+    return chain, signs, weights
+
+
+def _check_sign_rows(signs, n: int) -> None:
+    """A chain file's sign rows, if it has any, must cover n steps."""
+    if signs is not None and signs.n_steps < n:
         raise ConfigError(
             f"chain file provides {signs.n_steps} sign rows but n = {n} are needed")
-    return chain, signs, weights
 
 
 def _write_distribution_csv(path, dist) -> int:

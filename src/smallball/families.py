@@ -62,7 +62,7 @@ def reversible_draws(rng, n_states) -> list[tuple[np.ndarray, np.ndarray]]:
     of a random walk on a random symmetric weight matrix per entry of
     n_states: one uniform (members, N, N) draw per state count N, increasing."""
     n_states, draws = np.asarray(n_states), {}
-    for n in np.unique(n_states).tolist():
+    for n in sorted(set(n_states.tolist())):
         members = np.flatnonzero(n_states == n).tolist()
         s = rng.uniform(0.05, 1.0, size=(len(members), n, n))
         s = 0.5 * (s + s.transpose(0, 2, 1))
@@ -244,7 +244,7 @@ def identity_inputs(seed: int, count: int) -> list[dict]:
     n_states = rng.integers(2, 9, size=count)
     ks = rng.integers(1, 6, size=count).tolist()
     out = [None] * count
-    for n in np.unique(n_states).tolist():
+    for n in sorted(set(n_states.tolist())):
         members = np.flatnonzero(n_states == n).tolist()
         mus = rng.dirichlet(np.ones(n), size=len(members))
         x = rng.random((len(members), 6, 2, n))

@@ -48,7 +48,9 @@ from .sampling import CHUNK, from_hits, mc_steps
 
 MGG_DEGREE = 8
 CERTIFY_BUDGET = 2**14
-MAX_VERTICES = 2**20  # build_mgg_expander's cap: k = 20 peaks at ~475 MiB, 4x per k + 2
+# build_mgg_expander's cap: a build peaks at 3.25x its (2^k, 8) int64 table,
+# 208 MiB at k = 20, and 4x per k + 2
+MAX_VERTICES = 2**20
 DENSE_CERTIFY = 2**10
 # certify_lambda's Lanczos stops once the largest-|Ritz| value's residual
 # beta_m |s_m| is at most LANCZOS_TOL, tested every LANCZOS_CHECK steps
@@ -102,10 +104,17 @@ def validate_expander(graph: ExpanderGraph) -> None:
     if graph.neighbors.min() < 0 or graph.neighbors.max() >= nv:
         raise ConfigError("neighbor table references a vertex out of range")
     # symmetric iff the multiset of u * nv + v slot keys equals that of
-    # v * nv + u; keys stay below nv^2, far inside int64 for any table in memory
-    src = np.repeat(np.arange(nv, dtype=np.int64), graph.degree)
-    dst = graph.neighbors.ravel().astype(np.int64)
-    if not np.array_equal(np.sort(src * nv + dst), np.sort(dst * nv + src)):
+    # v * nv + u; keys stay below nv^2, far inside int64 for any table in memory.
+    # Both are built and sorted in place, so two key arrays sit beside the table
+    rows = np.arange(nv, dtype=np.int64)[:, None]
+    forward = graph.neighbors.astype(np.int64, order="C")
+    forward += rows * nv
+    backward = graph.neighbors.astype(np.int64, order="C")
+    backward *= nv
+    backward += rows
+    forward.ravel().sort()
+    backward.ravel().sort()
+    if not np.array_equal(forward, backward):
         raise NotReversible("edge multiset is not symmetric; multigraph is directed")
 
 
@@ -119,18 +128,34 @@ def build_mgg_expander(k: int) -> ExpanderGraph:
         raise OddK(f"k must be an even integer >= 2, got {k}")
     if 2**k > MAX_VERTICES:
         raise TooLarge(f"2^{k} vertices exceed the limit of {MAX_VERTICES}")
-    m = 1 << (k // 2)
-    x, y = np.divmod(np.arange(m * m), m)
-    maps = [
-        ((x + 2 * y) % m, y), ((x - 2 * y) % m, y),
-        ((x + 2 * y + 1) % m, y), ((x - 2 * y - 1) % m, y),
-        (x, (y + 2 * x) % m), (x, (y - 2 * x) % m),
-        (x, (y + 2 * x + 1) % m), (x, (y - 2 * x - 1) % m),
-    ]
-    neighbors = np.stack([cx * m + cy for cx, cy in maps], axis=1)
-    graph = ExpanderGraph(k=k, degree=MGG_DEGREE, neighbors=neighbors)
+    graph = ExpanderGraph(k=k, degree=MGG_DEGREE, neighbors=_mgg_table(1 << (k // 2)))
     validate_expander(graph)
     return graph
+
+
+def _mgg_table(m: int) -> np.ndarray:
+    """The (m^2, 8) int64 neighbour table of the MGG maps on Z_m x Z_m, vertex
+    x m + y: columns 0-3 move x to x +- (2y + s) and columns 4-7 move y to
+    y +- (2x + s), s = 0, 1.  Filled one column at a time through a single
+    m^2-length temporary; x and y die with the call."""
+    x, y = np.divmod(np.arange(m * m), m)
+    neighbors = np.empty((m * m, MGG_DEGREE), dtype=np.int64)
+    moved = np.empty(m * m, dtype=np.int64)
+    for e, (sign, s) in enumerate([(1, 0), (-1, 0), (1, 1), (-1, 1)] * 2):
+        a, b = (x, y) if e < 4 else (y, x)
+        np.multiply(b, 2 * sign, out=moved)
+        moved += a
+        if s:
+            moved += sign
+        moved %= m
+        column = neighbors[:, e]
+        if e < 4:
+            np.multiply(moved, m, out=column)
+            column += y
+        else:
+            np.multiply(x, m, out=column)
+            column += moved
+    return neighbors
 
 
 def certify_lambda(graph: ExpanderGraph) -> float:

@@ -138,7 +138,7 @@ def integrate_family(f, runs) -> list:
         # a panel too narrow to bisect has converged as far as floats allow
         stuck = keep & ((centre <= lo) | (centre >= hi))
         if stuck.any():
-            for i in np.unique(owner[stuck]).tolist():
+            for i in sorted(set(owner[stuck].tolist())):
                 first = lo[stuck & (owner == i)][0]
                 values[i] = QuadratureNonConvergence(
                     f"panel at {first.item()!r} cannot be refined further")
@@ -186,7 +186,7 @@ def _live(values) -> np.ndarray:
 def _starting_panels(a, b, min_depth, cuts):
     """(lo, hi) of the starting panels over [a, b], or the error that refuses them."""
     cuts = np.asarray(cuts, dtype=float)
-    edges = np.unique(np.concatenate([[a, b], cuts[(cuts > a) & (cuts < b)]]))
+    edges = np.array(sorted({a, b, *cuts[(cuts > a) & (cuts < b)].tolist()}), dtype=float)
     lo = edges[:-1]
     hi = edges[1:]
     n_panels = lo.size << max(min_depth - PANEL_DEPTH_OFFSET, 0)

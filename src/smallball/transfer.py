@@ -291,54 +291,15 @@ def distributions_from_contributions(members, exact: bool = False) -> list[SumDi
         by_shape.setdefault((table.shape, table.dtype.str), []).append(i)
     errors, sweeps, out = {}, {}, [None] * len(members)
     for (shape, _), idx in by_shape.items():
-        stack = np.stack([tables[i] for i in idx])
-        rounded = np.round(stack)
-        found = _table_errors(stack, rounded)
-        n, n_states = shape
-        for b, i in enumerate(idx):
-            if b not in found:
-                try:
-                    members[i][0].check_states(n_states)
-                except DimensionMismatch as exc:
-                    found[b] = exc
-        errors.update((idx[b], exc) for b, exc in found.items())
-        keep = [b for b in range(len(idx)) if b not in found]
-        if not keep:
-            continue
-        if n == 0:
-            for b in keep:
-                # the empty sum is 0 on every path
-                point = np.ones(1)
-                point.setflags(write=False)
-                out[idx[b]] = SumDistribution(offset=0, masses=point, span=(0, 0),
-                                              rational={0: Fraction(1)} if exact else None)
-            continue
-        table = (rounded[keep] if found else rounded).astype(np.int64)
-        # budgets count the global lattice, which holds every intermediate partial sum
-        low = table.min(axis=2)
-        pmin = np.cumsum(low, axis=1)
-        pmax = np.cumsum(table.max(axis=2), axis=1)
-        glo = np.minimum(pmin.min(axis=1), 0).tolist()
-        ghi = np.maximum(pmax.max(axis=1), 0).tolist()
-        # after step j mass sits only on pmin[j] + g k: each step adds its row
-        # minimum plus a multiple of g
-        rise = table - low[:, :, None]
-        g = np.maximum(np.gcd.reduce(rise.reshape(len(keep), -1), axis=1), 1)
-        shifts = rise // g[:, None, None]
-        moving = table.reshape(len(keep), -1).any(axis=1).tolist()
-        for k, b in enumerate(keep):
-            i = idx[b]
-            try:
-                cells = dp_cells(n_states, n, ghi[k] - glo[k] + 1)
-                if exact and cells * n_states * n > RATIONAL_BUDGET:
-                    raise BudgetExceeded(
-                        f"rational DP needs {cells} cells x {n_states} states x {n} steps "
-                        f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}")
-            except BudgetExceeded as exc:
-                errors[i] = exc
+        plans = _plan_stack([members[i][0] for i in idx],
+                            np.stack([tables[i] for i in idx]), exact)
+        for i, plan in zip(idx, plans):
+            if isinstance(plan, Exception):
+                errors[i] = plan
+            elif isinstance(plan, SumDistribution):
+                out[i] = plan
             else:
-                sweeps.setdefault(i if exact else (shape, moving[k]), []).append(
-                    (i, shifts[k], int(pmin[k, -1]), int(pmax[k, -1]), int(g[k]), moving[k]))
+                sweeps.setdefault(i if exact else (shape, plan[-1]), []).append((i, *plan))
     if errors:
         raise errors[min(errors)]
     for sweep in sweeps.values():
@@ -351,10 +312,11 @@ def distributions_from_contributions(members, exact: bool = False) -> list[SumDi
         else:
             rational = None
             group = [members[m][0] for m, *_ in sweep]
+            # a lone member sweeps a view of its shifts, not a stacked copy
+            shifts = shifts[None] if len(sweep) == 1 else np.stack([m[1] for m in sweep])
             bands = _banded_dp(
                 np.stack([c.transition for c in group]).transpose(0, 2, 1),
-                np.stack([c.stationary for c in group]),
-                np.stack([m[1] for m in sweep]), moving)
+                np.stack([c.stationary for c in group]), shifts, moving)
         for (i, _, lo, hi, g, _), band in zip(sweep, bands):
             kept = np.flatnonzero(band)
             first, last = int(kept[0]), int(kept[-1])
@@ -364,6 +326,60 @@ def distributions_from_contributions(members, exact: bool = False) -> list[SumDi
             out[i] = SumDistribution(offset=lo + g * first, masses=masses, span=(lo, hi),
                                      rational=rational)
     return out
+
+
+def _plan_stack(chains, stack: np.ndarray, exact: bool) -> list:
+    """For each member of a (B, n, N) stack of contribution tables, in order:
+    the error its lone call would raise, its law if n = 0, or its sweep's
+    (shifts, lo, hi, g, moving).  The rounded and int64 copies of the stack
+    die with the call, so no sweep holds them."""
+    rounded = np.round(stack)
+    found = _table_errors(stack, rounded)
+    _, n, n_states = stack.shape
+    for b, chain in enumerate(chains):
+        if b not in found:
+            try:
+                chain.check_states(n_states)
+            except DimensionMismatch as exc:
+                found[b] = exc
+    plans = [found.get(b) for b in range(len(chains))]
+    keep = [b for b, plan in enumerate(plans) if plan is None]
+    if not keep:
+        return plans
+    if n == 0:
+        for b in keep:
+            # the empty sum is 0 on every path
+            point = np.ones(1)
+            point.setflags(write=False)
+            plans[b] = SumDistribution(offset=0, masses=point, span=(0, 0),
+                                       rational={0: Fraction(1)} if exact else None)
+        return plans
+    table = (rounded[keep] if found else rounded).astype(np.int64)
+    # budgets count the global lattice, which holds every intermediate partial sum
+    low = table.min(axis=2)
+    pmin = np.cumsum(low, axis=1)
+    pmax = np.cumsum(table.max(axis=2), axis=1)
+    glo = np.minimum(pmin.min(axis=1), 0).tolist()
+    ghi = np.maximum(pmax.max(axis=1), 0).tolist()
+    moving = table.reshape(len(keep), -1).any(axis=1).tolist()
+    # after step j mass sits only on pmin[j] + g k: each step adds its row
+    # minimum plus a multiple of g.  The table becomes the rises over the row
+    # minima, then the shifts, in place
+    table -= low[:, :, None]
+    g = np.maximum(np.gcd.reduce(table.reshape(len(keep), -1), axis=1), 1)
+    table //= g[:, None, None]
+    for k, b in enumerate(keep):
+        try:
+            cells = dp_cells(n_states, n, ghi[k] - glo[k] + 1)
+            if exact and cells * n_states * n > RATIONAL_BUDGET:
+                raise BudgetExceeded(
+                    f"rational DP needs {cells} cells x {n_states} states x {n} steps "
+                    f"= {cells * n_states * n}, budget is {RATIONAL_BUDGET}")
+        except BudgetExceeded as exc:
+            plans[b] = exc
+        else:
+            plans[b] = (table[k], int(pmin[k, -1]), int(pmax[k, -1]), int(g[k]), moving[k])
+    return plans
 
 
 def _banded_dp(a_t, mu, shifts, moving):

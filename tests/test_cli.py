@@ -33,6 +33,7 @@ from smallball.prg import build_mgg_expander, save_graph
 ROOT = Path(__file__).resolve().parent.parent
 CHAIN_DOC = ('{"n_states": 2, "transition": [[0.35, 0.65], [0.65, 0.35]], '
              '"stationary": [0.5, 0.5]}')
+SIGNED_CHAIN_DOC = CHAIN_DOC[:-1] + ', "signs": [[1, -1], [1, -1], [-1, 1], [-1, 1]]}'
 
 
 @pytest.fixture
@@ -119,6 +120,11 @@ class TestSubcommands:
         pytest.param(["prg-test", "--mode", "exact", "--k", "2", "--n", "300000000"],
                      "|D| >= 2^449999999 reaches 2^63, where int64 walk counts wrap",
                      id="prg-exact-long-walks"),
+        # the chain file's 4 sign rows are checked against n before 2.4 GB of weights
+        pytest.param(["exact-dist", "--generator", "all-ones", "--n", "300000000",
+                      "--chain", "signed-chain.json"],
+                     "config error: chain file provides 4 sign rows but n = 300000000 "
+                     "are needed", id="chain-sign-rows"),
     ])
     def test_oversize_dp_refused_before_allocating(self, argv, refusal, chain_file, tmp_path):
         # in a child whose address space is capped at 1 GiB, so a refusal
@@ -128,7 +134,8 @@ class TestSubcommands:
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                  "from smallball.cli import main\n"
                  "sys.exit(main(sys.argv[1:]))\n")
-        if argv[0] not in ("tightness", "prg-test"):
+        (tmp_path / "signed-chain.json").write_text(SIGNED_CHAIN_DOC)
+        if argv[0] not in ("tightness", "prg-test") and "--chain" not in argv:
             argv = argv + ["--chain", chain_file]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -136,7 +143,9 @@ class TestSubcommands:
                              env=env, capture_output=True, text=True, timeout=60)
         if not isinstance(refusal, str):
             refusal = f"DP needs {refusal} cells, budget is 1000000000"
-        assert (run.returncode, run.stderr) == (2, f"error: {refusal}\n")
+        if not refusal.startswith("config error: "):
+            refusal = f"error: {refusal}"
+        assert (run.returncode, run.stderr) == (2, f"{refusal}\n")
 
     def test_prg_build_and_test(self, tmp_path, capsys):
         graph = str(tmp_path / "g.json")

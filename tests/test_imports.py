@@ -1,7 +1,8 @@
 """No library module imports a name it never uses, the oracles stay
 independent of the transfer engine they check, no library module imports scipy,
-importing the library or running its CLI (Monte Carlo included) loads numpy
-but no scipy module, no module copies a budget or fixed
+importing the library, running its CLI (Monte Carlo included), the acceptance
+battery, the fitters or the large-n benchmark's library calls loads numpy but
+neither a scipy module nor numpy.ma, no module copies a budget or fixed
 tolerance at import, every `module.name` the README cites exists, every
 committed fitted constant is read by a bound outside its fitter, every
 public name has a caller outside its home module, and every error class is
@@ -159,19 +160,26 @@ def test_constant_copy_detector():
                                                   "line 3: bounds.QUAD_TOL"]
 
 
-# each step runs in one fresh interpreter and reports the scipy modules
-# loaded after it; no subcommand needs scipy, Monte Carlo intervals included
-IMPORT_PROBE = """
-import contextlib, io, json, sys
+# the modules a probe reports: scipy's, and numpy.ma's, which numpy 2.4's
+# np.unique imports when called without return_* flags
+UNWANTED = """
+import sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
+"""
+
+# each step runs in one fresh interpreter and reports the unwanted modules
+# loaded after it; no subcommand needs them, Monte Carlo intervals included
+IMPORT_PROBE = UNWANTED + """
+import contextlib, io, json
 
 loaded = {}
 import smallball
-loaded["import smallball"] = scipy_modules()
+loaded["import smallball"] = unwanted()
 import smallball.cli
-loaded["import smallball.cli"] = scipy_modules()
+loaded["import smallball.cli"] = unwanted()
 for label, argv in (
         ("spectral-gap", ["spectral-gap", "--chain", sys.argv[1]]),
         ("smallball --mode mc", ["smallball", "--mode", "mc", "--chain", sys.argv[1],
@@ -180,7 +188,7 @@ for label, argv in (
                                      "--n", "8", "--samples", "1000"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = smallball.cli.main(argv)
-    loaded[f"{label} exit {code}"] = scipy_modules()
+    loaded[f"{label} exit {code}"] = unwanted()
 print(json.dumps(loaded))
 """
 
@@ -204,15 +212,15 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 # criteria 1-12 and every fitter, what the battery-refit benchmark runs
-BATTERY_PROBE = """
-import json, sys
+BATTERY_PROBE = UNWANTED + """
+import json
 from smallball import acceptance, fitting
 from smallball.families import DEFAULT_SEED
 
 acceptance.run_criteria(DEFAULT_SEED)
 for fitter in fitting.FITTERS.values():
     fitter()
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(unwanted()))
 """
 
 
@@ -220,18 +228,43 @@ def test_battery_and_fitters_load_no_scipy():
     assert json.loads(run_probe(BATTERY_PROBE)) == []
 
 
-# the Lanczos branch of certify_lambda, which large-n and prg-build --k 14 run
-CERTIFY_PROBE = """
-import json, sys
-from smallball import prg
+# the library calls of the large-n benchmark's queries, on smaller inputs:
+# random reversible chains, float and rational laws, Monte Carlo, sampled
+# walks, the Lanczos branch of certify_lambda and an abs_charfn integral
+LARGE_N_PROBE = UNWANTED + """
+import json
+import numpy as np
+from smallball import bounds, chains, fitting, prg, sampling, transfer
+from smallball import families as fam
 
+rng = np.random.default_rng(20240513)
+
+def instance(n_states, n, weights):
+    chain = fam.random_reversible_chain(rng, n_states)
+    signs = chains.make_sign_system(rng.choice([-1, 1], size=(n, n_states)),
+                                    chain.stationary)
+    return chain, signs, chains.make_weight_system(weights)
+
+c, s, w = instance(16, 300, np.ones(300))
+transfer.exact_sum_distribution(c, s, w)
+transfer.char_fn_values(c, transfer.sign_contributions(s, w), rng.uniform(0.0, 0.5, 4))
+c2 = chains.make_two_state_chain(0.3)
+s2 = chains.make_sign_system(rng.choice([-1, 1], size=(40, 2)), c2.stationary)
+transfer.exact_sum_distribution(c2, s2, chains.make_weight_system(np.ones(40)), exact=True)
+c4, s4, w4 = instance(4, 64, np.ones(64))
+sampling.smallball_mc(c4, s4, w4, 0.0, 2.0, 10_000, 1)
+spec = prg.PrgSpec(graph=prg.build_mgg_expander(8), n=64)
+prg.prg_smallball(spec, np.ones(64), 0.0, 4.0, mode="sampled", samples=10_000, seed=1)
 prg.certify_lambda(prg.build_mgg_expander(14))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+c6, s6, w6 = instance(4, 100, rng.integers(1, 9, 100).astype(float))
+bounds.esseen_bound(fitting.abs_charfn(c6, s6, w6), 1, 1.0, 1.0,
+                    bounds.load_constants()["C_esseen"])
+print(json.dumps(unwanted()))
 """
 
 
-def test_certify_loads_no_scipy():
-    assert json.loads(run_probe(CERTIFY_PROBE)) == []
+def test_large_n_calls_load_no_scipy_or_numpy_ma():
+    assert json.loads(run_probe(LARGE_N_PROBE)) == []
 
 
 MODULES = {p.stem for p in SOURCES}

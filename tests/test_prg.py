@@ -87,6 +87,46 @@ class TestBuild:
             assert fwd == bwd
 
 
+# sha256 of build_mgg_expander(k).neighbors.tobytes(), recorded from the
+# stacked build
+NEIGHBOR_DIGESTS = {
+    2: "803c1f8d4884f38153b8bd5febd3d20b87bed16e6152e395c883c20e82234653",
+    4: "0efc5f6d000f4f1f96fbfea70afaed44b732cb282358bb3436c5823cbbc76888",
+    6: "b9bdbac409648690c68fd3db14027d2be41a7ecad8d05d9d40d813293b47769d",
+    8: "01be7ecc476a4c11316e8caac6a0056c5fe461869359ab4a59f8b7f7fc7a717e",
+    10: "71a8b4746d2489cb7daae3da49234fd4070d79951fadc038500aa37f9a8036b5",
+    12: "7b3c37d69bbd83f3f288aa705125a165f053d8d99fc143d7764fca313e6d629f",
+    14: "848aa55c7f43f38d98d2c532dad83a8e7d848201f951ea64c216d3fdd972a468",
+    16: "3aab4aa24e42193b6d6a3ff8ccbe8be2723bf7ea1c7f303fe553305327885624",
+}
+
+
+class TestBuildPins:
+    @pytest.mark.parametrize("k", sorted(NEIGHBOR_DIGESTS))
+    def test_neighbor_table_is_pinned(self, k):
+        g = build_mgg_expander(k)
+        assert (g.neighbors.dtype, g.neighbors.shape) == (np.int64, (1 << k, 8))
+        assert hashlib.sha256(g.neighbors.tobytes()).hexdigest() == NEIGHBOR_DIGESTS[k]
+
+    def test_build_and_validation_hold_few_tables(self):
+        # k = 16: a 4 MiB table.  The build holds it, x, y and one column
+        # temporary, then validation's two sorted slot-key arrays
+        tracemalloc.start()
+        try:
+            g = build_mgg_expander(16)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            validate_expander(g)
+            validate = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = g.neighbors.nbytes
+        assert table == 4 * 2**20
+        assert build <= 4 * table
+        assert validate <= 2.5 * table
+
+
 def dense_symmetric(nbrs):
     nv, degree = nbrs.shape
     counts = np.zeros((nv, nv), dtype=np.int64)
@@ -151,6 +191,13 @@ class TestCertify:
         lam = certify_lambda(g)
         assert 0.0 < lam < 0.884
         assert g.certified_lambda == lam
+
+    @pytest.mark.parametrize("k, bits", [(10, "0x1.93127b9f0d9bcp-1"),
+                                         (12, "0x1.9d0b1622b32fdp-1"),
+                                         (14, "0x1.a3a21e91961a8p-1")])
+    def test_lanczos_lambda_is_pinned(self, k, bits):
+        # recorded from the stacked build; k = 14 is 0.819596247932215
+        assert certify_lambda(build_mgg_expander(k)).hex() == bits
 
     def test_k2_value_is_half(self):
         assert certify_lambda(build_mgg_expander(2)) == pytest.approx(0.5,

@@ -575,6 +575,26 @@ def test_char_fn_values_memory_is_per_step():
         "957ff261335fb6034f8b425a40b4e204a0363de07a8638a39cd21b9ce34b92a8")
 
 
+def test_lone_law_sweep_holds_only_its_shifts_and_band_buffers():
+    # 16 states, n = 3000 unit contributions: the table, its rounded and int64
+    # copies, the shifts and each of the sweep's three band buffers are about
+    # 375 KiB apiece, and the copies die before the sweep
+    rng = np.random.default_rng(20240513)
+    chain = random_reversible_chain(rng, 16)
+    contribs = rng.choice([-1.0, 1.0], size=(3000, 16))
+    tracemalloc.start()
+    try:
+        dist = distribution_from_contributions(chain, contribs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+    # recorded before the checking copies were released
+    assert (dist.offset, dist.span) == (-1886, (-3000, 3000))
+    assert hashlib.sha256(dist.masses.tobytes()).hexdigest() == (
+        "fcca18b0e5dc973355845c4a538964f5964cabfaef5064e638f9d92b0d46d804")
+
+
 def test_law_modulus_matches_transfer_sweep_and_path_enumeration():
     worst_sweep = worst_paths = 0.0
     for inst in oracle_family(DEFAULT_SEED, 200):
